@@ -1,17 +1,27 @@
-"""Pure-Python search kernel: fused model enumeration and formula evaluation.
-
-This is the fallback for the compiled kernel in ``_kernel.pyx``.  The two
-implementations must enumerate models in exactly the same order and return
-identical results; the test suite cross-checks them.
+"""Search kernel: bit-sliced model enumeration and formula evaluation.
 
 Formulas arrive compiled to flat postfix programs ``[op0, arg0, op1, arg1,
-...]`` evaluated over truth-set bitmasks.  Enumeration order is total and
-deterministic: world count ascending, then per-world structures in
-ascending bitmask order (world 0 most significant), then valuations in
-ascending bitmask order (first atom most significant).  Neighborhood
-families are compared as family bitmasks (one bit per member set), which
-for the core-generated constrained class orders each world's candidate
-cores by the family they generate.
+...]``.  Enumeration order is total and deterministic: world count
+ascending, then per-world structures in ascending bitmask order (world 0
+most significant), then valuations in ascending bitmask order (first atom
+most significant).  Neighborhood families are compared as family bitmasks
+(one bit per member set), which for the core-generated constrained class
+orders each world's candidate cores by the family they generate.
+
+Valuations are evaluated broadword (Knuth, TAOCP 4A §7.1.3): for one
+structure, a formula's value at world ``w`` is a Python int whose bit
+``u`` is its truth at ``w`` under the ``u``-th valuation.  Atoms become
+fixed bit patterns, connectives become ``& | ^``, a box is an AND (a
+diamond an OR) over a world's successors or core members, and a raw box is
+an OR over the family's members of exact-truth-set indicators.  So each
+formula is evaluated once per structure and chunk, not once per model,
+and the lowest set bit of ``premises_ok & ~target`` is the first
+countermodel in the order above.
+
+Valuations are streamed in chunks of at most ``2**CHUNK_LOG2`` consecutive
+indices, cut at whole atoms: the low atoms vary inside a chunk, the high
+atoms are constant across it.  Memory therefore stays bounded whatever
+the atom count.
 """
 
 from itertools import product
@@ -36,6 +46,10 @@ from itertools import product
     CLASS_KRIPKE_EQUIV,
     CLASS_UNIVERSAL,
 ) = range(5)
+
+# log2 of the valuations evaluated at once: each per-world int holds at
+# most this many bits' worth of valuations (2**12 bits = 512 bytes).
+CHUNK_LOG2 = 12
 
 
 def family_key(core: int, n: int) -> int:
@@ -78,6 +92,28 @@ def is_equivalence(rows: tuple[int, ...], n: int) -> bool:
     return True
 
 
+def partition_rows(n: int) -> list[tuple[int, ...]]:
+    """Relation rows of every equivalence on ``n`` worlds, one per set
+    partition: ``rows[w]`` is the block containing ``w``."""
+    out = []
+    blocks: list[int] = []
+
+    def place(w: int) -> None:
+        if w == n:
+            out.append(tuple(next(b for b in blocks if (b >> z) & 1) for z in range(n)))
+            return
+        for i in range(len(blocks)):
+            blocks[i] |= 1 << w
+            place(w + 1)
+            blocks[i] ^= 1 << w
+        blocks.append(1 << w)
+        place(w + 1)
+        blocks.pop()
+
+    place(0)
+    return out
+
+
 def structures(class_id: int, n: int):
     """Yield per-world structure tuples for one world count, in order."""
     if class_id == CLASS_CONSTRAINED:
@@ -87,70 +123,101 @@ def structures(class_id: int, n: int):
     elif class_id == CLASS_KRIPKE_ALL:
         yield from product(range(1 << n), repeat=n)
     elif class_id == CLASS_KRIPKE_EQUIV:
-        for rows in product(range(1 << n), repeat=n):
+        # Sorted rows tuples are the product order of the relations.
+        for rows in sorted(partition_rows(n)):
             if is_equivalence(rows, n):
                 yield rows
     else:
         yield ()
 
 
-def eval_program(prog, vmasks, full, n, class_id, struct) -> int:
-    """Evaluate a postfix program to the truth-set bitmask of its formula."""
-    stack = []
-    i = 0
-    length = len(prog)
-    while i < length:
+def bit_patterns(nbits: int) -> list[int]:
+    """``patterns[b]`` has bit ``u`` set iff bit ``b`` of ``u`` is set, for
+    every ``u < 2**nbits``."""
+    width = 1 << nbits
+    ones = (1 << width) - 1
+    out = []
+    for b in range(nbits):
+        half = 1 << b
+        out.append(ones // ((1 << (2 * half)) - 1) * (((1 << half) - 1) << half))
+    return out
+
+
+def _and_all(values, ones: int) -> int:
+    r = ones
+    for x in values:
+        r &= x
+    return r
+
+
+def _or_all(values) -> int:
+    r = 0
+    for x in values:
+        r |= x
+    return r
+
+
+def eval_program(prog, atoms, ones, n, class_id, frame) -> list[int]:
+    """Evaluate a postfix program over one chunk of valuations.
+
+    ``atoms[i][w]`` is atom ``i``'s value at world ``w`` and ``ones`` has a
+    bit for every valuation of the chunk.  ``frame[w]`` lists world ``w``'s
+    successors (Kripke), core members (constrained) or family members as
+    world sets (raw).  Returns the formula's value at each world.
+    """
+    stack: list = []
+    for i in range(0, len(prog), 2):
         op = prog[i]
-        arg = prog[i + 1]
-        i += 2
         if op == OP_ATOM:
-            stack.append(vmasks[arg])
+            stack.append(atoms[prog[i + 1]])
         elif op == OP_TOP:
-            stack.append(full)
+            stack.append([ones] * n)
         elif op == OP_BOT:
-            stack.append(0)
+            stack.append([0] * n)
         elif op == OP_NOT:
-            stack[-1] ^= full
+            stack[-1] = [x ^ ones for x in stack[-1]]
         elif op == OP_AND:
             b = stack.pop()
-            stack[-1] &= b
+            stack[-1] = [x & y for x, y in zip(stack[-1], b)]
         elif op == OP_OR:
             b = stack.pop()
-            stack[-1] |= b
+            stack[-1] = [x | y for x, y in zip(stack[-1], b)]
         elif op == OP_IMP:
             b = stack.pop()
-            stack[-1] = (stack[-1] ^ full) | b
+            stack[-1] = [(x ^ ones) | y for x, y in zip(stack[-1], b)]
         elif op == OP_IFF:
             b = stack.pop()
-            stack[-1] = (stack[-1] ^ b) ^ full
+            stack[-1] = [x ^ y ^ ones for x, y in zip(stack[-1], b)]
         elif op == OP_BOX:
             a = stack[-1]
-            r = 0
-            if class_id == CLASS_CONSTRAINED:
-                for w in range(n):
-                    if struct[w] & ~a == 0:
-                        r |= 1 << w
+            if class_id == CLASS_UNIVERSAL:
+                stack[-1] = [_and_all(a, ones)] * n
             elif class_id == CLASS_RAW:
-                for w in range(n):
-                    if (struct[w] >> a) & 1:
-                        r |= 1 << w
-            elif class_id in (CLASS_KRIPKE_ALL, CLASS_KRIPKE_EQUIV):
-                for w in range(n):
-                    if struct[w] & ~a == 0:
-                        r |= 1 << w
+                # exact[X]: the truth set is exactly the world set X
+                exact = [ones]
+                for x in a:
+                    exact = [e & (x ^ ones) for e in exact] + [e & x for e in exact]
+                stack[-1] = [_or_all(exact[s] for s in members) for members in frame]
             else:
-                r = full if a == full else 0
-            stack[-1] = r
+                r = []
+                for members in frame:
+                    x = ones
+                    for z in members:
+                        x &= a[z]
+                    r.append(x)
+                stack[-1] = r
         else:  # OP_DIA
             a = stack[-1]
-            r = 0
             if class_id in (CLASS_KRIPKE_ALL, CLASS_KRIPKE_EQUIV):
-                for w in range(n):
-                    if struct[w] & a:
-                        r |= 1 << w
+                r = []
+                for members in frame:
+                    x = 0
+                    for z in members:
+                        x |= a[z]
+                    r.append(x)
+                stack[-1] = r
             else:
-                r = full if a else 0
-            stack[-1] = r
+                stack[-1] = [_or_all(a)] * n
     return stack[-1]
 
 
@@ -165,21 +232,43 @@ def run_search(class_id: int, max_worlds: int, natoms: int, programs):
     checked = 0
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
-        vrange = range(1 << n)
+        low = min(natoms, max(1, CHUNK_LOG2 // n))  # atoms varying inside a chunk
+        high = natoms - low
+        width = 1 << (n * low)
+        ones = (1 << width) - 1
+        patterns = bit_patterns(n * low)
+        # Valuation v = chunk << (n * low) | u; bit n*(natoms-1-i) + w of v
+        # is atom i's truth at world w.
+        low_atoms = [
+            [patterns[n * (natoms - 1 - i) + w] for w in range(n)]
+            for i in range(high, natoms)
+        ]
+        set_bits = [tuple(z for z in range(n) if (m >> z) & 1) for m in range(1 << n)]
         for struct in structures(class_id, n):
-            for vmasks in product(vrange, repeat=natoms):
-                checked += 1
-                ok = True
+            if class_id == CLASS_RAW:
+                frame = [[x for x in range(1 << n) if (fam >> x) & 1] for fam in struct]
+            else:
+                frame = [set_bits[row] for row in struct]
+            for chunk in range(1 << (n * high)):
+                atoms = [
+                    [ones if (chunk >> (n * (high - 1 - i) + w)) & 1 else 0 for w in range(n)]
+                    for i in range(high)
+                ]
+                atoms += low_atoms
+                ok = ones
                 for g in gamma:
-                    if eval_program(g, vmasks, full, n, class_id, struct) != full:
-                        ok = False
+                    ok &= _and_all(eval_program(g, atoms, ones, n, class_id, frame), ones)
+                    if not ok:
                         break
                 if not ok:
                     continue
-                ts = eval_program(target, vmasks, full, n, class_id, struct)
-                if ts != full:
-                    world = 0
-                    while (ts >> world) & 1:
-                        world += 1
-                    return (True, checked, n, struct, vmasks, world)
+                ts = eval_program(target, atoms, ones, n, class_id, frame)
+                bad = ok & ~_and_all(ts, ones)
+                if bad:
+                    u = (bad & -bad).bit_length() - 1
+                    v = (chunk << (n * low)) | u
+                    vmasks = tuple((v >> (n * (natoms - 1 - i))) & full for i in range(natoms))
+                    world = next(w for w in range(n) if not (ts[w] >> u) & 1)
+                    return (True, checked + v + 1, n, struct, vmasks, world)
+            checked += 1 << (n * natoms)
     return (False, checked, 0, (), (), -1)

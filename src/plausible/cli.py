@@ -3,7 +3,8 @@
 Machine-readable JSON goes to stdout (``--pretty`` switches to a human
 rendering); diagnostics go to stderr.  Exit status: 0 for success, 1 for a
 semantically meaningful negative (countermodel found, proof rejected,
-axiom violated, formula false), 2 for usage or input errors.
+axiom violated, formula false), 2 for usage or input errors, 3 for an
+internal error (a search result that failed re-validation).
 """
 
 from __future__ import annotations
@@ -330,6 +331,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except srch.SearchInternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

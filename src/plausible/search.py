@@ -6,14 +6,13 @@ deterministic, so the first countermodel is a stable fixture; every
 countermodel is re-validated against the object-level evaluator and the
 class constraints before it is returned.
 
-The inner enumeration/evaluation loop runs on a compiled kernel when the
-``plausible._kernel`` extension is available, with a pure-Python fallback
-selected at import time (``PLAUSIBLE_PURE_PYTHON=1`` forces the fallback).
+The inner enumeration/evaluation loop runs in ``plausible._kernel_py``,
+which evaluates each formula over all valuations of a structure at once
+(bit-sliced); formulas reach it compiled to postfix programs.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -49,21 +48,13 @@ from .syntax import (
     render,
 )
 
+# Searches call the kernel through this attribute, so tools can wrap it.
 _ACTIVE = _kernel_py
-_BACKEND = "python"
-if not os.environ.get("PLAUSIBLE_PURE_PYTHON"):
-    try:
-        from . import _kernel  # type: ignore[attr-defined]
-
-        _ACTIVE = _kernel
-        _BACKEND = "compiled"
-    except ImportError:
-        pass
 
 
 def kernel_backend() -> str:
-    """Name of the active search kernel: ``"compiled"`` or ``"python"``."""
-    return _BACKEND
+    """Name of the search kernel; there is one, ``"python"``."""
+    return "python"
 
 
 class BoundsExceededError(ValueError):
@@ -160,7 +151,7 @@ def _require_class_dialect(f: Formula, model_class: ModelClass) -> None:
 
 
 def compile_program(f: Formula, atom_slots: dict[int, int]) -> list[int]:
-    """Flatten a formula into the kernels' postfix opcode list.
+    """Flatten a formula into the kernel's postfix opcode list.
 
     Atoms without a slot (outside the search bounds) denote the empty set.
     """
@@ -210,7 +201,7 @@ def compile_program(f: Formula, atom_slots: dict[int, int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration (object-level stream; order matches the kernels exactly)
+# Enumeration (object-level stream; order matches the kernel exactly)
 
 
 def _neighborhood_from_struct(mc: ModelClass, n: int, struct, valuation) -> NeighborhoodModel:
@@ -236,7 +227,7 @@ def _model_from_struct(mc: ModelClass, n: int, struct, vmasks, atoms) -> Model:
 
 def enumerate_models(bounds: SearchBounds):
     """Yield every model of the class up to the bounds, without duplicates,
-    in the kernels' deterministic order."""
+    in the kernel's deterministic order."""
     class_id = _CLASS_ID[bounds.model_class]
     for n in range(1, bounds.max_worlds + 1):
         vrange = range(1 << n)

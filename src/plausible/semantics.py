@@ -270,7 +270,8 @@ def _read_worlds(data) -> int:
     if not isinstance(data, dict):
         raise ModelFormatError("model file must contain a JSON object")
     worlds = data.get("worlds")
-    if not isinstance(worlds, int) or worlds < 1:
+    # bool is a subclass of int, but "worlds": true is not a world count
+    if not isinstance(worlds, int) or isinstance(worlds, bool) or worlds < 1:
         raise ModelFormatError('"worlds" must be a positive integer')
     return worlds
 

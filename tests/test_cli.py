@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import FIXTURES
+from plausible import _kernel_py
 from plausible.cli import main
 
 MODELS = FIXTURES / "models"
@@ -77,6 +78,12 @@ class TestEval:
         code, _, err = run(capsys, "eval", "no_such_model.json", "0", "p0")
         assert code == 2
 
+    def test_boolean_world_count_rejected(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"worlds": True, "V": {}}), encoding="utf-8")
+        code, out, err = run(capsys, "eval", str(path), "0", "p0")
+        assert code == 2 and out == "" and '"worlds"' in err
+
 
 class TestValid:
     def test_t_exhausted(self, capsys):
@@ -122,6 +129,14 @@ class TestValid:
     def test_bounds_exceeded(self, capsys):
         code, _, err = run(capsys, "valid", "p0", "--class", "raw", "--max-worlds", "3")
         assert code == 2
+
+    def test_kernel_defect_is_internal_error(self, capsys, monkeypatch):
+        # p0 holds at the returned world, so re-validation rejects the model
+        bogus = (True, 1, 1, (1,), (1,), 0)
+        monkeypatch.setattr(_kernel_py, "run_search", lambda *args: bogus)
+        code, out, err = run(capsys, "valid", "p0", "--class", "constrained", "--max-worlds", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: ")
 
 
 class TestConsequence:

@@ -1,7 +1,13 @@
 import itertools
+import tracemalloc
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_kernel
+from conftest import formulas
 from plausible import _kernel_py
 from plausible.search import (
     BoundsExceededError,
@@ -26,14 +32,7 @@ from plausible.semantics import (
     nm_check_conditions,
     relation_properties,
 )
-from plausible.syntax import DialectError, atoms_of, parse
-
-try:
-    from plausible import _kernel
-
-    HAVE_COMPILED = True
-except ImportError:
-    HAVE_COMPILED = False
+from plausible.syntax import DialectError, parse
 
 
 def bounds(model_class, max_worlds, atoms=()):
@@ -162,34 +161,114 @@ class TestFindCountermodel:
         assert find_countermodel(f, b) == find_countermodel(f, b)
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel unavailable")
-class TestBackendParity:
+def _programs(texts, natoms):
+    """Compile formulas with atom ``i`` in slot ``i``."""
+    slots = {a: a for a in range(natoms)}
+    return [compile_program(parse(t), slots) for t in texts]
+
+
+@contextmanager
+def chunk_log2(value):
+    saved = _kernel_py.CHUNK_LOG2
+    _kernel_py.CHUNK_LOG2 = value
+    try:
+        yield
+    finally:
+        _kernel_py.CHUNK_LOG2 = saved
+
+
+class TestReferenceParity:
+    """The bit-sliced kernel against the per-model reference kernel."""
+
     CASES = [
-        ("p0 -> []p0", _kernel_py.CLASS_CONSTRAINED, 2, 1),
-        ("[]p0 -> p0", _kernel_py.CLASS_CONSTRAINED, 3, 2),
-        ("[](p0 -> p1) -> ([]p0 -> []p1)", _kernel_py.CLASS_CONSTRAINED, 3, 2),
-        ("[]p0 -> p0", _kernel_py.CLASS_RAW, 2, 1),
-        ("p0 -> []p0", _kernel_py.CLASS_RAW, 2, 1),
-        ("<>p0 -> []<>p0", _kernel_py.CLASS_KRIPKE_ALL, 3, 1),
-        ("<>p0 -> []<>p0", _kernel_py.CLASS_KRIPKE_EQUIV, 3, 1),
-        ("[]p0 -> p0", _kernel_py.CLASS_UNIVERSAL, 4, 2),
-        ("false", _kernel_py.CLASS_CONSTRAINED, 2, 0),
+        ((), "p0 -> []p0", _kernel_py.CLASS_CONSTRAINED, 2, 1),
+        ((), "[]p0 -> p0", _kernel_py.CLASS_CONSTRAINED, 3, 2),
+        ((), "[](p0 -> p1) -> ([]p0 -> []p1)", _kernel_py.CLASS_CONSTRAINED, 3, 2),
+        ((), "[]p0 -> p0", _kernel_py.CLASS_RAW, 2, 1),
+        ((), "p0 -> []p0", _kernel_py.CLASS_RAW, 2, 1),
+        ((), "<>p0 -> []<>p0", _kernel_py.CLASS_KRIPKE_ALL, 3, 1),
+        ((), "<>p0 -> []<>p0", _kernel_py.CLASS_KRIPKE_EQUIV, 3, 1),
+        ((), "[]p0 -> p0", _kernel_py.CLASS_UNIVERSAL, 4, 2),
+        ((), "false", _kernel_py.CLASS_CONSTRAINED, 2, 0),
+        (("p0",), "[]p0", _kernel_py.CLASS_CONSTRAINED, 2, 1),
+        ((), "[](p0 & p1) -> [](p1 & p0)", _kernel_py.CLASS_RAW, 2, 2),
+        ((), "[]p0 -> [][]p0", _kernel_py.CLASS_KRIPKE_EQUIV, 4, 1),
+        # refuted at 2 worlds in the second chunk of valuations
+        ((), "p0 -> []p0 | p1 & p2 & p3 & p4 & p5 & p6", _kernel_py.CLASS_UNIVERSAL, 3, 7),
+        (("p0 -> p1", "[]p0"), "[]p1", _kernel_py.CLASS_CONSTRAINED, 3, 2),
     ]
 
-    @pytest.mark.parametrize("text,class_id,worlds,natoms", CASES)
-    def test_identical_results(self, text, class_id, worlds, natoms):
-        f = parse(text)
-        slots = {a: i for i, a in enumerate(sorted(atoms_of(f)))}
-        prog = compile_program(f, slots)
-        got_py = _kernel_py.run_search(class_id, worlds, natoms, [prog])
-        got_cy = _kernel.run_search(class_id, worlds, natoms, [prog])
-        assert got_py == got_cy
+    @pytest.mark.parametrize("gamma,text,class_id,worlds,natoms", CASES)
+    def test_identical_results(self, gamma, text, class_id, worlds, natoms):
+        programs = _programs((*gamma, text), natoms)
+        expected = reference_kernel.run_search(class_id, worlds, natoms, programs)
+        assert _kernel_py.run_search(class_id, worlds, natoms, programs) == expected
+        with chunk_log2(1):
+            assert _kernel_py.run_search(class_id, worlds, natoms, programs) == expected
 
-    def test_gamma_parity(self):
-        gamma = compile_program(parse("p0"), {0: 0})
-        target = compile_program(parse("[]p0"), {0: 0})
-        args = (_kernel_py.CLASS_CONSTRAINED, 2, 1, [gamma, target])
-        assert _kernel_py.run_search(*args) == _kernel.run_search(*args)
+    def test_exhaustion_across_chunks(self):
+        # Recorded from reference_kernel.run_search (about 2.1 M models, too
+        # slow to repeat here): sum of 2^(7n) for n = 1..3.
+        programs = _programs(["p0|~p0|p1|p2|p3|p4|p5"], 7)
+        got = _kernel_py.run_search(_kernel_py.CLASS_UNIVERSAL, 3, 7, programs)
+        assert got == (False, 2_113_664, 0, (), (), -1)
+
+    # (class, max worlds, atoms, modal operators): small enough that the
+    # reference exhausts every class in milliseconds.
+    CLASSES = [
+        (_kernel_py.CLASS_CONSTRAINED, 2, 2, ("box",)),
+        (_kernel_py.CLASS_RAW, 2, 1, ("box",)),
+        (_kernel_py.CLASS_KRIPKE_ALL, 2, 2, ("box", "diamond")),
+        (_kernel_py.CLASS_KRIPKE_EQUIV, 3, 2, ("box", "diamond")),
+        (_kernel_py.CLASS_UNIVERSAL, 3, 3, ("box", "diamond")),
+    ]
+
+    @pytest.mark.parametrize("class_id,worlds,natoms,modal", CLASSES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_differential(self, class_id, worlds, natoms, modal, data):
+        strategy = formulas(atoms=tuple(range(natoms)), modal=modal, max_leaves=8)
+        gamma = data.draw(st.lists(strategy, max_size=2))
+        target = data.draw(strategy)
+        log2 = data.draw(st.sampled_from([1, 2, _kernel_py.CHUNK_LOG2]))
+        slots = {a: a for a in range(natoms)}
+        programs = [compile_program(g, slots) for g in (*gamma, target)]
+        expected = reference_kernel.run_search(class_id, worlds, natoms, programs)
+        with chunk_log2(log2):
+            assert _kernel_py.run_search(class_id, worlds, natoms, programs) == expected
+
+
+class TestKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equivalence_frames_match_filtered_relations(self, n):
+        filtered = [
+            rows
+            for rows in itertools.product(range(1 << n), repeat=n)
+            if reference_kernel.is_equivalence(rows, n)
+        ]
+        assert list(_kernel_py.structures(_kernel_py.CLASS_KRIPKE_EQUIV, n)) == filtered
+
+    def test_bit_patterns(self):
+        patterns = _kernel_py.bit_patterns(3)
+        for b, pattern in enumerate(patterns):
+            assert all((pattern >> u) & 1 == (u >> b) & 1 for u in range(8))
+
+    def test_streamed_chunks_bound_memory(self):
+        # 16 + 256 + 4096 + 65536 + 1048576 valuations; at 5 worlds they
+        # span 1,024 chunks.  Only one chunk's bit patterns and evaluation
+        # stack, a few dozen ints of at most chunk_bytes, may be alive at a
+        # time; atom tables for every chunk at once take about 0.3 MB.
+        chunk_bytes = (1 << _kernel_py.CHUNK_LOG2) // 8
+        b = bounds(ModelClass.UNIVERSAL, 5, (0, 1, 2, 3))
+        tracemalloc.start()
+        try:
+            out = find_countermodel(parse("[]p0 -> p0 & (p1 | ~p1 | p2 | p3)"), b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.verdict is Verdict.EXHAUSTED_VALID
+        assert out.models_checked == 1_118_480
+        assert peak < 64 * chunk_bytes
 
 
 class TestGlobalConsequence:
@@ -300,4 +379,4 @@ class TestAxiomTablesExhaustedValid:
 
 
 def test_backend_reported():
-    assert kernel_backend() in ("compiled", "python")
+    assert kernel_backend() == "python"
