@@ -1,9 +1,9 @@
 """Workbench for the propositional logic of the plausible.
 
 Parsing and schema matching for modal formulas, Hilbert-style proof
-checking across four deductive systems, truth evaluation in neighborhood,
-Kripke, and universal models, bounded countermodel search, and finite
-plausibility algebras.
+checking across four deductive systems, one truth function for
+neighborhood, Kripke, and universal models, bounded countermodel search,
+and finite plausibility algebras, evaluated as neighborhood models.
 """
 
 from .algebra import (
@@ -12,6 +12,7 @@ from .algebra import (
     alg_validates,
     check_algebra,
     check_derived_laws,
+    iter_valid_algebras,
     plausible_elements,
 )
 from .derivations import ProofBuilder, translate_proof
@@ -42,17 +43,14 @@ from .semantics import (
     KripkeModel,
     NeighborhoodModel,
     UniversalModel,
-    km_eval,
-    km_is_valid,
+    eval_model,
+    is_valid_in,
     model_from_data,
     nm_check_conditions,
-    nm_eval,
-    nm_is_valid,
     relation_properties,
     supplement,
+    truth_mask,
     truth_set,
-    um_eval,
-    um_is_valid,
 )
 from .syntax import (
     Atom,

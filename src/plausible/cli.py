@@ -4,7 +4,8 @@ Machine-readable JSON goes to stdout (``--pretty`` switches to a human
 rendering); diagnostics go to stderr.  Exit status: 0 for success, 1 for a
 semantically meaningful negative (countermodel found, proof rejected,
 axiom violated, formula false), 2 for usage or input errors, 3 for an
-internal error (a search result that failed re-validation).
+internal error (a search result that failed re-validation, or any other
+uncaught exception: a defect must never read as a negative answer).
 """
 
 from __future__ import annotations
@@ -72,7 +73,10 @@ def _emit(data, pretty_lines=None, pretty=False) -> None:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nests too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +335,11 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except srch.SearchInternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        import traceback  # only a defect gets here; keeps it out of start-up
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 3
 
 

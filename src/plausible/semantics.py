@@ -5,6 +5,10 @@ over a per-world family of world-sets), Kripke models (box quantifies over
 an accessibility relation), and universal models (box quantifies over all
 worlds).  Worlds are dense integers ``0..n-1`` and world-sets are bitmasks,
 which keeps set algebra fast and serialization canonical.
+
+Each model supplies its own modality as ``box(ts)`` and ``diamond(ts)``,
+maps from the truth set of an operand to the truth set of the modal
+formula, so one truth function, ``truth_mask``, serves every model.
 """
 
 from __future__ import annotations
@@ -68,23 +72,55 @@ def _normalize_valuation(worlds: int, valuation) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _valuation_of(v: Mapping[int, Iterable[int]] | None, worlds: int) -> tuple[tuple[int, int], ...]:
+    return tuple((a, mask_of(ws, worlds)) for a, ws in (v or {}).items())
+
+
 def _valuation_to_data(valuation: tuple[tuple[int, int], ...]) -> dict:
     return {f"p{atom}": list(worlds_of(mask)) for atom, mask in valuation}
 
 
-def _valuation_from_data(data, worlds: int) -> tuple[tuple[int, int], ...]:
+def _int_list(value, what: str) -> list[int]:
+    # bool is a subclass of int, but true is not a world index
+    if not (isinstance(value, list)
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in value)):
+        raise ModelFormatError(f"{what} must be an array of integers")
+    return value
+
+
+def _valuation_from_data(data) -> dict[int, list[int]]:
     if not isinstance(data, dict):
         raise ModelFormatError('"V" must be an object mapping atoms to world arrays')
-    pairs = {}
+    atoms = {}
     for key, members in data.items():
         if not (isinstance(key, str) and key.startswith("p") and key[1:].isdigit()):
             raise ModelFormatError(f"bad atom name {key!r}")
-        pairs[int(key[1:])] = mask_of(members, worlds)
-    return _normalize_valuation(worlds, pairs)
+        atoms[int(key[1:])] = _int_list(members, f'"V" entry {key!r}')
+    return atoms
+
+
+class _BaseModel:
+    """What every model shares: ``worlds`` dense worlds and a valuation,
+    ascending ``(atom, bitmask)`` pairs; atoms not listed are false everywhere."""
+
+    def __post_init__(self):
+        if self.worlds < 1:
+            raise ModelFormatError("a model needs at least one world")
+        object.__setattr__(self, "valuation", _normalize_valuation(self.worlds, self.valuation))
+
+    @property
+    def full_mask(self) -> int:
+        return (1 << self.worlds) - 1
+
+    def atom_mask(self, atom: int) -> int:
+        for a, mask in self.valuation:
+            if a == atom:
+                return mask
+        return 0
 
 
 @dataclass(frozen=True)
-class NeighborhoodModel:
+class NeighborhoodModel(_BaseModel):
     """Model ``(worlds, families, valuation)`` where ``families[w]`` is the
     ascending tuple of neighborhood bitmasks of world ``w``."""
 
@@ -93,8 +129,7 @@ class NeighborhoodModel:
     valuation: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.worlds < 1:
-            raise ModelFormatError("a model needs at least one world")
+        super().__post_init__()
         if len(self.families) != self.worlds:
             raise ModelFormatError("one neighborhood family per world is required")
         full = self.full_mask
@@ -105,21 +140,21 @@ class NeighborhoodModel:
                 raise ModelFormatError("neighborhood outside the world universe")
             families.append(fam)
         object.__setattr__(self, "families", tuple(families))
-        object.__setattr__(self, "valuation", _normalize_valuation(self.worlds, self.valuation))
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.worlds) - 1
 
     def family(self, w: int) -> tuple[int, ...]:
         _check_world(self.worlds, w)
         return self.families[w]
 
-    def atom_mask(self, atom: int) -> int:
-        for a, mask in self.valuation:
-            if a == atom:
-                return mask
-        return 0
+    def box(self, ts: int) -> int:
+        """Worlds whose neighborhood family contains the truth set ``ts``."""
+        out = 0
+        for w in range(self.worlds):
+            if ts in self.families[w]:
+                out |= 1 << w
+        return out
+
+    def diamond(self, ts: int) -> int:
+        raise DialectError("diamond is not interpreted in neighborhood models")
 
     @classmethod
     def from_sets(cls, worlds: int, s: Mapping[int, Iterable[Iterable[int]]],
@@ -127,8 +162,7 @@ class NeighborhoodModel:
         families = tuple(
             tuple(mask_of(x, worlds) for x in s.get(w, ())) for w in range(worlds)
         )
-        valuation = {a: mask_of(ws, worlds) for a, ws in (v or {}).items()}
-        return cls(worlds, families, tuple(valuation.items()))
+        return cls(worlds, families, _valuation_of(v, worlds))
 
     def to_data(self) -> dict:
         return {
@@ -146,17 +180,17 @@ class NeighborhoodModel:
         s = data.get("S")
         if not isinstance(s, dict):
             raise ModelFormatError('neighborhood model requires an "S" object')
-        families = []
+        families = {}
         for w in range(worlds):
             fam = s.get(str(w), [])
             if not isinstance(fam, list):
                 raise ModelFormatError(f'"S" entry for world {w} must be an array of arrays')
-            families.append(tuple(mask_of(x, worlds) for x in fam))
-        return cls(worlds, tuple(families), _valuation_from_data(data.get("V", {}), worlds))
+            families[w] = [_int_list(x, f'a neighborhood of world {w}') for x in fam]
+        return cls.from_sets(worlds, families, _valuation_from_data(data.get("V", {})))
 
 
 @dataclass(frozen=True)
-class KripkeModel:
+class KripkeModel(_BaseModel):
     """Model ``(worlds, rows, valuation)``; ``rows[w]`` is the bitmask of
     worlds accessible from ``w``."""
 
@@ -165,25 +199,29 @@ class KripkeModel:
     valuation: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.worlds < 1:
-            raise ModelFormatError("a model needs at least one world")
+        super().__post_init__()
         if len(self.rows) != self.worlds:
             raise ModelFormatError("one accessibility row per world is required")
         full = self.full_mask
         for row in self.rows:
             if row < 0 or row & ~full:
                 raise ModelFormatError("accessibility row outside the world universe")
-        object.__setattr__(self, "valuation", _normalize_valuation(self.worlds, self.valuation))
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.worlds) - 1
+    def box(self, ts: int) -> int:
+        """Worlds all of whose successors lie in ``ts``."""
+        out = 0
+        for w in range(self.worlds):
+            if self.rows[w] & ~ts == 0:
+                out |= 1 << w
+        return out
 
-    def atom_mask(self, atom: int) -> int:
-        for a, mask in self.valuation:
-            if a == atom:
-                return mask
-        return 0
+    def diamond(self, ts: int) -> int:
+        """Worlds with a successor in ``ts``."""
+        out = 0
+        for w in range(self.worlds):
+            if self.rows[w] & ts:
+                out |= 1 << w
+        return out
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -198,8 +236,7 @@ class KripkeModel:
             if not (0 <= w < worlds and 0 <= z < worlds):
                 raise ModelFormatError(f"relation pair ({w}, {z}) out of range")
             rows[w] |= 1 << z
-        valuation = {a: mask_of(ws, worlds) for a, ws in (v or {}).items()}
-        return cls(worlds, tuple(rows), tuple(valuation.items()))
+        return cls(worlds, tuple(rows), _valuation_of(v, worlds))
 
     def to_data(self) -> dict:
         return {
@@ -214,45 +251,29 @@ class KripkeModel:
         r = data.get("R")
         if not isinstance(r, list):
             raise ModelFormatError('Kripke model requires an "R" array of pairs')
-        pairs = []
         for item in r:
-            if not (isinstance(item, list) and len(item) == 2):
+            if len(_int_list(item, f'"R" entry {item!r}')) != 2:
                 raise ModelFormatError(f'bad "R" entry {item!r}')
-            pairs.append((item[0], item[1]))
-        rows = [0] * worlds
-        for w, z in pairs:
-            if not (0 <= w < worlds and 0 <= z < worlds):
-                raise ModelFormatError(f"relation pair ({w}, {z}) out of range")
-            rows[w] |= 1 << z
-        return cls(worlds, tuple(rows), _valuation_from_data(data.get("V", {}), worlds))
+        return cls.from_pairs(worlds, r, _valuation_from_data(data.get("V", {})))
 
 
 @dataclass(frozen=True)
-class UniversalModel:
+class UniversalModel(_BaseModel):
     """Model where box and diamond quantify over all worlds."""
 
     worlds: int
     valuation: tuple[tuple[int, int], ...] = ()
 
-    def __post_init__(self):
-        if self.worlds < 1:
-            raise ModelFormatError("a model needs at least one world")
-        object.__setattr__(self, "valuation", _normalize_valuation(self.worlds, self.valuation))
+    def box(self, ts: int) -> int:
+        full = self.full_mask
+        return full if ts == full else 0
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.worlds) - 1
-
-    def atom_mask(self, atom: int) -> int:
-        for a, mask in self.valuation:
-            if a == atom:
-                return mask
-        return 0
+    def diamond(self, ts: int) -> int:
+        return self.full_mask if ts else 0
 
     @classmethod
     def from_sets(cls, worlds: int, v: Mapping[int, Iterable[int]] | None = None) -> "UniversalModel":
-        valuation = {a: mask_of(ws, worlds) for a, ws in (v or {}).items()}
-        return cls(worlds, tuple(valuation.items()))
+        return cls(worlds, _valuation_of(v, worlds))
 
     def to_data(self) -> dict:
         return {"worlds": self.worlds, "V": _valuation_to_data(self.valuation)}
@@ -260,7 +281,7 @@ class UniversalModel:
     @classmethod
     def from_data(cls, data: dict) -> "UniversalModel":
         worlds = _read_worlds(data)
-        return cls(worlds, _valuation_from_data(data.get("V", {}), worlds))
+        return cls.from_sets(worlds, _valuation_from_data(data.get("V", {})))
 
 
 Model = NeighborhoodModel | KripkeModel | UniversalModel
@@ -324,98 +345,23 @@ def _eval_mask(f: Formula, full: int, atom_mask, box_mask, diamond_mask) -> int:
             raise DialectError(f"operator not supported by this model class: {render(f)}")
 
 
-def nm_truth_mask(m: NeighborhoodModel, f: Formula) -> int:
-    """Truth set of ``f`` as a bitmask; box holds where the truth set of the
-    operand belongs to the world's neighborhood family."""
-
-    def box(ts: int) -> int:
-        out = 0
-        for w in range(m.worlds):
-            if ts in m.families[w]:
-                out |= 1 << w
-        return out
-
-    def diamond(ts: int) -> int:
-        raise DialectError("diamond is not interpreted in neighborhood models")
-
-    return _eval_mask(f, m.full_mask, m.atom_mask, box, diamond)
+def truth_mask(m: Model, f: Formula) -> int:
+    """Truth set of ``f`` in ``m`` as a bitmask; the model interprets box
+    and diamond."""
+    return _eval_mask(f, m.full_mask, m.atom_mask, m.box, m.diamond)
 
 
-def nm_eval(m: NeighborhoodModel, w: int, f: Formula) -> bool:
-    _check_world(m.worlds, w)
-    return bool((nm_truth_mask(m, f) >> w) & 1)
-
-
-def truth_set(m: NeighborhoodModel, f: Formula) -> frozenset[int]:
-    return frozenset(worlds_of(nm_truth_mask(m, f)))
-
-
-def nm_is_valid(m: NeighborhoodModel, f: Formula) -> bool:
-    return nm_truth_mask(m, f) == m.full_mask
-
-
-def km_truth_mask(m: KripkeModel, f: Formula) -> int:
-    def box(ts: int) -> int:
-        out = 0
-        for w in range(m.worlds):
-            if m.rows[w] & ~ts == 0:
-                out |= 1 << w
-        return out
-
-    def diamond(ts: int) -> int:
-        out = 0
-        for w in range(m.worlds):
-            if m.rows[w] & ts:
-                out |= 1 << w
-        return out
-
-    return _eval_mask(f, m.full_mask, m.atom_mask, box, diamond)
-
-
-def km_eval(m: KripkeModel, w: int, f: Formula) -> bool:
-    _check_world(m.worlds, w)
-    return bool((km_truth_mask(m, f) >> w) & 1)
-
-
-def km_is_valid(m: KripkeModel, f: Formula) -> bool:
-    return km_truth_mask(m, f) == m.full_mask
-
-
-def um_truth_mask(m: UniversalModel, f: Formula) -> int:
-    full = m.full_mask
-
-    def box(ts: int) -> int:
-        return full if ts == full else 0
-
-    def diamond(ts: int) -> int:
-        return full if ts else 0
-
-    return _eval_mask(f, full, m.atom_mask, box, diamond)
-
-
-def um_eval(m: UniversalModel, w: int, f: Formula) -> bool:
-    _check_world(m.worlds, w)
-    return bool((um_truth_mask(m, f) >> w) & 1)
-
-
-def um_is_valid(m: UniversalModel, f: Formula) -> bool:
-    return um_truth_mask(m, f) == m.full_mask
+def truth_set(m: Model, f: Formula) -> frozenset[int]:
+    return frozenset(worlds_of(truth_mask(m, f)))
 
 
 def eval_model(m: Model, w: int, f: Formula) -> bool:
-    if isinstance(m, NeighborhoodModel):
-        return nm_eval(m, w, f)
-    if isinstance(m, KripkeModel):
-        return km_eval(m, w, f)
-    return um_eval(m, w, f)
+    _check_world(m.worlds, w)
+    return bool((truth_mask(m, f) >> w) & 1)
 
 
 def is_valid_in(m: Model, f: Formula) -> bool:
-    if isinstance(m, NeighborhoodModel):
-        return nm_is_valid(m, f)
-    if isinstance(m, KripkeModel):
-        return km_is_valid(m, f)
-    return um_is_valid(m, f)
+    return truth_mask(m, f) == m.full_mask
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,11 @@ Grammar (ASCII): atoms ``p0 p1 ...``; constants ``true``/``false``; unary
 prefixes ``~`` (not), ``[]`` (box), ``<>`` (diamond), ``nabla``; binary
 ``&``, ``|``, ``->``, ``<->``.  Precedence, high to low: unary, ``&``,
 ``|``, ``->``, ``<->``.  Both arrows associate to the right, ``&`` and
-``|`` to the left.  Whitespace is ignored.
+``|`` to the left.  Whitespace is ignored.  Every unary prefix, opening
+parenthesis and binary operator opens a nesting level, which stays open to
+the end of its operand (for ``&`` and ``|``, to the end of the chain).  A
+formula may nest at most ``MAX_NESTING`` unary prefixes and parentheses,
+and at most ``MAX_DEPTH`` levels in all.
 """
 
 from __future__ import annotations
@@ -139,6 +143,14 @@ class _Token:
     pos: int
 
 
+# Bound the parser's recursion, and the recursion of every later walk over
+# the tree, far below the interpreter's limit.  A parenthesis costs the
+# parser six frames, so prefixes and parentheses get the tighter bound; a
+# binary operator costs it at most one frame and the tree one level.  The
+# perfbench workloads (seeds 1, 11, 2027) reach 20 levels.
+MAX_NESTING = 100  # unary prefixes and parentheses
+MAX_DEPTH = 300  # all levels, binary operators included
+
 _TOKEN_RE = re.compile(r"[ \t\r\n]+|(?P<word>[A-Za-z][A-Za-z0-9]*)|(?P<op><->|<>|\[\]|->|[~&|()])")
 _ATOM_RE = re.compile(r"p(\d+)\Z")
 _KEYWORDS = ("true", "false", "nabla")
@@ -168,10 +180,15 @@ def _tokenize(text: str, metavariables: bool) -> list[_Token]:
     return tokens
 
 
+_PREFIX = {"~": Not, "[]": Box, "<>": Diamond, "nabla": Nabla}
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -187,6 +204,22 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {kind!r}, found {tok.kind!r}", tok.pos)
         return self.advance()
 
+    def enter(self, tok: _Token, prefix: bool = False) -> None:
+        """Open one nesting level at ``tok``, a unary prefix or an opening
+        parenthesis if ``prefix``; the caller closes it with ``leave``."""
+        if prefix and self.nesting == MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"formula nests deeper than {MAX_NESTING} unary prefixes and parentheses", tok.pos
+            )
+        if self.depth == MAX_DEPTH:
+            raise FormulaSyntaxError(f"formula nests deeper than {MAX_DEPTH} levels", tok.pos)
+        self.depth += 1
+        self.nesting += prefix
+
+    def leave(self, prefix: bool = False) -> None:
+        self.depth -= 1
+        self.nesting -= prefix
+
     def parse(self) -> Formula:
         f = self.iff()
         tok = self.peek()
@@ -197,46 +230,45 @@ class _Parser:
     def iff(self) -> Formula:
         left = self.implies()
         if self.peek().kind == "<->":
-            self.advance()
-            return Iff(left, self.iff())
+            self.enter(self.advance())
+            left = Iff(left, self.iff())
+            self.leave()
         return left
 
     def implies(self) -> Formula:
         left = self.disjunction()
         if self.peek().kind == "->":
-            self.advance()
-            return Implies(left, self.implies())
+            self.enter(self.advance())
+            left = Implies(left, self.implies())
+            self.leave()
         return left
 
     def disjunction(self) -> Formula:
         left = self.conjunction()
+        outer = self.depth
         while self.peek().kind == "|":
-            self.advance()
+            self.enter(self.advance())
             left = Or(left, self.conjunction())
+        self.depth = outer
         return left
 
     def conjunction(self) -> Formula:
         left = self.unary()
+        outer = self.depth
         while self.peek().kind == "&":
-            self.advance()
+            self.enter(self.advance())
             left = And(left, self.unary())
+        self.depth = outer
         return left
 
     def unary(self) -> Formula:
-        kind = self.peek().kind
-        if kind == "~":
-            self.advance()
-            return Not(self.unary())
-        if kind == "[]":
-            self.advance()
-            return Box(self.unary())
-        if kind == "<>":
-            self.advance()
-            return Diamond(self.unary())
-        if kind == "nabla":
-            self.advance()
-            return Nabla(self.unary())
-        return self.atomic()
+        op = _PREFIX.get(self.peek().kind)
+        if op is None:
+            return self.atomic()
+        self.enter(self.advance(), prefix=True)
+        f = op(self.unary())
+        self.leave(prefix=True)
+        return f
 
     def atomic(self) -> Formula:
         tok = self.peek()
@@ -250,9 +282,10 @@ class _Parser:
             self.advance()
             return BOTTOM
         if tok.kind == "(":
-            self.advance()
+            self.enter(self.advance(), prefix=True)
             inner = self.iff()
             self.expect(")")
+            self.leave(prefix=True)
             return inner
         raise FormulaSyntaxError(f"expected a formula, found {tok.kind!r}", tok.pos)
 

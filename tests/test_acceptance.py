@@ -35,11 +35,11 @@ from plausible.search import (
 from plausible.semantics import (
     KripkeModel,
     NeighborhoodModel,
-    km_is_valid,
+    is_valid_in,
     nm_check_conditions,
-    nm_truth_mask,
     relation_properties,
     supplement,
+    truth_mask,
 )
 from plausible.syntax import Box, Dialect, instantiate, parse, translate
 from plausible.proofs import SCHEMAS
@@ -103,8 +103,8 @@ def test_c03_frame_correspondence():
             frame_valid_5 = True
             for mask in range(1 << n):
                 m = KripkeModel(n, rows, ((0, mask),))
-                frame_valid_t = frame_valid_t and km_is_valid(m, t_schema)
-                frame_valid_5 = frame_valid_5 and km_is_valid(m, five_schema)
+                frame_valid_t = frame_valid_t and is_valid_in(m, t_schema)
+                frame_valid_5 = frame_valid_5 and is_valid_in(m, five_schema)
             props = relation_properties(KripkeModel(n, rows))
             assert frame_valid_t == props.reflexive, (n, rows)
             assert frame_valid_5 == props.euclidean, (n, rows)
@@ -158,20 +158,20 @@ def test_c06_truth_set_homomorphism():
         f = random_formula(rng, atoms=(0, 1, 2), depth=3)
         g = random_formula(rng, atoms=(0, 1, 2), depth=3)
         full = m.full_mask
-        tf, tg = nm_truth_mask(m, f), nm_truth_mask(m, g)
-        assert nm_truth_mask(m, parse(f"~p0")) == full ^ m.atom_mask(0)
+        tf, tg = truth_mask(m, f), truth_mask(m, g)
+        assert truth_mask(m, parse(f"~p0")) == full ^ m.atom_mask(0)
         from plausible.syntax import And, Iff, Implies, Not, Or
 
-        assert nm_truth_mask(m, Not(f)) == full ^ tf
-        assert nm_truth_mask(m, And(f, g)) == tf & tg
-        assert nm_truth_mask(m, Or(f, g)) == tf | tg
-        assert nm_truth_mask(m, Implies(f, g)) == (full ^ tf) | tg
-        assert nm_truth_mask(m, Iff(f, g)) == ((full ^ tf) | tg) & ((full ^ tg) | tf)
+        assert truth_mask(m, Not(f)) == full ^ tf
+        assert truth_mask(m, And(f, g)) == tf & tg
+        assert truth_mask(m, Or(f, g)) == tf | tg
+        assert truth_mask(m, Implies(f, g)) == (full ^ tf) | tg
+        assert truth_mask(m, Iff(f, g)) == ((full ^ tf) | tg) & ((full ^ tg) | tf)
         expected_box = 0
         for w in range(m.worlds):
             if tf in m.families[w]:
                 expected_box |= 1 << w
-        assert nm_truth_mask(m, Box(f)) == expected_box
+        assert truth_mask(m, Box(f)) == expected_box
     report("C6 truth-set homomorphism", "1000 model/formula pairs, six equalities")
 
 

@@ -1,6 +1,10 @@
-import pytest
+from itertools import product
 
-from conftest import load_fixture
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import formulas, load_fixture
 from plausible.algebra import (
     AlgebraFormatError,
     FinitePlausibilityAlgebra,
@@ -14,7 +18,19 @@ from plausible.algebra import (
     iter_valid_algebras,
     plausible_elements,
 )
-from plausible.syntax import DialectError, parse
+from plausible.syntax import (
+    And,
+    Atom,
+    Bottom,
+    DialectError,
+    Iff,
+    Implies,
+    Nabla,
+    Not,
+    Or,
+    Top,
+    parse,
+)
 
 
 def algebra(base, sharp):
@@ -26,6 +42,7 @@ ZERO_K1 = algebra(1, [0, 0])
 # unit maps to unit, everything else collapses to zero
 UNIT_ONLY_K2 = algebra(2, [0, 0, 0, 3])
 IDENTITY_K2 = algebra(2, [0, 1, 2, 3])
+VALID_K_LE_2 = [a for k in (1, 2) for a in iter_sharp_maps(k) if check_algebra(a).valid]
 
 
 class TestCheckAlgebra:
@@ -133,6 +150,37 @@ class TestEvaluation:
     def test_refutes_nontheorem(self):
         assert not alg_validates(UNIT_ONLY_K2, parse("p0 -> nabla p0"))
 
+    @given(formulas(atoms=(0, 1, 2), modal=("nabla",)), st.data())
+    def test_agrees_with_sharp_table_walk(self, f, data):
+        for a in VALID_K_LE_2:
+            assignment = data.draw(
+                st.dictionaries(st.sampled_from([0, 1, 2]), st.integers(0, a.unit))
+            )
+            assert alg_eval(a, assignment, f) == sharp_walk(a, assignment, f)
+
+
+def sharp_walk(a, assignment, f):
+    """Element of ``f`` computed straight from the sharp table."""
+    match f:
+        case Atom(i):
+            return assignment.get(i, 0)
+        case Top():
+            return a.unit
+        case Bottom():
+            return 0
+        case Not(x):
+            return a.unit ^ sharp_walk(a, assignment, x)
+        case And(l, r):
+            return sharp_walk(a, assignment, l) & sharp_walk(a, assignment, r)
+        case Or(l, r):
+            return sharp_walk(a, assignment, l) | sharp_walk(a, assignment, r)
+        case Implies(l, r):
+            return (a.unit ^ sharp_walk(a, assignment, l)) | sharp_walk(a, assignment, r)
+        case Iff(l, r):
+            return a.unit ^ sharp_walk(a, assignment, l) ^ sharp_walk(a, assignment, r)
+        case Nabla(x):
+            return a.sharp[sharp_walk(a, assignment, x)]
+
 
 class TestGeneration:
     def test_counts_at_k2(self):
@@ -154,6 +202,31 @@ class TestGeneration:
         assert len(valid) == 1
         assert valid[0].sharp == (0, 1)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_reflexive_frames_equal_brute_force(self, k):
+        brute = [a for a in iter_sharp_maps(k) if check_algebra(a).valid]
+        assert list(iter_valid_algebras(k)) == brute
+
+    @pytest.mark.parametrize("k, count", [(1, 1), (2, 4), (3, 64)])
+    def test_reflexive_candidates(self, k, count):
+        candidates = list(iter_sharp_maps(k, reflexive=True))
+        assert len(candidates) == count
+        # the box of a reflexive frame: #X <= X, #0 = 0, #1 = 1
+        for a in candidates:
+            assert a.sharp[0] == 0 and a.sharp[-1] == a.unit
+            assert all(s & ~x == 0 for x, s in enumerate(a.sharp))
+
+    def test_reflexive_frames_equal_a3_pruned_search_at_k3(self):
+        # a3 (#x <= x) leaves each image a subset of its argument: 2^12 tables
+        subsets = [[y for y in range(8) if y & x == y] for x in range(8)]
+        pruned = {
+            sharp for sharp in product(*subsets)
+            if check_algebra(FinitePlausibilityAlgebra(3, sharp)).valid
+        }
+        generated = [a.sharp for a in iter_valid_algebras(3)]
+        assert len(generated) == 64
+        assert generated == sorted(pruned)
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -171,6 +244,8 @@ class TestSerialization:
             FinitePlausibilityAlgebra.from_data({"base": 2, "sharp": [0, 1]})
         with pytest.raises(AlgebraFormatError):
             FinitePlausibilityAlgebra.from_data({"base": 1, "sharp": [0, 9]})
+        with pytest.raises(AlgebraFormatError):
+            FinitePlausibilityAlgebra.from_data({"base": 1, "sharp": [False, True]})
 
 
 class TestAgreement:

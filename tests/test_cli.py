@@ -45,6 +45,26 @@ class TestFmt:
         assert code == 0
         assert out.splitlines() == ["nabla(p0 | ~p0)", "dialect: NablaSystem"]
 
+    @pytest.mark.parametrize("text", ["~" * 3000 + "p0", "(" * 3000 + "p0" + ")" * 3000])
+    def test_deep_nesting_is_input_error(self, capsys, text):
+        code, out, err = run(capsys, "fmt", text)
+        assert code == 2 and out == ""
+        assert "nests deeper" in err and "column 100" in err
+
+    @pytest.mark.parametrize("op", ["&", "->"])
+    def test_deep_binary_chain_is_input_error(self, capsys, op):
+        code, out, err = run(capsys, "fmt", f" {op} ".join(["p0"] * 3000))
+        assert code == 2 and out == ""
+        assert "nests deeper" in err
+
+    def test_deepest_accepted_formula_runs(self, capsys):
+        # every parser-heavy level the bounds allow, then a full search
+        text = "(" * 100 + "p0 -> " * 200 + "p0" + ")" * 100
+        code, out, _ = run(capsys, "fmt", text)
+        assert code == 0
+        code, _, _ = run(capsys, "valid", text, "--class", "constrained", "--max-worlds", "2")
+        assert code == 0
+
 
 class TestEval:
     def test_countermodel_fixture_false(self, capsys):
@@ -77,6 +97,22 @@ class TestEval:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "eval", "no_such_model.json", "0", "p0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"worlds": 2, "V": {"p0": ["a"]}},
+            {"worlds": 2, "V": {"p0": "01"}},
+            {"worlds": 2, "S": {"0": [1]}},
+            {"worlds": 2, "R": [[0, 1.0]]},
+            {"worlds": 2, "V": {"p0": [True]}},
+        ],
+    )
+    def test_non_integer_worlds_rejected(self, capsys, tmp_path, data):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "eval", str(path), "0", "p0")
+        assert code == 2 and out == "" and "array of integers" in err
 
     def test_boolean_world_count_rejected(self, capsys, tmp_path):
         path = tmp_path / "model.json"
@@ -262,6 +298,18 @@ class TestAlgebra:
         )
         assert code == 1 and data["validates"] is False
 
+    def test_box_formula_is_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "algebra", str(ALGEBRAS / "identity_k2.json"), "--formula", "[]p0 -> p0"
+        )
+        assert code == 2 and out == "" and "Box" in err
+
+    def test_boolean_entries_rejected(self, capsys, tmp_path):
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps({"base": True, "sharp": [False, True]}), encoding="utf-8")
+        code, out, err = run(capsys, "algebra", str(path))
+        assert code == 2 and out == "" and '"base"' in err
+
 
 class TestExperimentK:
     def test_report_written_and_stable(self, capsys, tmp_path):
@@ -273,6 +321,24 @@ class TestExperimentK:
         data = json.loads(out1)
         assert data["models_checked"] == 68
         assert data["class"] == "constrained"
+
+
+def test_deeply_nested_json_is_input_error(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "eval", str(path), "0", "p0")
+    assert code == 2 and out == ""
+    assert "nests too deeply" in err
+
+
+def test_uncaught_exception_is_internal_error(capsys, monkeypatch):
+    def boom(text):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("plausible.cli.parse", boom)
+    code, out, err = run(capsys, "fmt", "p0")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: RuntimeError: boom")
 
 
 def test_usage_error_exit_code(capsys):

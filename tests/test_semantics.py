@@ -11,19 +11,14 @@ from plausible.semantics import (
     NeighborhoodModel,
     UniversalModel,
     WorldRangeError,
-    km_eval,
-    km_is_valid,
-    km_truth_mask,
+    eval_model,
+    is_valid_in,
     model_from_data,
     nm_check_conditions,
-    nm_eval,
-    nm_is_valid,
-    nm_truth_mask,
     relation_properties,
     supplement,
+    truth_mask,
     truth_set,
-    um_eval,
-    um_truth_mask,
 )
 from plausible.syntax import Box, DialectError, parse
 
@@ -42,26 +37,26 @@ def spec_model():
 
 class TestNeighborhoodEval:
     def test_box_true_where_truth_set_is_neighborhood(self, spec_model):
-        assert nm_eval(spec_model, 0, parse("[]p0")) is True
+        assert eval_model(spec_model, 0, parse("[]p0")) is True
 
     def test_box_false_where_truth_set_missing(self, spec_model):
-        assert nm_eval(spec_model, 1, parse("[]p0")) is False
+        assert eval_model(spec_model, 1, parse("[]p0")) is False
 
     def test_top_true_everywhere(self, spec_model):
         for w in (0, 1):
-            assert nm_eval(spec_model, w, parse("true")) is True
+            assert eval_model(spec_model, w, parse("true")) is True
 
     def test_world_out_of_range(self, spec_model):
         with pytest.raises(WorldRangeError):
-            nm_eval(spec_model, 2, parse("p0"))
+            eval_model(spec_model, 2, parse("p0"))
 
     def test_diamond_rejected(self, spec_model):
         with pytest.raises(DialectError):
-            nm_eval(spec_model, 0, parse("<>p0"))
+            eval_model(spec_model, 0, parse("<>p0"))
 
     def test_nabla_rejected(self, spec_model):
         with pytest.raises(DialectError):
-            nm_eval(spec_model, 0, parse("nabla p0"))
+            eval_model(spec_model, 0, parse("nabla p0"))
 
     def test_truth_sets(self, spec_model):
         assert truth_set(spec_model, parse("p0")) == {0}
@@ -124,16 +119,16 @@ class TestValidity:
         # wherever (t) holds, the empty set is in no family
         m = nm(2, {0: [[0], [0, 1]], 1: [[1]]})
         assert nm_check_conditions(m).t_holds
-        assert nm_is_valid(m, parse("~[]false"))
+        assert is_valid_in(m, parse("~[]false"))
 
     def test_atom_not_valid(self):
         m = nm(2, {0: [], 1: []}, p0_in_0)
-        assert not nm_is_valid(m, parse("p0"))
+        assert not is_valid_in(m, parse("p0"))
 
     def test_box_top_on_n_models(self):
         m = nm(2, {0: [[0, 1]], 1: [[0, 1], [1]]})
         assert nm_check_conditions(m).n_holds
-        assert nm_is_valid(m, parse("[]true"))
+        assert is_valid_in(m, parse("[]true"))
 
 
 class TestSupplement:
@@ -168,38 +163,38 @@ class TestSupplement:
 class TestKripke:
     def test_empty_relation_box_vacuous(self):
         m = KripkeModel.from_pairs(1, [])
-        assert km_eval(m, 0, parse("[]false")) is True
+        assert eval_model(m, 0, parse("[]false")) is True
 
     def test_reflexive_diamond(self):
         m = KripkeModel.from_pairs(1, [(0, 0)], p0_in_0)
-        assert km_eval(m, 0, parse("<>p0")) is True
+        assert eval_model(m, 0, parse("<>p0")) is True
 
     def test_full_relation_box_refuted(self):
         m = KripkeModel.from_pairs(2, [(0, 0), (0, 1), (1, 0), (1, 1)], p0_in_0)
-        assert km_eval(m, 0, parse("[]p0")) is False
+        assert eval_model(m, 0, parse("[]p0")) is False
 
     def test_t_instance_on_full_relation(self):
         m = KripkeModel.from_pairs(2, [(0, 0), (0, 1), (1, 0), (1, 1)], p0_in_0)
-        assert km_is_valid(m, parse("[]p0 -> p0"))
+        assert is_valid_in(m, parse("[]p0 -> p0"))
 
     def test_nabla_rejected(self):
         m = KripkeModel.from_pairs(1, [(0, 0)])
         with pytest.raises(DialectError):
-            km_eval(m, 0, parse("nabla p0"))
+            eval_model(m, 0, parse("nabla p0"))
 
 
 class TestUniversal:
     def test_box_top(self):
         m = UniversalModel.from_sets(2, p0_in_0)
-        assert um_eval(m, 0, parse("[]true")) is True
+        assert eval_model(m, 0, parse("[]true")) is True
 
     def test_diamond_somewhere(self):
         m = UniversalModel.from_sets(2, p0_in_0)
-        assert um_eval(m, 1, parse("<>p0")) is True
+        assert eval_model(m, 1, parse("<>p0")) is True
 
     def test_t_instance(self):
         m = UniversalModel.from_sets(2, p0_in_0)
-        assert um_eval(m, 0, parse("[]p0 -> p0")) is True
+        assert eval_model(m, 0, parse("[]p0 -> p0")) is True
 
     @given(
         formulas(atoms=(0, 1), modal=("box", "diamond")),
@@ -211,7 +206,7 @@ class TestUniversal:
         valuation = tuple(zip((0, 1), masks))
         um = UniversalModel(n, valuation)
         km = KripkeModel(n, tuple([(1 << n) - 1] * n), valuation)
-        assert um_truth_mask(um, f) == km_truth_mask(km, f)
+        assert truth_mask(um, f) == truth_mask(km, f)
 
 
 class TestRelationProperties:
@@ -248,18 +243,18 @@ class TestTruthSetHomomorphism:
 
         m = random_raw_model(rnd)
         full = m.full_mask
-        tf = nm_truth_mask(m, f)
-        tg = nm_truth_mask(m, g)
-        assert nm_truth_mask(m, Not(f)) == full ^ tf
-        assert nm_truth_mask(m, And(f, g)) == tf & tg
-        assert nm_truth_mask(m, Or(f, g)) == tf | tg
-        assert nm_truth_mask(m, Implies(f, g)) == (full ^ tf) | tg
-        assert nm_truth_mask(m, Iff(f, g)) == ((full ^ tf) | tg) & ((full ^ tg) | tf)
+        tf = truth_mask(m, f)
+        tg = truth_mask(m, g)
+        assert truth_mask(m, Not(f)) == full ^ tf
+        assert truth_mask(m, And(f, g)) == tf & tg
+        assert truth_mask(m, Or(f, g)) == tf | tg
+        assert truth_mask(m, Implies(f, g)) == (full ^ tf) | tg
+        assert truth_mask(m, Iff(f, g)) == ((full ^ tf) | tg) & ((full ^ tg) | tf)
         box = 0
         for w in range(m.worlds):
             if tf in m.families[w]:
                 box |= 1 << w
-        assert nm_truth_mask(m, Box(f)) == box
+        assert truth_mask(m, Box(f)) == box
 
 
 class TestFilterCollapse:
@@ -311,11 +306,11 @@ class TestMonotonicity:
                 continue
             f = random_formula(rng, depth=2)
             g = random_formula(rng, depth=2)
-            tf, tg = nm_truth_mask(m, f), nm_truth_mask(m, g)
+            tf, tg = truth_mask(m, f), truth_mask(m, g)
             if tf & tg != tf:
                 continue
             checked += 1
-            bf, bg = nm_truth_mask(m, Box(f)), nm_truth_mask(m, Box(g))
+            bf, bg = truth_mask(m, Box(f)), truth_mask(m, Box(g))
             assert bf & bg == bf
 
 
@@ -327,7 +322,7 @@ class TestSerialization:
     def test_fixture_files(self):
         m = model_from_data(load_fixture("models", "nm_counter.json"))
         assert isinstance(m, NeighborhoodModel)
-        assert nm_eval(m, 0, parse("p0 -> []p0")) is False
+        assert eval_model(m, 0, parse("p0 -> []p0")) is False
         k = model_from_data(load_fixture("models", "km_full.json"))
         assert isinstance(k, KripkeModel)
         u = model_from_data(load_fixture("models", "um2.json"))

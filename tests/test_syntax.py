@@ -11,6 +11,8 @@ from plausible.syntax import (
     Box,
     Dialect,
     DialectError,
+    MAX_DEPTH,
+    MAX_NESTING,
     FormulaSyntaxError,
     Iff,
     Implies,
@@ -73,6 +75,38 @@ class TestParse:
     def test_unclosed_paren(self):
         with pytest.raises(FormulaSyntaxError):
             parse("(p0 -> p1")
+
+    @pytest.mark.parametrize(
+        "opener, closer, offset, bound",
+        [
+            ("~", "", 0, MAX_NESTING),
+            ("nabla ", "", 0, MAX_NESTING),
+            ("(", ")", 0, MAX_NESTING),
+            ("p0 -> ", "", 3, MAX_DEPTH),
+            ("p0 <-> ", "", 3, MAX_DEPTH),
+            ("p0 & ", "", 3, MAX_DEPTH),
+            ("p0 | ", "", 3, MAX_DEPTH),
+        ],
+    )
+    def test_nesting_bound(self, opener, closer, offset, bound):
+        def nested(levels):
+            return opener * levels + "p1" + closer * levels
+
+        f = parse(nested(bound))
+        assert parse(render(f)) == f
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse(nested(bound + 1))
+        # the opener of level bound + 1 is the offending token
+        assert exc.value.position == len(opener) * bound + offset
+
+    def test_binary_levels_share_the_depth_bound(self):
+        # MAX_NESTING parentheses around a chain of arrows that fills the rest
+        arrows = MAX_DEPTH - MAX_NESTING
+        text = "(" * MAX_NESTING + "p0 -> " * arrows + "p1" + ")" * MAX_NESTING
+        assert parse(text) == parse("p0 -> " * arrows + "p1")
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse(text.replace("p1", "p0 -> p1"))
+        assert exc.value.position == MAX_NESTING + 6 * arrows + 3
 
 
 class TestRender:
