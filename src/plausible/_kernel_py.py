@@ -62,19 +62,14 @@ def family_key(core: int, n: int) -> int:
     return key
 
 
-def constrained_candidates(n: int, require_t: bool = True) -> list[list[int]]:
+def constrained_candidates(n: int) -> list[list[int]]:
     """Per-world candidate cores, ordered by the family bitmask they generate.
 
-    ``require_t`` keeps only cores containing their world (condition (t));
-    without it the cores generate exactly the (c)(h)(n) families.
+    Only cores containing their world are candidates (condition (t)).
     """
     out = []
     for w in range(n):
-        cands = [
-            c
-            for c in range(1 << n)
-            if (c >> w) & 1 or not require_t
-        ]
+        cands = [c for c in range(1 << n) if (c >> w) & 1]
         cands.sort(key=lambda c: family_key(c, n))
         out.append(cands)
     return out

@@ -18,45 +18,22 @@ from pathlib import Path
 from . import algebra as alg
 from . import search as srch
 from .derivations import TranslationError, translate_proof
-from .proofs import ProofFormatError, check_proof, proof_from_data, proof_to_data
+from .proofs import check_proof, proof_from_data, proof_to_data
 from .semantics import (
     KripkeModel,
     ModelFormatError,
     NeighborhoodModel,
     UniversalModel,
-    WorldRangeError,
     eval_model,
     model_from_data,
     nm_check_conditions,
     supplement,
 )
-from .syntax import (
-    Dialect,
-    DialectError,
-    FormulaSyntaxError,
-    UnboundMetavariableError,
-    atoms_of,
-    dialect_of,
-    parse,
-    render,
-    translate,
-)
+from .syntax import Dialect, atoms_of, dialect_of, parse, render, translate
 
-_INPUT_ERRORS = (
-    FormulaSyntaxError,
-    DialectError,
-    UnboundMetavariableError,
-    ModelFormatError,
-    WorldRangeError,
-    ProofFormatError,
-    TranslationError,
-    alg.AlgebraFormatError,
-    alg.InvalidAlgebraError,
-    srch.BoundsExceededError,
-    json.JSONDecodeError,
-    OSError,
-    ValueError,
-)
+# Every input-error class of the package is a ValueError, and so is a JSON
+# decoding error; OSError covers unreadable files.
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 def canonical_json(data) -> str:
@@ -189,7 +166,11 @@ def cmd_checkproof(args) -> int:
 def cmd_translate(args) -> int:
     target = Dialect.NABLA if args.to == "nabla" else Dialect.BOX
     source = Dialect.BOX if target is Dialect.NABLA else Dialect.NABLA
-    if Path(args.target).is_file():
+    try:
+        is_file = Path(args.target).is_file()
+    except OSError:  # e.g. formula text longer than a file name may be
+        is_file = False
+    if is_file:
         proof = proof_from_data(_load_json(args.target))
         translated = translate_proof(proof)
         if (translated.system.value == "LNabla") != (args.to == "nabla"):

@@ -314,7 +314,6 @@ def box_monotonicity(b: ProofBuilder, ref: int) -> int:
     goal = Implies(Box(x), Box(y))
     if (hit := b.lookup(goal)) is not None:
         return hit
-    d = Or(x, y)
     l1 = b.axiom("PL9", {0: x, 1: y, 2: y})
     l2 = b.mp(ref, l1)
     d_to_y = b.mp(identity(b, y), l2)
@@ -398,7 +397,6 @@ def nabla_h(b: ProofBuilder, x: Formula, y: Formula) -> int:
 
 def nabla_congruence(b: ProofBuilder, ref: int) -> int:
     """From x <-> y (premise-free) conclude nabla x <-> nabla y."""
-    src = b.formula(ref)
     forward = b.rnabla(iff_forward(b, ref))
     backward = b.rnabla(iff_backward(b, ref))
     return iff_intro(b, forward, backward)

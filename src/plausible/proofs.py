@@ -349,6 +349,12 @@ def proof_to_data(proof: Proof) -> dict:
     }
 
 
+def _parse_field(text, what: str) -> Formula:
+    if not isinstance(text, str):
+        raise ProofFormatError(f"{what} must be a formula string")
+    return parse(text)
+
+
 def proof_from_data(data: dict) -> Proof:
     if not isinstance(data, dict):
         raise ProofFormatError("proof file must contain a JSON object")
@@ -356,7 +362,10 @@ def proof_from_data(data: dict) -> Proof:
         system = SystemId(data.get("system"))
     except ValueError:
         raise ProofFormatError(f"unknown system {data.get('system')!r}") from None
-    premises = tuple(parse(text) for text in data.get("premises", []))
+    premises = data.get("premises", [])
+    if not isinstance(premises, list):
+        raise ProofFormatError('"premises" must be an array of formula strings')
+    premises = tuple(_parse_field(text, "each premise") for text in premises)
     raw_lines = data.get("lines")
     if not isinstance(raw_lines, list) or not raw_lines:
         raise ProofFormatError('"lines" must be a non-empty array')
@@ -364,10 +373,12 @@ def proof_from_data(data: dict) -> Proof:
     for i, entry in enumerate(raw_lines, start=1):
         if not isinstance(entry, dict) or "formula" not in entry or "rule" not in entry:
             raise ProofFormatError(f'line {i} must carry "formula" and "rule"')
-        formula = parse(entry["formula"])
+        formula = _parse_field(entry["formula"], f'line {i}: "formula"')
         rule = entry["rule"]
         refs = entry.get("refs", [])
-        if not (isinstance(refs, list) and all(isinstance(r, int) for r in refs)):
+        # bool is a subclass of int, but true is not a line number
+        if not (isinstance(refs, list)
+                and all(isinstance(r, int) and not isinstance(r, bool) for r in refs)):
             raise ProofFormatError(f'line {i}: "refs" must be an array of integers')
         if rule == "premise":
             justification: Justification = Premise()
@@ -389,5 +400,5 @@ def proof_from_data(data: dict) -> Proof:
         lines.append(ProofLine(formula, justification))
     if "conclusion" not in data:
         raise ProofFormatError('proof file needs a "conclusion"')
-    conclusion = parse(data["conclusion"])
+    conclusion = _parse_field(data["conclusion"], '"conclusion"')
     return Proof(system, premises, tuple(lines), conclusion)

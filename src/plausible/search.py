@@ -20,6 +20,7 @@ from itertools import product
 
 from . import _kernel_py
 from .semantics import (
+    BoundsExceededError,
     KripkeModel,
     Model,
     NeighborhoodModel,
@@ -28,24 +29,25 @@ from .semantics import (
     is_valid_in,
     nm_check_conditions,
     relation_properties,
+    truth_mask,
 )
 from .syntax import (
     And,
     Atom,
     Bottom,
     Box,
+    Dialect,
     Diamond,
     DialectError,
     Formula,
     Iff,
     Implies,
-    Nabla,
     Not,
     Or,
     Top,
-    modal_operators,
     parse,
     render,
+    require_dialect,
 )
 
 # Searches call the kernel through this attribute, so tools can wrap it.
@@ -55,10 +57,6 @@ _ACTIVE = _kernel_py
 def kernel_backend() -> str:
     """Name of the search kernel; there is one, ``"python"``."""
     return "python"
-
-
-class BoundsExceededError(ValueError):
-    """Requested bounds exceed the documented per-class caps."""
 
 
 class SearchInternalError(RuntimeError):
@@ -135,19 +133,27 @@ class SearchOutcome:
 # Formula compilation
 
 
-def _require_class_dialect(f: Formula, model_class: ModelClass) -> None:
-    if model_class in _NEIGHBORHOOD:
-        ops = {Diamond, Nabla}
-        label = "box/classical"
-    else:
-        ops = {Nabla}
-        label = "S5/classical"
-    extra = modal_operators(f) & ops
-    if extra:
-        names = ", ".join(sorted(t.__name__ for t in extra))
-        raise DialectError(
-            f"{names} not interpreted over the {model_class.value} class ({label} formulas only)"
-        )
+def _require_class_dialect(formulas, model_class: ModelClass) -> None:
+    # Neighborhood models interpret box only; Kripke and universal models
+    # box and diamond.  No class interprets nabla.
+    dialect = Dialect.BOX if model_class in _NEIGHBORHOOD else Dialect.S5
+    for g in formulas:
+        require_dialect(g, dialect)
+
+
+# An atom is looked up here only when it has no slot: it denotes the empty set.
+_OPCODES: dict[type, int] = {
+    Atom: _kernel_py.OP_BOT,
+    Top: _kernel_py.OP_TOP,
+    Bottom: _kernel_py.OP_BOT,
+    Not: _kernel_py.OP_NOT,
+    Box: _kernel_py.OP_BOX,
+    Diamond: _kernel_py.OP_DIA,
+    And: _kernel_py.OP_AND,
+    Or: _kernel_py.OP_OR,
+    Implies: _kernel_py.OP_IMP,
+    Iff: _kernel_py.OP_IFF,
+}
 
 
 def compile_program(f: Formula, atom_slots: dict[int, int]) -> list[int]:
@@ -159,40 +165,17 @@ def compile_program(f: Formula, atom_slots: dict[int, int]) -> list[int]:
 
     def walk(g: Formula) -> None:
         match g:
-            case Atom(i):
-                if i in atom_slots:
-                    prog.extend((_kernel_py.OP_ATOM, atom_slots[i]))
-                else:
-                    prog.extend((_kernel_py.OP_BOT, 0))
-            case Top():
-                prog.extend((_kernel_py.OP_TOP, 0))
-            case Bottom():
-                prog.extend((_kernel_py.OP_BOT, 0))
-            case Not(x):
+            case Atom(i) if i in atom_slots:
+                prog.extend((_kernel_py.OP_ATOM, atom_slots[i]))
+            case Atom() | Top() | Bottom():
+                prog.extend((_OPCODES[type(g)], 0))
+            case Not(x) | Box(x) | Diamond(x):
                 walk(x)
-                prog.extend((_kernel_py.OP_NOT, 0))
-            case And(l, r):
+                prog.extend((_OPCODES[type(g)], 0))
+            case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
                 walk(l)
                 walk(r)
-                prog.extend((_kernel_py.OP_AND, 0))
-            case Or(l, r):
-                walk(l)
-                walk(r)
-                prog.extend((_kernel_py.OP_OR, 0))
-            case Implies(l, r):
-                walk(l)
-                walk(r)
-                prog.extend((_kernel_py.OP_IMP, 0))
-            case Iff(l, r):
-                walk(l)
-                walk(r)
-                prog.extend((_kernel_py.OP_IFF, 0))
-            case Box(x):
-                walk(x)
-                prog.extend((_kernel_py.OP_BOX, 0))
-            case Diamond(x):
-                walk(x)
-                prog.extend((_kernel_py.OP_DIA, 0))
+                prog.extend((_OPCODES[type(g)], 0))
             case _:
                 raise DialectError(f"cannot compile {render(g)} for model search")
 
@@ -204,25 +187,17 @@ def compile_program(f: Formula, atom_slots: dict[int, int]) -> list[int]:
 # Enumeration (object-level stream; order matches the kernel exactly)
 
 
-def _neighborhood_from_struct(mc: ModelClass, n: int, struct, valuation) -> NeighborhoodModel:
-    if mc is ModelClass.CONSTRAINED_NEIGHBORHOOD:
-        families = tuple(
-            tuple(x for x in range(1 << n) if x & core == core) for core in struct
-        )
-    else:
-        families = tuple(
-            tuple(x for x in range(1 << n) if (fam >> x) & 1) for fam in struct
-        )
-    return NeighborhoodModel(n, families, valuation)
-
-
 def _model_from_struct(mc: ModelClass, n: int, struct, vmasks, atoms) -> Model:
     valuation = tuple(zip(atoms, vmasks))
-    if mc in _NEIGHBORHOOD:
-        return _neighborhood_from_struct(mc, n, struct, valuation)
     if mc is ModelClass.UNIVERSAL:
         return UniversalModel(n, valuation)
-    return KripkeModel(n, struct, valuation)
+    if mc not in _NEIGHBORHOOD:
+        return KripkeModel(n, struct, valuation)
+    if mc is ModelClass.CONSTRAINED_NEIGHBORHOOD:
+        # a constrained world's structure is the core its family is generated by
+        struct = tuple(_kernel_py.family_key(core, n) for core in struct)
+    families = tuple(tuple(x for x in range(1 << n) if (fam >> x) & 1) for fam in struct)
+    return NeighborhoodModel(n, families, valuation)
 
 
 def enumerate_models(bounds: SearchBounds):
@@ -257,8 +232,7 @@ def _revalidate(
 
 
 def _search(gamma: tuple[Formula, ...], f: Formula, bounds: SearchBounds) -> SearchOutcome:
-    for g in (*gamma, f):
-        _require_class_dialect(g, bounds.model_class)
+    _require_class_dialect((*gamma, f), bounds.model_class)
     slots = {atom: i for i, atom in enumerate(bounds.atoms)}
     programs = [compile_program(g, slots) for g in (*gamma, f)]
     found, checked, n, struct, vmasks, world = _ACTIVE.run_search(
@@ -307,8 +281,7 @@ def sample_countermodel(
 ) -> SearchOutcome:
     """Seeded random search; the caps do not apply.  Returns the first
     falsifying sample or ``Inconclusive`` after ``samples`` draws."""
-    for g in (f,):
-        _require_class_dialect(g, bounds.model_class)
+    _require_class_dialect((f,), bounds.model_class)
     rng = random.Random(seed)
     mc = bounds.model_class
     for i in range(1, samples + 1):
@@ -328,9 +301,10 @@ def sample_countermodel(
         else:
             struct = ()
         model = _model_from_struct(mc, n, struct, vmasks, bounds.atoms)
-        falsified = [w for w in range(n) if not eval_model(model, w, f)]
+        falsified = model.full_mask & ~truth_mask(model, f)
         if falsified:
-            return SearchOutcome(Verdict.COUNTERMODEL_FOUND, i, model, falsified[0])
+            lowest = (falsified & -falsified).bit_length() - 1
+            return SearchOutcome(Verdict.COUNTERMODEL_FOUND, i, model, lowest)
     return SearchOutcome(Verdict.INCONCLUSIVE, samples)
 
 

@@ -41,6 +41,15 @@ class WorldRangeError(ValueError):
     """A world index outside ``0..worlds-1`` was used."""
 
 
+class BoundsExceededError(ValueError):
+    """Requested bounds exceed the documented per-class caps."""
+
+
+# The (h) check visits all 4^n pairs of world-sets at every world: 10 worlds
+# take about a second, and each further world four times as long.
+MAX_CONDITION_WORLDS = 10
+
+
 def mask_of(worlds: Iterable[int], n: int) -> int:
     """Bitmask for a set of world indices, validated against ``n`` worlds."""
     mask = 0
@@ -95,7 +104,10 @@ def _valuation_from_data(data) -> dict[int, list[int]]:
     for key, members in data.items():
         if not (isinstance(key, str) and key.startswith("p") and key[1:].isdigit()):
             raise ModelFormatError(f"bad atom name {key!r}")
-        atoms[int(key[1:])] = _int_list(members, f'"V" entry {key!r}')
+        atom = int(key[1:])
+        if atom in atoms:
+            raise ModelFormatError(f"atom {key!r} repeats p{atom}")
+        atoms[atom] = _int_list(members, f'"V" entry {key!r}')
     return atoms
 
 
@@ -176,10 +188,13 @@ class NeighborhoodModel(_BaseModel):
 
     @classmethod
     def from_data(cls, data: dict) -> "NeighborhoodModel":
-        worlds = _read_worlds(data)
+        worlds = _read_worlds(data, "S")
         s = data.get("S")
         if not isinstance(s, dict):
             raise ModelFormatError('neighborhood model requires an "S" object')
+        extra = s.keys() - {str(w) for w in range(worlds)}
+        if extra:
+            raise ModelFormatError(f'"S" keys that name no world: {", ".join(sorted(extra))}')
         families = {}
         for w in range(worlds):
             fam = s.get(str(w), [])
@@ -247,7 +262,7 @@ class KripkeModel(_BaseModel):
 
     @classmethod
     def from_data(cls, data: dict) -> "KripkeModel":
-        worlds = _read_worlds(data)
+        worlds = _read_worlds(data, "R")
         r = data.get("R")
         if not isinstance(r, list):
             raise ModelFormatError('Kripke model requires an "R" array of pairs')
@@ -287,9 +302,14 @@ class UniversalModel(_BaseModel):
 Model = NeighborhoodModel | KripkeModel | UniversalModel
 
 
-def _read_worlds(data) -> int:
+def _read_worlds(data, *structure: str) -> int:
+    """World count of model data whose only keys are ``worlds``, ``V`` and
+    the ``structure`` keys of its class."""
     if not isinstance(data, dict):
         raise ModelFormatError("model file must contain a JSON object")
+    extra = data.keys() - {"worlds", "V", *structure}
+    if extra:
+        raise ModelFormatError(f"unexpected model keys: {', '.join(sorted(extra))}")
     worlds = data.get("worlds")
     # bool is a subclass of int, but "worlds": true is not a world count
     if not isinstance(worlds, int) or isinstance(worlds, bool) or worlds < 1:
@@ -311,44 +331,32 @@ def model_from_data(data: dict) -> Model:
 # Truth evaluation
 
 
-def _eval_mask(f: Formula, full: int, atom_mask, box_mask, diamond_mask) -> int:
-    match f:
-        case Atom(i):
-            return atom_mask(i)
-        case Top():
-            return full
-        case Bottom():
-            return 0
-        case Not(g):
-            return full ^ _eval_mask(g, full, atom_mask, box_mask, diamond_mask)
-        case And(l, r):
-            return _eval_mask(l, full, atom_mask, box_mask, diamond_mask) & _eval_mask(
-                r, full, atom_mask, box_mask, diamond_mask
-            )
-        case Or(l, r):
-            return _eval_mask(l, full, atom_mask, box_mask, diamond_mask) | _eval_mask(
-                r, full, atom_mask, box_mask, diamond_mask
-            )
-        case Implies(l, r):
-            a = _eval_mask(l, full, atom_mask, box_mask, diamond_mask)
-            b = _eval_mask(r, full, atom_mask, box_mask, diamond_mask)
-            return (a ^ full) | b
-        case Iff(l, r):
-            a = _eval_mask(l, full, atom_mask, box_mask, diamond_mask)
-            b = _eval_mask(r, full, atom_mask, box_mask, diamond_mask)
-            return (a ^ b) ^ full
-        case Box(g):
-            return box_mask(_eval_mask(g, full, atom_mask, box_mask, diamond_mask))
-        case Diamond(g):
-            return diamond_mask(_eval_mask(g, full, atom_mask, box_mask, diamond_mask))
-        case _:
-            raise DialectError(f"operator not supported by this model class: {render(f)}")
-
-
 def truth_mask(m: Model, f: Formula) -> int:
     """Truth set of ``f`` in ``m`` as a bitmask; the model interprets box
     and diamond."""
-    return _eval_mask(f, m.full_mask, m.atom_mask, m.box, m.diamond)
+    match f:
+        case Atom(i):
+            return m.atom_mask(i)
+        case Top():
+            return m.full_mask
+        case Bottom():
+            return 0
+        case Not(g):
+            return m.full_mask ^ truth_mask(m, g)
+        case And(l, r):
+            return truth_mask(m, l) & truth_mask(m, r)
+        case Or(l, r):
+            return truth_mask(m, l) | truth_mask(m, r)
+        case Implies(l, r):
+            return (m.full_mask ^ truth_mask(m, l)) | truth_mask(m, r)
+        case Iff(l, r):
+            return m.full_mask ^ truth_mask(m, l) ^ truth_mask(m, r)
+        case Box(g):
+            return m.box(truth_mask(m, g))
+        case Diamond(g):
+            return m.diamond(truth_mask(m, g))
+        case _:
+            raise DialectError(f"operator not supported by this model class: {render(f)}")
 
 
 def truth_set(m: Model, f: Formula) -> frozenset[int]:
@@ -412,12 +420,20 @@ class ConditionReport:
         }
 
 
+def _require_condition_bound(m: NeighborhoodModel) -> None:
+    if m.worlds > MAX_CONDITION_WORLDS:
+        raise BoundsExceededError(
+            f"neighborhood conditions are checked on at most {MAX_CONDITION_WORLDS} worlds"
+        )
+
+
 def nm_check_conditions(m: NeighborhoodModel) -> ConditionReport:
     """Exhaustively check conditions (c), (h), (t), (n).
 
     (h) is checked in its literal reading: for arbitrary subsets X, Y of the
     universe, membership of either in S(w) forces membership of X∪Y.
     """
+    _require_condition_bound(m)
     full = m.full_mask
     c_witness = h_witness = t_witness = n_witness = None
 
@@ -462,6 +478,7 @@ def nm_check_conditions(m: NeighborhoodModel) -> ConditionReport:
 
 def supplement(m: NeighborhoodModel) -> NeighborhoodModel:
     """Close every family under supersets: S'(w) = {X : some Y in S(w), Y ⊆ X}."""
+    _require_condition_bound(m)
     full = m.full_mask
     families = []
     for w in range(m.worlds):
@@ -513,10 +530,4 @@ def relation_properties(m: KripkeModel) -> RelationProperties:
         for a in range(n)
         for b in worlds_of(rows[a])
     )
-    return RelationProperties(
-        reflexive=reflexive,
-        euclidean=euclidean,
-        symmetric=symmetric,
-        transitive=transitive,
-        equivalence=reflexive and euclidean,
-    )
+    return RelationProperties(reflexive, euclidean, symmetric, transitive, reflexive and euclidean)

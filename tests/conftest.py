@@ -1,10 +1,12 @@
 import json
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+from plausible.algebra import FinitePlausibilityAlgebra
 from plausible.semantics import NeighborhoodModel
 from plausible.syntax import (
     BOTTOM,
@@ -97,6 +99,14 @@ def random_chain_model(rng: random.Random, max_worlds=3, atoms=(0, 1)) -> Neighb
         families.append(tuple(sorted(chain)))
     valuation = tuple((a, rng.randrange(1 << n)) for a in atoms)
     return NeighborhoodModel(n, tuple(families), valuation)
+
+
+def all_sharp_maps(base_size: int):
+    """Every operator table on the 2^base_size carrier, in ascending
+    lexicographic order: the brute-force oracle for algebra generation."""
+    size = 1 << base_size
+    for images in product(range(size), repeat=size):
+        yield FinitePlausibilityAlgebra(base_size, images)
 
 
 def load_fixture(*parts):

@@ -12,12 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from conftest import load_fixture, random_chain_model, random_formula, random_raw_model
+from conftest import (
+    all_sharp_maps,
+    load_fixture,
+    random_chain_model,
+    random_formula,
+    random_raw_model,
+)
 from plausible.algebra import (
     alg_validates,
     check_algebra,
     check_derived_laws,
-    iter_sharp_maps,
 )
 from plausible.cli import main
 from plausible.derivations import translate_proof
@@ -239,7 +244,7 @@ def test_c09_deductive_equivalence_translation():
 
 
 def test_c10_algebra_suite():
-    candidates = list(iter_sharp_maps(2))
+    candidates = list(all_sharp_maps(2))
     assert len(candidates) == 256
     valid = [a for a in candidates if check_algebra(a).valid]
     assert {a.sharp for a in valid} == {

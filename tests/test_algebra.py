@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import formulas, load_fixture
+from conftest import all_sharp_maps, formulas, load_fixture
 from plausible.algebra import (
+    MAX_ASSIGNMENTS,
+    MAX_BASE,
     AlgebraFormatError,
     FinitePlausibilityAlgebra,
     InvalidAlgebraError,
@@ -18,6 +20,7 @@ from plausible.algebra import (
     iter_valid_algebras,
     plausible_elements,
 )
+from plausible.semantics import BoundsExceededError
 from plausible.syntax import (
     And,
     Atom,
@@ -42,7 +45,7 @@ ZERO_K1 = algebra(1, [0, 0])
 # unit maps to unit, everything else collapses to zero
 UNIT_ONLY_K2 = algebra(2, [0, 0, 0, 3])
 IDENTITY_K2 = algebra(2, [0, 1, 2, 3])
-VALID_K_LE_2 = [a for k in (1, 2) for a in iter_sharp_maps(k) if check_algebra(a).valid]
+VALID_K_LE_2 = [a for k in (1, 2) for a in all_sharp_maps(k) if check_algebra(a).valid]
 
 
 class TestCheckAlgebra:
@@ -63,7 +66,7 @@ class TestCheckAlgebra:
         assert not report.a3_holds and report.a3_witness == 0
 
     def test_witnesses_revalidate(self):
-        for a in iter_sharp_maps(2):
+        for a in all_sharp_maps(2):
             report = check_algebra(a)
             s = a.sharp
             if report.a1_witness:
@@ -182,9 +185,21 @@ def sharp_walk(a, assignment, f):
             return a.sharp[sharp_walk(a, assignment, x)]
 
 
+class TestAssignmentBound:
+    def test_at_and_past_the_bound(self):
+        # IDENTITY_K2 has 4 elements: 8 atoms give exactly MAX_ASSIGNMENTS
+        assert 4 ** 8 == MAX_ASSIGNMENTS
+        at_bound = And(Nabla(Atom(0)), Nabla(Atom(1)))
+        for i in range(2, 8):
+            at_bound = And(at_bound, Nabla(Atom(i)))
+        assert alg_validates(IDENTITY_K2, at_bound) is False  # refuted by p_i = 0
+        with pytest.raises(BoundsExceededError):
+            alg_validates(IDENTITY_K2, And(at_bound, Nabla(Atom(8))))
+
+
 class TestGeneration:
     def test_counts_at_k2(self):
-        candidates = list(iter_sharp_maps(2))
+        candidates = list(all_sharp_maps(2))
         assert len(candidates) == 256
         valid = [a for a in candidates if check_algebra(a).valid]
         # a3 forces sharp(0)=0, a4 forces sharp(3)=3; sharp(1) and sharp(2)
@@ -204,12 +219,12 @@ class TestGeneration:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_reflexive_frames_equal_brute_force(self, k):
-        brute = [a for a in iter_sharp_maps(k) if check_algebra(a).valid]
+        brute = [a for a in all_sharp_maps(k) if check_algebra(a).valid]
         assert list(iter_valid_algebras(k)) == brute
 
     @pytest.mark.parametrize("k, count", [(1, 1), (2, 4), (3, 64)])
     def test_reflexive_candidates(self, k, count):
-        candidates = list(iter_sharp_maps(k, reflexive=True))
+        candidates = list(iter_sharp_maps(k))
         assert len(candidates) == count
         # the box of a reflexive frame: #X <= X, #0 = 0, #1 = 1
         for a in candidates:
@@ -238,6 +253,12 @@ class TestSerialization:
         assert check_algebra(a).valid
         z = FinitePlausibilityAlgebra.from_data(load_fixture("algebras", "zero_k1.json"))
         assert not check_algebra(z).a4_holds
+
+    def test_base_bound(self):
+        size = 1 << MAX_BASE
+        assert FinitePlausibilityAlgebra(MAX_BASE, tuple(range(size))).carrier_size == size
+        with pytest.raises(AlgebraFormatError):
+            FinitePlausibilityAlgebra(MAX_BASE + 1, tuple(range(2 * size)))
 
     def test_bad_data(self):
         with pytest.raises(AlgebraFormatError):

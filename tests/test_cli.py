@@ -4,7 +4,18 @@ import pytest
 
 from conftest import FIXTURES
 from plausible import _kernel_py
+from plausible.algebra import MAX_BASE, AlgebraFormatError, InvalidAlgebraError
 from plausible.cli import main
+from plausible.derivations import TranslationError
+from plausible.proofs import ProofFormatError, proof_from_data
+from plausible.search import BoundsExceededError, SearchInternalError
+from plausible.semantics import (
+    MAX_CONDITION_WORLDS,
+    ModelFormatError,
+    WorldRangeError,
+    model_from_data,
+)
+from plausible.syntax import DialectError, FormulaSyntaxError, UnboundMetavariableError
 
 MODELS = FIXTURES / "models"
 PROOFS = FIXTURES / "proofs"
@@ -114,6 +125,23 @@ class TestEval:
         code, out, err = run(capsys, "eval", str(path), "0", "p0")
         assert code == 2 and out == "" and "array of integers" in err
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"worlds": 2, "V": {"p0": [0], "p00": [1]}},
+            {"worlds": 2, "S": {"7": [[0]]}},
+            {"worlds": 2, "V": {}, "colour": "red"},
+            {"worlds": 2, "S": {}, "R": []},
+        ],
+    )
+    def test_malformed_model_file(self, capsys, tmp_path, data):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "eval", str(path), "0", "p0")
+        assert code == 2 and out == "" and err.startswith("error: ")
+        with pytest.raises(ModelFormatError):
+            model_from_data(data)
+
     def test_boolean_world_count_rejected(self, capsys, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"worlds": True, "V": {}}), encoding="utf-8")
@@ -166,6 +194,11 @@ class TestValid:
         code, _, err = run(capsys, "valid", "p0", "--class", "raw", "--max-worlds", "3")
         assert code == 2
 
+    def test_class_dialect_named(self, capsys):
+        code, out, err = run(capsys, "valid", "<>p0", "--class", "raw", "--max-worlds", "1")
+        assert code == 2 and out == ""
+        assert err == "error: Diamond not allowed in dialect BoxSystem: <>p0\n"
+
     def test_kernel_defect_is_internal_error(self, capsys, monkeypatch):
         # p0 holds at the returned world, so re-validation rejects the model
         bogus = (True, 1, 1, (1,), (1,), 0)
@@ -202,6 +235,30 @@ class TestCheckproof:
         assert code == 1
         assert data["accepted"] is False and data["line"] == 2
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("lines", 0, "formula"), 5),
+            (("conclusion",), ["[]<>p0"]),
+            (("premises",), {"<>p0": 1}),
+            (("premises",), [1]),
+            (("lines", 2, "refs"), [True, 2]),
+        ],
+    )
+    def test_malformed_proof_file(self, tmp_path, capsys, path, value):
+        bad = json.loads((PROOFS / "s5_mp_chain.json").read_text())
+        *parents, last = path
+        target = bad
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "checkproof", str(file))
+        assert code == 2 and out == "" and err.startswith("error: ")
+        with pytest.raises(ProofFormatError):
+            proof_from_data(bad)
+
     def test_dangling_reference_is_input_error(self, tmp_path, capsys):
         bad = json.loads((PROOFS / "s5_mp_chain.json").read_text())
         bad["lines"][2]["refs"] = [2, 9]
@@ -228,6 +285,12 @@ class TestTranslate:
     def test_mixed_dialect_input_error(self, capsys):
         code, _, err = run(capsys, "translate", "nabla p0 & []p1", "--to", "box")
         assert code == 2
+
+    def test_formula_longer_than_a_file_name(self, capsys):
+        text = " & ".join(["nabla p0"] * 30)
+        assert len(text.encode()) > 255
+        code, data, _ = run_json(capsys, "translate", text, "--to", "box")
+        assert code == 0 and data["formula"] == " & ".join(["[]p0"] * 30)
 
     def test_proof_file(self, capsys):
         from plausible.proofs import check_proof, proof_from_data
@@ -272,6 +335,12 @@ class TestSupplement:
         code, _, err = run(capsys, "supplement", str(MODELS / "km_full.json"))
         assert code == 2
 
+    def test_world_bound(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"worlds": MAX_CONDITION_WORLDS + 1, "S": {}}))
+        code, out, err = run(capsys, "supplement", str(path))
+        assert code == 2 and out == "" and f"at most {MAX_CONDITION_WORLDS} worlds" in err
+
 
 class TestAlgebra:
     def test_identity_k2(self, capsys):
@@ -303,6 +372,19 @@ class TestAlgebra:
             capsys, "algebra", str(ALGEBRAS / "identity_k2.json"), "--formula", "[]p0 -> p0"
         )
         assert code == 2 and out == "" and "Box" in err
+
+    def test_base_bound(self, capsys, tmp_path):
+        size = 1 << (MAX_BASE + 1)
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps({"base": MAX_BASE + 1, "sharp": list(range(size))}))
+        code, out, err = run(capsys, "algebra", str(path))
+        assert code == 2 and out == "" and f"between 1 and {MAX_BASE}" in err
+
+    def test_assignment_bound(self, capsys):
+        # 4 elements, 9 atoms: 4^9 = 2^18 assignments
+        formula = " & ".join(f"nabla p{i}" for i in range(9))
+        code, out, err = run(capsys, "algebra", str(ALGEBRAS / "identity_k2.json"), "--formula", formula)
+        assert code == 2 and out == "" and "assignments exceed" in err
 
     def test_boolean_entries_rejected(self, capsys, tmp_path):
         path = tmp_path / "algebra.json"
@@ -339,6 +421,29 @@ def test_uncaught_exception_is_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "fmt", "p0")
     assert code == 3 and out == ""
     assert err.startswith("internal error: RuntimeError: boom")
+
+
+INPUT_ERRORS = [
+    FormulaSyntaxError,
+    DialectError,
+    UnboundMetavariableError,
+    ModelFormatError,
+    WorldRangeError,
+    ProofFormatError,
+    TranslationError,
+    AlgebraFormatError,
+    InvalidAlgebraError,
+    BoundsExceededError,
+]
+
+
+@pytest.mark.parametrize("cls", INPUT_ERRORS, ids=lambda cls: cls.__name__)
+def test_input_errors_are_value_errors(cls):
+    assert issubclass(cls, ValueError)
+
+
+def test_search_defect_is_not_an_input_error():
+    assert not issubclass(SearchInternalError, ValueError)
 
 
 def test_usage_error_exit_code(capsys):

@@ -74,6 +74,30 @@ class TestEnumerationCounts:
             assert relation_properties(m).equivalence
 
 
+class TestCompileProgram:
+    def test_every_connective(self):
+        k = _kernel_py
+        prog = compile_program(parse("~p0 & (p1 | true) -> ([]p0 <-> <>false)"), {0: 0, 1: 1})
+        assert prog == [
+            k.OP_ATOM, 0, k.OP_NOT, 0,
+            k.OP_ATOM, 1, k.OP_TOP, 0, k.OP_OR, 0,
+            k.OP_AND, 0,
+            k.OP_ATOM, 0, k.OP_BOX, 0,
+            k.OP_BOT, 0, k.OP_DIA, 0,
+            k.OP_IFF, 0,
+            k.OP_IMP, 0,
+        ]
+
+    def test_atom_outside_bounds_is_bottom(self):
+        assert compile_program(parse("p5 | p0"), {0: 0}) == [
+            _kernel_py.OP_BOT, 0, _kernel_py.OP_ATOM, 0, _kernel_py.OP_OR, 0,
+        ]
+
+    def test_nabla_not_compiled(self):
+        with pytest.raises(DialectError):
+            compile_program(parse("p0 -> nabla p0"), {0: 0})
+
+
 class TestFilterCollapseOracle:
     def test_raw_filtered_equals_core_generated(self):
         raw = list(enumerate_models(bounds(ModelClass.RAW_NEIGHBORHOOD, 2, (0,))))
@@ -86,8 +110,8 @@ class TestFilterCollapseOracle:
         filtered = {m for m in raw if nm_check_conditions(m).chn_hold}
         generated = set()
         for n in (1, 2):
-            cands = _kernel_py.constrained_candidates(n, require_t=False)
-            for cores in itertools.product(*cands):
+            # any core at all: without (t) the cores generate the (c)(h)(n) families
+            for cores in itertools.product(range(1 << n), repeat=n):
                 families = tuple(
                     tuple(x for x in range(1 << n) if x & c == c) for c in cores
                 )
@@ -346,6 +370,17 @@ class TestSampling:
         )
         assert out.verdict is Verdict.INCONCLUSIVE
         assert out.models_checked == 50
+
+    def test_world_is_the_lowest_false_world(self):
+        f = parse("[]p0")
+        several = 0
+        for seed in range(20):
+            out = sample_countermodel(f, bounds(ModelClass.KRIPKE_ALL, 4, (0,)), 20, seed)
+            m = out.countermodel
+            falsified = [w for w in range(m.worlds) if not eval_model(m, w, f)]
+            assert out.world == falsified[0]
+            several += len(falsified) > 1
+        assert several
 
     def test_equivalence_samples_are_equivalences(self):
         out = sample_countermodel(

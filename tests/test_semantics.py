@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import formulas, load_fixture, random_raw_model
 from plausible.semantics import (
+    MAX_CONDITION_WORLDS,
+    BoundsExceededError,
     KripkeModel,
     ModelFormatError,
     NeighborhoodModel,
@@ -145,6 +147,15 @@ class TestSupplement:
     def test_empty_family_stays_empty(self):
         m = nm(1, {0: []})
         assert supplement(m).families[0] == ()
+
+    def test_world_bound(self):
+        at_bound = NeighborhoodModel(MAX_CONDITION_WORLDS, ((),) * MAX_CONDITION_WORLDS)
+        assert supplement(at_bound) == at_bound
+        past = NeighborhoodModel(MAX_CONDITION_WORLDS + 1, ((),) * (MAX_CONDITION_WORLDS + 1))
+        with pytest.raises(BoundsExceededError):
+            supplement(past)
+        with pytest.raises(BoundsExceededError):
+            nm_check_conditions(past)
 
     def test_idempotent_and_monotone_random(self):
         rng = random.Random(11)
