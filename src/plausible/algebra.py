@@ -19,6 +19,7 @@ exactly # and an assignment of elements to atoms is a valuation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product
 
 from .semantics import BoundsExceededError, KripkeModel, NeighborhoodModel, is_valid_in, truth_mask
@@ -56,6 +57,11 @@ class FinitePlausibilityAlgebra:
         for a, img in enumerate(self.sharp):
             if not 0 <= img < size:
                 raise AlgebraFormatError(f"sharp({a}) = {img} is outside the carrier")
+
+    @cached_property
+    def _report(self) -> AlgebraReport:
+        """Which of a1-a4 hold; see ``check_algebra``."""
+        return _check_axioms(self)
 
     @property
     def carrier_size(self) -> int:
@@ -124,7 +130,12 @@ class AlgebraReport:
 
 
 def check_algebra(a: FinitePlausibilityAlgebra) -> AlgebraReport:
-    """Exhaustively check a1-a4 over all element pairs."""
+    """Exhaustively check a1-a4 over all element pairs; the report is
+    computed once per algebra object and shared by later calls."""
+    return a._report
+
+
+def _check_axioms(a: FinitePlausibilityAlgebra) -> AlgebraReport:
     s = a.sharp
     a1 = a2 = a3 = a4 = None
     for x, y in product(range(a.carrier_size), repeat=2):

@@ -11,6 +11,7 @@ uncaught exception: a defect must never read as a negative answer).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -248,7 +249,14 @@ def cmd_experiment_k(args) -> int:
 # Parser wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``plaus`` parser, built on the first call and shared after it.
+
+    Every ``main`` call in a process parses with this one parser, so the
+    subcommands hold the ``cmd_*`` functions as they were at that first
+    call; a ``cmd_*`` replaced later is not seen.
+    """
     parser = argparse.ArgumentParser(
         prog="plaus",
         description="Workbench for the propositional logic of the plausible.",

@@ -281,6 +281,8 @@ def sample_countermodel(
 ) -> SearchOutcome:
     """Seeded random search; the caps do not apply.  Returns the first
     falsifying sample or ``Inconclusive`` after ``samples`` draws."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     _require_class_dialect((f,), bounds.model_class)
     rng = random.Random(seed)
     mc = bounds.model_class

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+from plausible import algebra as alg
 from plausible.algebra import FinitePlausibilityAlgebra
 from plausible.semantics import NeighborhoodModel
 from plausible.syntax import (
@@ -117,3 +118,17 @@ def load_fixture(*parts):
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def axiom_checks(monkeypatch) -> list:
+    """Every algebra whose a1-a4 check runs during the test, in order."""
+    runs = []
+    check = alg._check_axioms
+
+    def counted(a):
+        runs.append(a)
+        return check(a)
+
+    monkeypatch.setattr(alg, "_check_axioms", counted)
+    return runs

@@ -1,4 +1,6 @@
+import importlib.util
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -46,6 +48,7 @@ ZERO_K1 = algebra(1, [0, 0])
 UNIT_ONLY_K2 = algebra(2, [0, 0, 0, 3])
 IDENTITY_K2 = algebra(2, [0, 1, 2, 3])
 VALID_K_LE_2 = [a for k in (1, 2) for a in all_sharp_maps(k) if check_algebra(a).valid]
+EXPERIMENTS = Path(__file__).parent.parent / "experiments"
 
 
 class TestCheckAlgebra:
@@ -285,3 +288,14 @@ class TestAgreement:
         assert not by_formula["p0 -> nabla p0"]["algebra_valid"]
         assert not by_formula["p0 -> nabla p0"]["constrained_exhausted_valid"]
         assert report["agreements"] + report["disagreements"] == len(formulas)
+
+    def test_experiments_check_each_algebra_once(self, monkeypatch, tmp_path, capsys, axiom_checks):
+        spec = importlib.util.spec_from_file_location("regenerate", EXPERIMENTS / "regenerate.py")
+        regenerate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(regenerate)
+        monkeypatch.setattr(regenerate, "HERE", tmp_path)
+        regenerate.main()
+        # the 1 + 4 reflexive candidates at base 1 and 2, each checked once
+        assert len(axiom_checks) == 5
+        for name in ("k_experiment.json", "algebra_agreement.json"):
+            assert (tmp_path / name).read_bytes() == (EXPERIMENTS / name).read_bytes()

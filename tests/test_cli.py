@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import plausible
 from conftest import FIXTURES
 from plausible import _kernel_py
 from plausible.algebra import MAX_BASE, AlgebraFormatError, InvalidAlgebraError
-from plausible.cli import main
+from plausible.cli import build_parser, main
 from plausible.derivations import TranslationError
 from plausible.proofs import ProofFormatError, proof_from_data
 from plausible.search import BoundsExceededError, SearchInternalError
@@ -182,6 +187,20 @@ class TestValid:
             capsys, "valid", "p0", "--class", "constrained", "--max-worlds", "2", "--sample", "10"
         )
         assert code == 2 and "--seed" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_sample_below_one_is_input_error(self, capsys, samples):
+        code, out, err = run(
+            capsys, "valid", "p0", "--class", "raw", "--max-worlds", "2",
+            "--sample", samples, "--seed", "1",
+        )
+        assert code == 2 and out == "" and "at least 1" in err
+
+    def test_single_sample(self, capsys):
+        code, data, _ = run_json(
+            capsys, "valid", "p0", "--class", "raw", "--max-worlds", "2", "--sample", "1", "--seed", "1"
+        )
+        assert code == 1 and data["models_checked"] == 1
 
     def test_atoms_flag(self, capsys):
         code, data, _ = run_json(
@@ -373,6 +392,13 @@ class TestAlgebra:
         )
         assert code == 2 and out == "" and "Box" in err
 
+    def test_axioms_checked_once(self, capsys, axiom_checks):
+        code, data, _ = run_json(
+            capsys, "algebra", str(ALGEBRAS / "identity_k2.json"), "--formula", "nabla p0 -> p0"
+        )
+        assert code == 0 and data["validates"] is True
+        assert len(axiom_checks) == 1
+
     def test_base_bound(self, capsys, tmp_path):
         size = 1 << (MAX_BASE + 1)
         path = tmp_path / "algebra.json"
@@ -450,3 +476,74 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["valid", "p0"])  # missing required flags
     assert exc.value.code == 2
+
+
+# One argv for each subcommand; file arguments name committed fixtures.
+EVERY_SUBCOMMAND = [
+    ("fmt", "p0 -> []p0"),
+    ("eval", str(MODELS / "nm_counter.json"), "0", "p0 -> []p0"),
+    ("valid", "p0 -> []p0", "--class", "constrained", "--max-worlds", "2"),
+    ("consequence", "[]p0", "--gamma", "p0", "--class", "constrained", "--max-worlds", "2"),
+    ("checkproof", str(PROOFS / "lpbox_t.json")),
+    ("translate", str(PROOFS / "lnabla_ax3.json"), "--to", "box"),
+    ("supplement", str(MODELS / "nm_supplement.json")),
+    ("algebra", str(ALGEBRAS / "identity_k2.json"), "--formula", "nabla p0 -> p0"),
+    ("experiment-k", "--max-worlds", "2"),
+]
+
+
+class TestSharedParser:
+    """Every ``main`` call in a process parses with the same parser."""
+
+    def test_built_once_per_process(self, capsys):
+        for argv in EVERY_SUBCOMMAND:
+            run(capsys, *argv)
+        assert build_parser() is build_parser()
+        assert build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+    def test_same_argv_same_result(self, capsys, argv):
+        assert run(capsys, *argv) == run(capsys, *argv)
+
+    def test_gamma_not_carried_over(self, capsys):
+        args = ("consequence", "[]p0", "--class", "constrained", "--max-worlds", "2")
+        code, data, _ = run_json(capsys, *args, "--gamma", "p0")
+        assert code == 0 and data["gamma"] == ["p0"]
+        code, data, _ = run_json(capsys, *args)
+        assert code == 1 and data["gamma"] == []
+
+    def test_out_not_carried_over(self, capsys, tmp_path):
+        args = ("valid", "p0 -> []p0", "--class", "constrained", "--max-worlds", "2")
+        out_file = tmp_path / "report.json"
+        run(capsys, *args, "--out", str(out_file))
+        out_file.write_text("untouched")
+        run(capsys, *args)
+        assert out_file.read_text() == "untouched"
+
+    def test_sample_not_carried_over(self, capsys):
+        args = ("valid", "[]p0 -> p0", "--class", "constrained", "--max-worlds", "2")
+        exhaustive = run(capsys, *args)
+        code, data, _ = run_json(capsys, *args, "--sample", "3", "--seed", "1")
+        assert code == 0 and data["verdict"] == "Inconclusive" and data["models_checked"] == 3
+        assert run(capsys, *args) == exhaustive
+        assert json.loads(exhaustive[1])["verdict"] == "ExhaustedValid"
+
+    def test_usage_error_leaves_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["valid"])
+        assert exc.value.code == 2
+        assert run(capsys, "fmt", "p0")[0] == 0
+
+
+def test_library_import_leaves_the_cli_out():
+    # The CLI's argparse set-up is paid by `plaus`, never by library users.
+    script = (
+        "import sys; before = set(sys.modules); import plausible; "
+        "print(sorted({'argparse', 'plausible.cli'} & (set(sys.modules) - before)))"
+    )
+    src = str(Path(plausible.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
