@@ -25,6 +25,7 @@ from .syntax import (
     Box,
     Dialect,
     Formula,
+    FormulaSyntaxError,
     Iff,
     Implies,
     Nabla,
@@ -352,7 +353,10 @@ def proof_to_data(proof: Proof) -> dict:
 def _parse_field(text, what: str) -> Formula:
     if not isinstance(text, str):
         raise ProofFormatError(f"{what} must be a formula string")
-    return parse(text)
+    try:
+        return parse(text)
+    except FormulaSyntaxError as exc:
+        raise ProofFormatError(f"{what}: {exc}") from None
 
 
 def proof_from_data(data: dict) -> Proof:
@@ -365,7 +369,7 @@ def proof_from_data(data: dict) -> Proof:
     premises = data.get("premises", [])
     if not isinstance(premises, list):
         raise ProofFormatError('"premises" must be an array of formula strings')
-    premises = tuple(_parse_field(text, "each premise") for text in premises)
+    premises = tuple(_parse_field(text, f"premise {k}") for k, text in enumerate(premises, start=1))
     raw_lines = data.get("lines")
     if not isinstance(raw_lines, list) or not raw_lines:
         raise ProofFormatError('"lines" must be a non-empty array')

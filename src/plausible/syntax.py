@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 
 class FormulaSyntaxError(ValueError):
@@ -136,13 +137,6 @@ _DIALECT_OPS: dict[Dialect, frozenset[type]] = {
 # Lexing and parsing
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: int
-    pos: int
-
-
 # Bound the parser's recursion, and the recursion of every later walk over
 # the tree, far below the interpreter's limit.  A parenthesis costs the
 # parser six frames, so prefixes and parentheses get the tighter bound; a
@@ -151,70 +145,79 @@ class _Token:
 MAX_NESTING = 100  # unary prefixes and parentheses
 MAX_DEPTH = 300  # all levels, binary operators included
 
-_TOKEN_RE = re.compile(r"[ \t\r\n]+|(?P<word>[A-Za-z][A-Za-z0-9]*)|(?P<op><->|<>|\[\]|->|[~&|()])")
-_ATOM_RE = re.compile(r"p(\d+)\Z")
-_KEYWORDS = ("true", "false", "nabla")
-
-
-def _tokenize(text: str, metavariables: bool) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "word":
-            word = m.group("word")
-            if word in _KEYWORDS:
-                tokens.append(_Token(word, 0, pos))
-            elif (am := _ATOM_RE.match(word)) is not None:
-                tokens.append(_Token("atom", int(am.group(1)), pos))
-            elif metavariables and len(word) == 1 and word.isupper():
-                tokens.append(_Token("atom", ord(word) - ord("A"), pos))
-            else:
-                raise FormulaSyntaxError(f"unknown identifier {word!r}", pos)
-        elif m.lastgroup == "op":
-            tokens.append(_Token(m.group("op"), 0, pos))
-        pos = m.end()
-    tokens.append(_Token("end", 0, len(text)))
-    return tokens
-
-
+# The one lexer: operators, words, and any other single character that is
+# not blank, which the lexical check then rejects.
+_LEXEME_RE = re.compile(r"<->|<>|\[\]|->|[~&|()]|[A-Za-z][A-Za-z0-9]*|[^ \t\r\n]")
 _PREFIX = {"~": Not, "[]": Box, "<>": Diamond, "nabla": Nabla}
+_OPERATORS = frozenset(("<->", "->", "&", "|", "(", ")", *_PREFIX))
+_END = ""  # follows the last lexeme; no lexeme is empty
+
+
+def _column(text: str, index: int) -> int:
+    """Column of lexeme number ``index`` of ``text``, or ``len(text)`` past
+    the last one.  Only errors need columns, so only errors pay for them."""
+    m = next(islice(_LEXEME_RE.finditer(text), index, None), None)
+    return len(text) if m is None else m.start()
+
+
+def _lex(text: str, metavariables: bool) -> tuple[list[str], dict[str, Formula]]:
+    """Split ``text`` into lexemes followed by ``_END``, and map every word
+    that is a formula to it: ``true``, ``false``, and the atoms ``pN`` or, in
+    a schema, the metavariables ``A``-``Z``.  Raises the first lexical error
+    in the text."""
+    lexemes = _LEXEME_RE.findall(text)
+    leaves: dict[str, Formula] = {"true": TOP, "false": BOTTOM}
+    for i, lx in enumerate(lexemes):
+        if lx in _OPERATORS or lx in leaves:
+            continue
+        if not (lx[0].isalpha() and lx.isascii()):  # not a word: one stray character
+            raise FormulaSyntaxError(f"unexpected character {lx!r}", _column(text, i))
+        if metavariables:
+            if len(lx) == 1 and lx.isupper():
+                leaves[lx] = Atom(ord(lx) - ord("A"))
+                continue
+        elif lx[0] == "p" and lx[1:].isdigit():
+            try:
+                leaves[lx] = Atom(int(lx[1:]))
+            except ValueError:  # more digits than int() converts
+                raise FormulaSyntaxError(
+                    f"atom index of {len(lx) - 1} digits is too long", _column(text, i)
+                ) from None
+            continue
+        raise FormulaSyntaxError(f"unknown identifier {lx!r}", _column(text, i))
+    lexemes.append(_END)
+    return lexemes, leaves
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str, metavariables: bool):
+        self.text = text
+        self.lexemes, self.leaves = _lex(text, metavariables)
         self.i = 0
         self.depth = 0
         self.nesting = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def error(self, message: str) -> FormulaSyntaxError:
+        return FormulaSyntaxError(message, _column(self.text, self.i))
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def found(self) -> str:
+        """The kind of the current lexeme, as error messages name it."""
+        lx = self.lexemes[self.i]
+        if lx == _END:
+            return "end"
+        return "atom" if isinstance(self.leaves.get(lx), Atom) else lx
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise FormulaSyntaxError(f"expected {kind!r}, found {tok.kind!r}", tok.pos)
-        return self.advance()
-
-    def enter(self, tok: _Token, prefix: bool = False) -> None:
-        """Open one nesting level at ``tok``, a unary prefix or an opening
-        parenthesis if ``prefix``; the caller closes it with ``leave``."""
+    def enter(self, prefix: bool = False) -> None:
+        """Open one nesting level at the current lexeme, a unary prefix or an
+        opening parenthesis if ``prefix``, and step past it; the caller
+        closes the level with ``leave``."""
         if prefix and self.nesting == MAX_NESTING:
-            raise FormulaSyntaxError(
-                f"formula nests deeper than {MAX_NESTING} unary prefixes and parentheses", tok.pos
-            )
+            raise self.error(f"formula nests deeper than {MAX_NESTING} unary prefixes and parentheses")
         if self.depth == MAX_DEPTH:
-            raise FormulaSyntaxError(f"formula nests deeper than {MAX_DEPTH} levels", tok.pos)
+            raise self.error(f"formula nests deeper than {MAX_DEPTH} levels")
         self.depth += 1
         self.nesting += prefix
+        self.i += 1
 
     def leave(self, prefix: bool = False) -> None:
         self.depth -= 1
@@ -222,23 +225,22 @@ class _Parser:
 
     def parse(self) -> Formula:
         f = self.iff()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise FormulaSyntaxError(f"unexpected trailing {tok.kind!r}", tok.pos)
+        if self.lexemes[self.i] != _END:
+            raise self.error(f"unexpected trailing {self.found()!r}")
         return f
 
     def iff(self) -> Formula:
         left = self.implies()
-        if self.peek().kind == "<->":
-            self.enter(self.advance())
+        if self.lexemes[self.i] == "<->":
+            self.enter()
             left = Iff(left, self.iff())
             self.leave()
         return left
 
     def implies(self) -> Formula:
         left = self.disjunction()
-        if self.peek().kind == "->":
-            self.enter(self.advance())
+        if self.lexemes[self.i] == "->":
+            self.enter()
             left = Implies(left, self.implies())
             self.leave()
         return left
@@ -246,8 +248,8 @@ class _Parser:
     def disjunction(self) -> Formula:
         left = self.conjunction()
         outer = self.depth
-        while self.peek().kind == "|":
-            self.enter(self.advance())
+        while self.lexemes[self.i] == "|":
+            self.enter()
             left = Or(left, self.conjunction())
         self.depth = outer
         return left
@@ -255,44 +257,41 @@ class _Parser:
     def conjunction(self) -> Formula:
         left = self.unary()
         outer = self.depth
-        while self.peek().kind == "&":
-            self.enter(self.advance())
+        while self.lexemes[self.i] == "&":
+            self.enter()
             left = And(left, self.unary())
         self.depth = outer
         return left
 
     def unary(self) -> Formula:
-        op = _PREFIX.get(self.peek().kind)
+        op = _PREFIX.get(self.lexemes[self.i])
         if op is None:
             return self.atomic()
-        self.enter(self.advance(), prefix=True)
+        self.enter(prefix=True)
         f = op(self.unary())
         self.leave(prefix=True)
         return f
 
     def atomic(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "atom":
-            self.advance()
-            return Atom(tok.value)
-        if tok.kind == "true":
-            self.advance()
-            return TOP
-        if tok.kind == "false":
-            self.advance()
-            return BOTTOM
-        if tok.kind == "(":
-            self.enter(self.advance(), prefix=True)
+        lx = self.lexemes[self.i]
+        leaf = self.leaves.get(lx)
+        if leaf is not None:
+            self.i += 1
+            return leaf
+        if lx == "(":
+            self.enter(prefix=True)
             inner = self.iff()
-            self.expect(")")
+            if self.lexemes[self.i] != ")":
+                raise self.error(f"expected ')', found {self.found()!r}")
+            self.i += 1
             self.leave(prefix=True)
             return inner
-        raise FormulaSyntaxError(f"expected a formula, found {tok.kind!r}", tok.pos)
+        raise self.error(f"expected a formula, found {self.found()!r}")
 
 
 def parse(text: str) -> Formula:
     """Parse formula text into its unique AST under the declared precedence."""
-    return _Parser(_tokenize(text, metavariables=False)).parse()
+    return _Parser(text, metavariables=False).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +362,9 @@ class Schema:
 
 
 def parse_schema(text: str) -> Schema:
-    """Parse schema text; single uppercase letters denote metavariables."""
-    return Schema(_Parser(_tokenize(text, metavariables=True)).parse())
+    """Parse schema text; the single uppercase letters ``A``-``Z`` are its
+    metavariables, and it has no atoms ``pN``."""
+    return Schema(_Parser(text, metavariables=True).parse())
 
 
 def render_schema(s: Schema) -> str:

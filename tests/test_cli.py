@@ -56,6 +56,11 @@ class TestFmt:
         code, out, err = run(capsys, "fmt", "p0 ->")
         assert code == 2 and "column" in err
 
+    def test_atom_index_too_long_for_int(self, capsys):
+        code, out, err = run(capsys, "fmt", "p" + "1" * 5000)
+        assert code == 2 and out == ""
+        assert err == "error: atom index of 5000 digits is too long (at column 0)\n"
+
     def test_pretty(self, capsys):
         code, out, _ = run(capsys, "fmt", "--pretty", "nabla(p0|~p0)")
         assert code == 0
@@ -277,6 +282,17 @@ class TestCheckproof:
         assert code == 2 and out == "" and err.startswith("error: ")
         with pytest.raises(ProofFormatError):
             proof_from_data(bad)
+
+    @pytest.mark.parametrize("argv", [["checkproof"], ["translate", "--to", "box"]])
+    def test_malformed_formula_names_its_line(self, tmp_path, capsys, argv):
+        bad = json.loads((PROOFS / "hequiv_forward.json").read_text())
+        bad["lines"][2]["formula"] = "[]true &"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        command, *options = argv
+        code, out, err = run(capsys, command, str(path), *options)
+        assert code == 2 and out == ""
+        assert err == 'error: line 3: "formula": expected a formula, found \'end\' (at column 8)\n'
 
     def test_dangling_reference_is_input_error(self, tmp_path, capsys):
         bad = json.loads((PROOFS / "s5_mp_chain.json").read_text())

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import load_fixture
 from plausible.proofs import (
+    SCHEMAS,
     SYSTEM_AXIOMS,
     AxiomInstance,
     Proof,
@@ -15,7 +16,7 @@ from plausible.proofs import (
     proof_from_data,
     proof_to_data,
 )
-from plausible.syntax import parse
+from plausible.syntax import parse, render_schema
 
 # (fixture, accepted, failing line)
 CORPUS = [
@@ -40,7 +41,49 @@ def load_proof(name):
     return proof_from_data(load_fixture("proofs", name))
 
 
+# Every named schema, rendered; render is injective, so equal renderings
+# mean equal patterns.
+SCHEMA_TEXTS = {
+    "PL1": "A -> B -> A",
+    "PL2": "(A -> B -> C) -> (A -> B) -> A -> C",
+    "PL3": "(~B -> ~A) -> A -> B",
+    "PL4": "A -> B -> A & B",
+    "PL5": "A & B -> A",
+    "PL6": "A & B -> B",
+    "PL7": "A -> A | B",
+    "PL8": "B -> A | B",
+    "PL9": "(A -> C) -> (B -> C) -> A | B -> C",
+    "PL10": "(A -> B) -> (B -> A) -> (A <-> B)",
+    "PL11": "(A <-> B) -> A -> B",
+    "PL12": "(A <-> B) -> B -> A",
+    "PL13": "true",
+    "PL14": "false -> A",
+    "T": "[]A -> A",
+    "5": "<>A -> []<>A",
+    "K": "[](A -> B) -> []A -> []B",
+    "DfDia": "<>A <-> ~[]~A",
+    "C": "[]A & []B -> [](A & B)",
+    "H": "[]A | []B -> [](A | B)",
+    "N": "[]true",
+    "Ax1": "nabla A & nabla B -> nabla(A & B)",
+    "Ax2": "nabla(A | ~A)",
+    "Ax3": "nabla A -> A",
+    "TDia": "A -> <>A",
+    "D": "[]A -> <>A",
+    "B": "A -> []<>A",
+    "BDia": "<>[]A -> A",
+    "5Dia": "<>[]A -> []A",
+    "4": "[]A -> [][]A",
+    "4Dia": "<><>A -> <>A",
+    "DfBox": "[]A <-> ~<>~A",
+    "M": "[](A & B) -> []A & []B",
+}
+
+
 class TestAxiomTables:
+    def test_schema_table(self):
+        assert {name: render_schema(s) for name, s in SCHEMAS.items()} == SCHEMA_TEXTS
+
     def test_lpbox_axioms(self):
         names = [name for name, _ in list_axiom_schemas(SystemId.LPBOX)]
         assert names[:14] == [f"PL{i}" for i in range(1, 15)]
@@ -173,6 +216,25 @@ class TestSerialization:
         proof = load_proof(name)
         again = proof_from_data(proof_to_data(proof))
         assert check_proof(again).accepted is accepted
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("lines", 2, "formula"), 'line 3: "formula": expected a formula, found \'end\' (at column 8)'),
+            (("premises", 0), "premise 1: expected a formula, found 'end' (at column 8)"),
+            (("conclusion",), '"conclusion": expected a formula, found \'end\' (at column 8)'),
+        ],
+    )
+    def test_malformed_formula_names_its_field(self, path, message):
+        data = load_fixture("proofs", "s5_mp_chain.json")
+        *parents, last = path
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = "[]true &"
+        with pytest.raises(ProofFormatError) as exc:
+            proof_from_data(data)
+        assert str(exc.value) == message
 
     def test_unknown_rule(self):
         data = load_fixture("proofs", "lpbox_t.json")

@@ -1,7 +1,11 @@
+import json
+import re
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import formulas
+from conftest import FIXTURES, formulas
 from plausible.proofs import SCHEMAS
 from plausible.syntax import (
     BOTTOM,
@@ -109,6 +113,66 @@ class TestParse:
         assert exc.value.position == MAX_NESTING + 6 * arrows + 3
 
 
+    @pytest.mark.parametrize(
+        "text, column", [("p" + "7" * 5000, 0), ("p0 & p" + "1" * 5000, 5)], ids=["alone", "operand"]
+    )
+    def test_atom_index_too_long_for_int(self, text, column):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse(text)
+        assert exc.value.position == column
+        assert "5000 digits" in str(exc.value)
+
+    def test_lexical_error_precedes_parse_error(self):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse("p0 & & p" + "1" * 5000)
+        assert exc.value.position == 7
+
+
+# The lexical grammar, stated independently of the parser: an operator, a
+# word, or any other character that is not blank.
+LEXEME = re.compile(r"<->|<>|\[\]|->|[~&|()]|[A-Za-z][A-Za-z0-9]*|[^ \t\r\n]")
+ERROR_FORMS = [
+    "unexpected character ",
+    "unknown identifier ",
+    "expected ')', found ",
+    "unexpected trailing ",
+    "expected a formula, found ",
+    f"formula nests deeper than {MAX_NESTING} unary prefixes and parentheses",
+    f"formula nests deeper than {MAX_DEPTH} levels",
+]
+
+
+class TestGoldenErrors:
+    """``fixtures/syntax_errors.json`` holds seeded malformed texts with the
+    message and column the tokenizer-based parser gave them (written by
+    ``tests/record_syntax_errors.py``); the parser must reproduce them."""
+
+    TABLE = json.loads((FIXTURES / "syntax_errors.json").read_text(encoding="utf-8"))
+
+    def test_table_covers_every_message_form(self):
+        assert len(self.TABLE) >= 2000
+        for form in ERROR_FORMS:
+            assert any(message.startswith(form) for _, message, _ in self.TABLE), form
+
+    def test_messages_and_columns(self):
+        got = []
+        for text, _, _ in self.TABLE:
+            with pytest.raises(FormulaSyntaxError) as exc:
+                parse(text)
+            got.append([text, str(exc.value), exc.value.position])
+        assert got == self.TABLE
+
+    @given(st.lists(st.sampled_from(["p0", "p12", "true", "nabla", "~", "[]", "<>", "&", "|",
+                                     "->", "<->", "(", ")", "q", "A", "$", "<", "-", "[", "0",
+                                     "\xa0", " ", "\t", "\n"]), max_size=12).map("".join))
+    def test_error_column_starts_a_lexeme(self, text):
+        try:
+            parse(text)
+        except FormulaSyntaxError as exc:
+            starts = {m.start() for m in LEXEME.finditer(text)} | {len(text)}
+            assert exc.position in starts
+
+
 class TestRender:
     def test_box_atom(self):
         assert render(Box(p0)) == "[]p0"
@@ -159,6 +223,13 @@ class TestSchemas:
     def test_instantiate_unbound(self):
         with pytest.raises(UnboundMetavariableError):
             instantiate(parse_schema("A -> B"), {0: p0})
+
+    @pytest.mark.parametrize("text, column", [("p1 -> B", 0), ("A -> p0", 5), ("[](A & p12)", 7)])
+    def test_atoms_are_not_metavariables(self, text, column):
+        word = text[column:].split()[0].rstrip(")")
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_schema(text)
+        assert str(exc.value) == f"unknown identifier {word!r} (at column {column})"
 
     def test_render_schema(self):
         assert render_schema(parse_schema("[]A -> A")) == "[]A -> A"
