@@ -247,6 +247,7 @@ def check_proof(proof: Proof, *, s5_re: bool = False) -> CheckResult:
         allowed = allowed + (RE,)
     premises = set(proof.premises)
     premise_free: list[bool] = []
+    fitting: dict = {}  # one dialect memo: lines share subformula objects
 
     # Structural pass: references must point at strictly earlier lines and
     # schema names must exist.
@@ -266,7 +267,7 @@ def check_proof(proof: Proof, *, s5_re: bool = False) -> CheckResult:
     for number, line in enumerate(proof.lines, start=1):
         f = line.formula
         j = line.justification
-        if not fits_dialect(f, dialect):
+        if not fits_dialect(f, dialect, fitting):
             return reject(number, f"formula outside the {dialect.value} dialect")
         if not isinstance(j, allowed):
             return reject(number, f"rule {type(j).__name__} is not part of {proof.system.value}")
@@ -332,10 +333,11 @@ _RULE_NAMES = {
 
 
 def proof_to_data(proof: Proof) -> dict:
+    memo: dict = {}  # lines share subformula objects; render each once
     lines = []
     for line in proof.lines:
         j = line.justification
-        entry: dict = {"formula": render(line.formula), "rule": _RULE_NAMES[type(j)]}
+        entry: dict = {"formula": render(line.formula, memo), "rule": _RULE_NAMES[type(j)]}
         if isinstance(j, AxiomInstance):
             entry["schema"] = j.schema_id
         refs = line.references()
@@ -344,9 +346,9 @@ def proof_to_data(proof: Proof) -> dict:
         lines.append(entry)
     return {
         "system": proof.system.value,
-        "premises": [render(f) for f in proof.premises],
+        "premises": [render(f, memo) for f in proof.premises],
         "lines": lines,
-        "conclusion": render(proof.conclusion),
+        "conclusion": render(proof.conclusion, memo),
     }
 
 
@@ -359,9 +361,23 @@ def _parse_field(text, what: str) -> Formula:
         raise ProofFormatError(f"{what}: {exc}") from None
 
 
+_PROOF_KEYS = frozenset({"system", "premises", "lines", "conclusion"})
+_LINE_KEYS = frozenset({"formula", "rule", "refs", "schema"})
+
+
+def _unknown_keys(entry: dict, known: frozenset[str], where: str) -> None:
+    unknown = sorted(set(entry) - known)
+    if unknown:
+        names = ", ".join(repr(key) for key in unknown)
+        raise ProofFormatError(f"{where}: unknown key{'s' if len(unknown) > 1 else ''} {names}")
+
+
 def proof_from_data(data: dict) -> Proof:
+    """Read a proof from its JSON data, rejecting any key the format lacks:
+    ``refs`` belongs to rule lines and ``schema`` to axiom lines only."""
     if not isinstance(data, dict):
         raise ProofFormatError("proof file must contain a JSON object")
+    _unknown_keys(data, _PROOF_KEYS, "proof file")
     try:
         system = SystemId(data.get("system"))
     except ValueError:
@@ -377,6 +393,7 @@ def proof_from_data(data: dict) -> Proof:
     for i, entry in enumerate(raw_lines, start=1):
         if not isinstance(entry, dict) or "formula" not in entry or "rule" not in entry:
             raise ProofFormatError(f'line {i} must carry "formula" and "rule"')
+        _unknown_keys(entry, _LINE_KEYS, f"line {i}")
         formula = _parse_field(entry["formula"], f'line {i}: "formula"')
         rule = entry["rule"]
         refs = entry.get("refs", [])
@@ -401,6 +418,10 @@ def proof_from_data(data: dict) -> Proof:
             justification = {"re": RE, "rnabla": RNabla, "rn": RN}[rule](refs[0])
         else:
             raise ProofFormatError(f"line {i}: unknown rule {rule!r}")
+        if "refs" in entry and rule in ("premise", "axiom"):
+            raise ProofFormatError(f'line {i}: {rule} lines take no "refs"')
+        if "schema" in entry and rule != "axiom":
+            raise ProofFormatError(f'line {i}: only axiom lines name a "schema"')
         lines.append(ProofLine(formula, justification))
     if "conclusion" not in data:
         raise ProofFormatError('proof file needs a "conclusion"')

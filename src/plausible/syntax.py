@@ -311,40 +311,58 @@ def _prec(f: Formula) -> int:
     return _PREC_BIN[type(f)]
 
 
-def _render(f: Formula, atom_name) -> str:
+def _render(f: Formula, atom_name, memo: dict) -> str:
     if isinstance(f, Atom):
         return atom_name(f.index)
     if isinstance(f, Top):
         return "true"
     if isinstance(f, Bottom):
         return "false"
+    hit = memo.get(id(f))
+    if hit is not None:
+        return hit[1]
     if isinstance(f, _UNARY):
-        inner = _render(f.operand, atom_name)
+        inner = _render(f.operand, atom_name, memo)
         wrapped = f"({inner})" if _prec(f.operand) < _PREC_UNARY else inner
         if isinstance(f, Not):
-            return "~" + wrapped
-        if isinstance(f, Box):
-            return "[]" + wrapped
-        if isinstance(f, Diamond):
-            return "<>" + wrapped
-        # "nabla" is a word, so it needs a separator unless parentheses follow
-        return "nabla" + wrapped if wrapped.startswith("(") else "nabla " + wrapped
-    level = _PREC_BIN[type(f)]
-    right_assoc = isinstance(f, (Implies, Iff))
-    lp = _prec(f.left)
-    rp = _prec(f.right)
-    left = _render(f.left, atom_name)
-    right = _render(f.right, atom_name)
-    if lp < level or (right_assoc and lp == level):
-        left = f"({left})"
-    if rp < level or (not right_assoc and rp == level):
-        right = f"({right})"
-    return f"{left} {_BIN_SIGIL[type(f)]} {right}"
+            text = "~" + wrapped
+        elif isinstance(f, Box):
+            text = "[]" + wrapped
+        elif isinstance(f, Diamond):
+            text = "<>" + wrapped
+        else:
+            # "nabla" is a word, so it needs a separator unless parentheses follow
+            text = "nabla" + wrapped if wrapped.startswith("(") else "nabla " + wrapped
+    else:
+        level = _PREC_BIN[type(f)]
+        right_assoc = isinstance(f, (Implies, Iff))
+        lp = _prec(f.left)
+        rp = _prec(f.right)
+        left = _render(f.left, atom_name, memo)
+        right = _render(f.right, atom_name, memo)
+        if lp < level or (right_assoc and lp == level):
+            left = f"({left})"
+        if rp < level or (not right_assoc and rp == level):
+            right = f"({right})"
+        text = f"{left} {_BIN_SIGIL[type(f)]} {right}"
+    # The entry keeps ``f`` alive, so its id is not reused while the memo is.
+    memo[id(f)] = (f, text)
+    return text
 
 
-def render(f: Formula) -> str:
-    """Render with minimal parentheses; ``parse(render(f))`` equals ``f``."""
-    return _render(f, lambda i: f"p{i}")
+def _atom_name(i: int) -> str:
+    return f"p{i}"
+
+
+def render(f: Formula, memo: dict | None = None) -> str:
+    """Render with minimal parentheses; ``parse(render(f))`` equals ``f``.
+
+    ``memo`` maps ``id(node)`` to ``(node, text)`` for the nodes already
+    rendered.  Pass one dict to several calls to render each node object
+    they share once; it must live no longer than those calls need it and
+    serve ``render`` alone.
+    """
+    return _render(f, _atom_name, {} if memo is None else memo)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +386,7 @@ def parse_schema(text: str) -> Schema:
 
 
 def render_schema(s: Schema) -> str:
-    return _render(s.pattern, lambda i: chr(ord("A") + i) if i < 26 else f"A{i}")
+    return _render(s.pattern, lambda i: chr(ord("A") + i) if i < 26 else f"A{i}", {})
 
 
 MetaBinding = dict[int, Formula]
@@ -477,8 +495,28 @@ def modal_operators(f: Formula) -> frozenset[type]:
     return frozenset(ops)
 
 
-def fits_dialect(f: Formula, dialect: Dialect) -> bool:
-    return modal_operators(f) <= _DIALECT_OPS[dialect]
+def _fits(f: Formula, allowed: frozenset[type], memo: dict) -> bool:
+    if isinstance(f, (Atom, Top, Bottom)) or id(f) in memo:
+        return True
+    if isinstance(f, _BINARY):
+        fits = _fits(f.left, allowed, memo) and _fits(f.right, allowed, memo)
+    else:
+        fits = (isinstance(f, Not) or type(f) in allowed) and _fits(f.operand, allowed, memo)
+    if fits:
+        # Recorded only once every operand fits; the entry keeps ``f``
+        # alive, so its id is not reused while the memo is.
+        memo[id(f)] = f
+    return fits
+
+
+def fits_dialect(f: Formula, dialect: Dialect, memo: dict | None = None) -> bool:
+    """Whether every modal operator of ``f`` belongs to ``dialect``.
+
+    ``memo`` maps ``id(node)`` to ``node`` for the nodes already known to
+    fit.  Pass one dict to several calls with the same dialect to visit
+    each node object they share once; it must serve that dialect alone.
+    """
+    return _fits(f, _DIALECT_OPS[dialect], {} if memo is None else memo)
 
 
 def require_dialect(f: Formula, dialect: Dialect) -> None:

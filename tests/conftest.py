@@ -47,6 +47,22 @@ def formulas(atoms=(0, 1, 2), modal=("box", "diamond"), max_leaves=12):
     return st.recursive(leaves, extend, max_leaves=max_leaves)
 
 
+@st.composite
+def shared_formulas(draw, atoms=(0, 1), modal=("box", "diamond", "nabla"), max_steps=16):
+    """Hypothesis strategy for a list of formulas that share node objects:
+    each is built from leaves and earlier formulas of the list, and the list
+    comes in a drawn order, so parts come both before and after wholes."""
+    pool = [Atom(i) for i in atoms] + [TOP, BOTTOM]
+    unary = [Not] + [_UNARY_OPS[name] for name in modal]
+    for _ in range(draw(st.integers(1, max_steps))):
+        if draw(st.booleans()):
+            pool.append(draw(st.sampled_from(unary))(draw(st.sampled_from(pool))))
+        else:
+            op = draw(st.sampled_from([And, Or, Implies, Iff]))
+            pool.append(op(draw(st.sampled_from(pool)), draw(st.sampled_from(pool))))
+    return draw(st.permutations(pool))
+
+
 def random_formula(rng: random.Random, atoms=(0, 1), modal=("box",), depth=3, size=8):
     """Seeded random formula with modal depth bounded by ``depth`` and node
     count roughly bounded by ``size``."""

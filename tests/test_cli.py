@@ -303,6 +303,21 @@ class TestCheckproof:
         assert code == 2
 
 
+    def test_keys_outside_the_format_are_input_errors(self, tmp_path, capsys):
+        bad = json.loads((PROOFS / "lpbox_t.json").read_text())
+        bad["comment"] = "checked by hand"
+        bad["lines"][0].update(binding={"A": "p0"}, refs=[7])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "checkproof", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: proof file: unknown key 'comment'\n"
+        del bad["comment"]
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "checkproof", str(path))
+        assert code == 2 and err == "error: line 1: unknown key 'binding'\n"
+
+
 class TestTranslate:
     def test_formula_to_box(self, capsys):
         code, data, _ = run_json(

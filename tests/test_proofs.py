@@ -1,6 +1,11 @@
-import pytest
+import json
 
-from conftest import load_fixture
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import FIXTURES, formulas, load_fixture
+from plausible.derivations import ProofBuilder, box_k
 from plausible.proofs import (
     SCHEMAS,
     SYSTEM_AXIOMS,
@@ -16,7 +21,8 @@ from plausible.proofs import (
     proof_from_data,
     proof_to_data,
 )
-from plausible.syntax import parse, render_schema
+from plausible.syntax import And, Nabla, parse, render_schema
+from record_translations import outputs, proofs
 
 # (fixture, accepted, failing line)
 CORPUS = [
@@ -167,6 +173,21 @@ class TestCheckProof:
         assert not result.accepted and result.failing_line == 1
         assert "dialect" in result.reason
 
+    @settings(max_examples=40, deadline=None)
+    @given(formulas(modal=("box",), max_leaves=5), formulas(modal=("box",), max_leaves=5), st.data())
+    def test_first_failure_kept_when_lines_share_operands(self, x, y, data):
+        # Builder lines share subformula objects, so the out-of-dialect line
+        # reaches nodes that earlier, accepted lines already passed.
+        b = ProofBuilder(SystemId.LPBOX)
+        lines = list(b.build(box_k(b, x, y)).lines)
+        k = data.draw(st.integers(0, len(lines) - 2))
+        shared = data.draw(st.sampled_from(lines[:k + 1])).formula
+        lines[k] = ProofLine(And(lines[k].formula, Nabla(shared)), lines[k].justification)
+        broken = Proof(SystemId.LPBOX, (), tuple(lines), lines[-1].formula)
+        result = check_proof(broken)
+        assert (result.failing_line, result.reason) == (k + 1, "formula outside the BoxSystem dialect")
+        assert check_proof(proof_from_data(proof_to_data(broken))) == result
+
     def test_rule_not_in_system_rejected(self):
         proof = Proof(
             SystemId.LNABLA,
@@ -241,6 +262,48 @@ class TestSerialization:
         data["lines"][0]["rule"] = "gen"
         with pytest.raises(ProofFormatError):
             proof_from_data(data)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("comment",), "x", "proof file: unknown key 'comment'"),
+            (("lines", 0, "binding"), {"A": "<>p0"}, "line 1: unknown key 'binding'"),
+            (("lines", 2, "note"), "", "line 3: unknown key 'note'"),
+            (("lines", 0, "refs"), [], 'line 1: axiom lines take no "refs"'),
+            (("lines", 1, "refs"), [1], 'line 2: premise lines take no "refs"'),
+            (("lines", 1, "schema"), "5", 'line 2: only axiom lines name a "schema"'),
+            (("lines", 2, "schema"), "5", 'line 3: only axiom lines name a "schema"'),
+        ],
+    )
+    def test_keys_outside_the_format_rejected(self, path, value, message):
+        data = load_fixture("proofs", "s5_mp_chain.json")
+        *parents, last = path
+        target = data
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ProofFormatError) as exc:
+            proof_from_data(data)
+        assert str(exc.value) == message
+
+
+class TestGoldenOutputs:
+    """``fixtures/translations.json`` holds the ``checkproof`` and
+    ``translate`` results, byte for byte, on every LNabla and LPBox fixture
+    and on seeded derivations (written by ``tests/record_translations.py``);
+    the CLI must reproduce them."""
+
+    TABLE = json.loads((FIXTURES / "translations.json").read_text(encoding="utf-8"))
+
+    def test_table_holds_the_seeded_proofs(self):
+        assert [(case["name"], case["proof"]) for case in self.TABLE] == proofs()
+        seeded = [case for case in self.TABLE
+                  if case["name"].startswith("seeded_") and not case["name"].endswith("_broken")]
+        assert len(seeded) >= 40 and all(len(case["runs"]) == 3 for case in seeded)
+
+    def test_outputs_byte_for_byte(self, tmp_path):
+        for case in self.TABLE:
+            assert outputs(case["proof"], tmp_path) == case["runs"], case["name"]
 
 
 class TestSoundnessHooks:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, formulas
+from conftest import FIXTURES, formulas, shared_formulas
 from plausible.proofs import SCHEMAS
 from plausible.syntax import (
     BOTTOM,
@@ -13,6 +13,7 @@ from plausible.syntax import (
     And,
     Atom,
     Box,
+    Diamond,
     Dialect,
     DialectError,
     MAX_DEPTH,
@@ -27,9 +28,11 @@ from plausible.syntax import (
     UnboundMetavariableError,
     atoms_of,
     dialect_of,
+    fits_dialect,
     instantiate,
     match_schema,
     modal_depth,
+    modal_operators,
     parse,
     parse_schema,
     render,
@@ -192,6 +195,60 @@ class TestRender:
     @given(formulas(modal=("box", "diamond", "nabla")))
     def test_round_trip(self, f):
         assert parse(render(f)) == f
+
+
+# The operators each dialect admits, written out as the oracle of fits_dialect.
+ADMITTED = {
+    Dialect.CLASSICAL: set(),
+    Dialect.S5: {Box, Diamond},
+    Dialect.NABLA: {Nabla},
+    Dialect.BOX: {Box},
+}
+
+
+class TestMemo:
+    """``render`` and ``fits_dialect`` take a memo keyed by node identity,
+    shared by the calls of one proof; it must not change any answer."""
+
+    @given(shared_formulas())
+    def test_shared_render_memo_gives_fresh_renderings(self, pool):
+        memo = {}
+        assert [render(f, memo) for f in pool] == [render(f) for f in pool]
+        assert all(id(node) == key for key, (node, _) in memo.items())
+
+    @given(shared_formulas(), st.sampled_from(list(Dialect)))
+    def test_shared_dialect_memo_agrees_with_modal_operators(self, pool, dialect):
+        memo = {}
+        got = [fits_dialect(f, dialect, memo) for f in pool]
+        assert got == [modal_operators(f) <= ADMITTED[dialect] for f in pool]
+
+    def test_rejected_operand_is_not_recorded(self):
+        outside = Not(Nabla(p0))
+        memo = {}
+        assert not fits_dialect(outside, Dialect.BOX, memo)
+        assert not fits_dialect(outside, Dialect.BOX, memo)
+        assert not fits_dialect(And(Box(p1), outside), Dialect.BOX, memo)
+        assert fits_dialect(Box(p1), Dialect.BOX, memo)
+
+    def test_memo_keeps_its_nodes_alive(self):
+        # Each formula is garbage after its turn unless the memo holds it,
+        # and then the next one would likely take its id.
+        memo = {}
+        for i in range(100):
+            f = Not(p0) if i % 2 else Box(p1)
+            assert render(f, memo) == ("~p0" if i % 2 else "[]p1")
+            del f
+        memo = {}
+        for i in range(100):
+            f = Box(p0) if i % 2 else Nabla(p0)
+            assert fits_dialect(f, Dialect.BOX, memo) is bool(i % 2)
+            del f
+
+    def test_render_schema_keeps_its_own_names(self):
+        schema = parse_schema("[]A -> A | B")
+        assert render(schema.pattern) == "[]p0 -> p0 | p1"
+        assert render_schema(schema) == "[]A -> A | B"
+        assert render(schema.pattern) == "[]p0 -> p0 | p1"
 
 
 class TestSchemas:
