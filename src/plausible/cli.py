@@ -4,8 +4,8 @@ Machine-readable JSON goes to stdout (``--pretty`` switches to a human
 rendering); diagnostics go to stderr.  Exit status: 0 for success, 1 for a
 semantically meaningful negative (countermodel found, proof rejected,
 axiom violated, formula false), 2 for usage or input errors, 3 for an
-internal error (a search result that failed re-validation, or any other
-uncaught exception: a defect must never read as a negative answer).
+internal error (a search result or derivation that failed its check, or
+any other uncaught exception: a defect must never read as a negative answer).
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Derived-rule machinery over the proof kernel.
 
-A :class:`ProofBuilder` appends checked lines and memoizes premise-free
-results, so composite derivations stay compact.  On top of it live the
-classical lemmas needed by the box/nabla proof translation (hypothetical
-syllogism, double negation, contraposition, reductio, excluded middle) and
-the bridges that discharge the axioms without a direct counterpart:
+A :class:`ProofBuilder` appends lines and memoizes premise-free results, so
+composite derivations stay compact; ``check_proof`` judges each proof it
+builds once, in ``build``.  On top of it live the classical lemmas needed
+by the box/nabla proof translation (hypothetical syllogism, double
+negation, contraposition, reductio, excluded middle) and the bridges that
+discharge the axioms without a direct counterpart:
 
 * ``Ax2``-justified lines become box proofs through N and RE (which needs a
   derivation of the excluded middle over the classical base);
@@ -14,23 +15,23 @@ the bridges that discharge the axioms without a direct counterpart:
 * ``RNabla`` steps become box monotonicity (derived from H and RE), and
   ``RE`` steps become nabla congruence (derived from RNabla).
 
-Everything produced here is ordinary proof data and passes ``check_proof``.
+A derivation that goes wrong is a defect here, never in an input, so it
+raises :class:`DerivationError`, a ``RuntimeError`` (exit 3 from ``plaus``).
 """
 
 from __future__ import annotations
 
 from .proofs import (
     SCHEMAS,
-    SYSTEM_AXIOMS,
     SYSTEM_DIALECT,
     AxiomInstance,
-    CheckResult,
     Justification,
     MP,
     Premise,
     Proof,
     ProofLine,
     RE,
+    RN,
     RNabla,
     SystemId,
     check_proof,
@@ -54,11 +55,17 @@ from .syntax import (
 
 
 class TranslationError(ValueError):
-    """A proof line could not be translated; carries the open obligation."""
+    """A proof that cannot be translated: not LNabla or LPBox, or rejected."""
+
+
+class DerivationError(RuntimeError):
+    """A builder refusal, a built proof that ``check_proof`` rejects, or a
+    bridge that concludes the wrong formula."""
 
 
 class ProofBuilder:
-    """Accumulates proof lines with self-checking rule application.
+    """Accumulates proof lines, each with the formula its rule concludes;
+    whether the rule applies is left to ``check_proof``, run by ``build``.
 
     Line indices are 1-based, as in serialized proofs.  Premise-free lines
     are memoized by formula, so repeated sub-derivations are shared.
@@ -74,8 +81,19 @@ class ProofBuilder:
     def __len__(self) -> int:
         return len(self._lines)
 
+    def _index(self, i: int) -> int:
+        if not 1 <= i <= len(self._lines):
+            raise DerivationError(f"no line {i} among lines 1..{len(self._lines)}")
+        return i - 1
+
     def formula(self, i: int) -> Formula:
-        return self._lines[i - 1].formula
+        return self._lines[self._index(i)].formula
+
+    def _operand(self, ref: int, kind: type, rule: str) -> Formula:
+        src = self.formula(ref)
+        if not isinstance(src, kind):
+            raise DerivationError(f"{rule} needs an {kind.__name__} at line {ref}")
+        return src
 
     def lookup(self, f: Formula) -> int | None:
         """Index of an earlier premise-free line proving ``f``, if any."""
@@ -90,13 +108,9 @@ class ProofBuilder:
         return idx
 
     def premise(self, f: Formula) -> int:
-        if f not in self.premises:
-            raise ValueError(f"{render(f)} is not a declared premise")
         return self._append(f, Premise(), False)
 
     def axiom(self, schema_id: str, binding: MetaBinding | None = None) -> int:
-        if schema_id not in SYSTEM_AXIOMS[self.system]:
-            raise ValueError(f"{schema_id} is not an axiom of {self.system.value}")
         f = instantiate(SCHEMAS[schema_id], binding or {})
         cached = self._theorems.get(f)
         if cached is not None:
@@ -104,45 +118,36 @@ class ProofBuilder:
         return self._append(f, AxiomInstance(schema_id, tuple(sorted((binding or {}).items()))), True)
 
     def mp(self, antecedent: int, implication: int) -> int:
-        imp = self.formula(implication)
-        if not (isinstance(imp, Implies) and imp.left == self.formula(antecedent)):
-            raise ValueError(f"line {implication} does not major-premise line {antecedent}")
-        free = self._free[antecedent - 1] and self._free[implication - 1]
+        imp = self._operand(implication, Implies, "MP")
+        free = self._free[self._index(antecedent)] and self._free[implication - 1]
         return self._append(imp.right, MP(antecedent, implication), free)
 
-    def _gated(self, ref: int, rule: str) -> None:
-        if not self._free[ref - 1]:
-            raise ValueError(f"{rule} requires a premise-free line, got line {ref}")
-
     def re(self, ref: int) -> int:
-        self._gated(ref, "RE")
-        src = self.formula(ref)
-        if not isinstance(src, Iff):
-            raise ValueError("RE expects a biconditional")
+        src = self._operand(ref, Iff, "RE")
         return self._append(Iff(Box(src.left), Box(src.right)), RE(ref), True)
 
     def rnabla(self, ref: int) -> int:
-        self._gated(ref, "RNabla")
-        src = self.formula(ref)
-        if not isinstance(src, Implies):
-            raise ValueError("RNabla expects an implication")
+        src = self._operand(ref, Implies, "RNabla")
         return self._append(Implies(Nabla(src.left), Nabla(src.right)), RNabla(ref), True)
 
     def rn(self, ref: int) -> int:
-        self._gated(ref, "RN")
         return self._append(Box(self.formula(ref)), RN(ref), True)
 
     def build(self, conclusion: int | None = None) -> Proof:
-        """Freeze into a Proof concluding at line ``conclusion`` (default: last).
+        """Freeze into a checked Proof concluding at line ``conclusion`` (default: last).
 
         When the conclusion line is not last (a memoized hit), the formula is
         re-derived at the end through a trivial modus ponens step.
         """
         idx = conclusion if conclusion is not None else len(self._lines)
+        goal = self.formula(idx)
         if idx != len(self._lines):
-            goal = self.formula(idx)
             self.mp(idx, identity(self, goal))
-        return Proof(self.system, self.premises, tuple(self._lines), self._lines[-1].formula)
+        proof = Proof(self.system, self.premises, tuple(self._lines), self._lines[-1].formula)
+        verdict = check_proof(proof)
+        if not verdict.accepted:
+            raise DerivationError(f"built proof fails at line {verdict.failing_line}: {verdict.reason}")
+        return proof
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +421,7 @@ def translate_proof(proof: Proof) -> Proof:
 
     Formulas are translated operator-for-operator; axiom and rule uses
     without a direct counterpart are discharged through the documented
-    bridges, so the result always passes ``check_proof``.
+    bridges.  The input is checked here and the output once, by ``build``.
     """
     if proof.system not in (SystemId.LNABLA, SystemId.LPBOX):
         raise TranslationError("only LNabla and LPBox proofs are translatable")
@@ -468,15 +473,9 @@ def translate_proof(proof: Proof) -> Proof:
                 f"(obligation: re-derive {render(expected)} in {target_system.value})"
             )
         if b.formula(mapping[number]) != expected:
-            raise TranslationError(
+            raise DerivationError(
                 f"line {number}: bridge produced {render(b.formula(mapping[number]))}, "
                 f"expected {render(expected)}"
             )
 
-    translated = b.build(mapping[len(proof.lines)])
-    verdict: CheckResult = check_proof(translated)
-    if not verdict.accepted:
-        raise TranslationError(
-            f"translated proof fails at line {verdict.failing_line}: {verdict.reason}"
-        )
-    return translated
+    return b.build(mapping[len(proof.lines)])

@@ -279,8 +279,8 @@ def run_k_experiment(bounds: SearchBounds) -> SearchOutcome:
 def sample_countermodel(
     f: Formula, bounds: SearchBounds, samples: int, seed: int
 ) -> SearchOutcome:
-    """Seeded random search; the caps do not apply.  Returns the first
-    falsifying sample or ``Inconclusive`` after ``samples`` draws."""
+    """Seeded random search within ``bounds`` (so ``WORLD_CAPS`` applies).
+    Returns the first falsifying sample or ``Inconclusive`` after ``samples`` draws."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     _require_class_dialect((f,), bounds.model_class)

@@ -355,6 +355,15 @@ class TestTranslate:
         code, _, err = run(capsys, "translate", str(PROOFS / "lnabla_ax3.json"), "--to", "nabla")
         assert code == 2
 
+    def test_wrong_bridge_is_internal_error(self, capsys, monkeypatch):
+        # A bridge that concludes the wrong formula is a defect, not an input error.
+        monkeypatch.setattr("plausible.derivations.nabla_top", lambda b: b.axiom("PL13"))
+        code, out, err = run(capsys, "translate", str(PROOFS / "lpbox_n.json"), "--to", "nabla")
+        assert code == 3 and out == ""
+        assert err.startswith(
+            "internal error: DerivationError: line 1: bridge produced true, expected nabla true"
+        )
+
 
 class TestSupplement:
     def test_adds_supersets_and_reports(self, capsys, tmp_path):

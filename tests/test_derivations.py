@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 from conftest import formulas, load_fixture
 from plausible.derivations import (
+    DerivationError,
     ProofBuilder,
     TranslationError,
     box_excluded_middle,
@@ -13,6 +14,7 @@ from plausible.derivations import (
     excluded_middle,
     hs,
     identity,
+    iff_intro,
     nabla_h,
     nabla_top,
     reductio,
@@ -134,6 +136,80 @@ class TestLemmas:
         before = len(b)
         excluded_middle(b, parse("p0"))
         assert len(b) == before
+
+
+def re_in_s5(b):
+    i = identity(b, parse("p0"))
+    return b.re(iff_intro(b, i, i))
+
+
+# Rule uses the builder once refused, or let through, by rule checks of its
+# own; check_proof, run by build(), now judges each of them.
+REJECTED_BUILDS = [
+    ("re_in_s5", SystemId.S5, (), re_in_s5, 9, "rule RE is not part of S5"),
+    (
+        "lpbox_pl1_nabla", SystemId.LPBOX, (),
+        lambda b: b.axiom("PL1", {0: parse("nabla p0"), 1: parse("p1")}),
+        1, "formula outside the BoxSystem dialect",
+    ),
+    (
+        "lpbox_ax2", SystemId.LPBOX, (), lambda b: b.axiom("Ax2", {0: parse("p0")}),
+        1, "formula outside the BoxSystem dialect",
+    ),
+    (
+        "re_on_premise", SystemId.LPBOX, (parse("p0 <-> p1"),),
+        lambda b: b.re(b.premise(parse("p0 <-> p1"))),
+        2, "RE applied to premise-dependent line 1",
+    ),
+    (
+        "undeclared_premise", SystemId.LPC, (), lambda b: b.premise(parse("p0")),
+        1, "formula is not among the premises",
+    ),
+    (
+        "mismatched_mp", SystemId.LPC, (),
+        lambda b: b.mp(b.axiom("PL13"), b.axiom("PL14", {0: parse("p0")})),
+        3, "line 2 is not (true) -> (p0)",
+    ),
+]
+
+
+class TestBuilder:
+    @pytest.mark.parametrize(
+        "system, premises, construct, line, reason",
+        [case[1:] for case in REJECTED_BUILDS],
+        ids=[case[0] for case in REJECTED_BUILDS],
+    )
+    def test_build_rejects_with_the_checkers_verdict(self, system, premises, construct, line, reason):
+        b = ProofBuilder(system, premises)
+        idx = construct(b)
+        with pytest.raises(DerivationError) as exc:
+            b.build(idx)
+        assert str(exc.value) == f"built proof fails at line {line}: {reason}"
+
+    def test_rn_in_s5(self):
+        b = ProofBuilder(SystemId.S5)
+        proof = b.build(b.rn(b.axiom("PL13")))
+        assert proof.conclusion == parse("[]true")
+        assert check_proof(proof).accepted
+
+    @pytest.mark.parametrize("i", [0, -1, 4])
+    def test_formula_index_outside_the_lines(self, i):
+        b = ProofBuilder(SystemId.LPC)
+        b.mp(b.axiom("PL13"), b.axiom("PL1", {0: parse("true"), 1: parse("p0")}))
+        assert len(b) == 3 and b.formula(1) == parse("true")
+        with pytest.raises(DerivationError):
+            b.formula(i)
+
+    def test_empty_builder_does_not_build(self):
+        with pytest.raises(DerivationError):
+            ProofBuilder(SystemId.LPC).build()
+
+    @pytest.mark.parametrize("rule, refs", [("mp", (1, 1)), ("re", (1,)), ("rnabla", (1,))])
+    def test_rule_needs_its_operand_shape(self, rule, refs):
+        b = ProofBuilder(SystemId.LPC)
+        b.axiom("PL13")
+        with pytest.raises(DerivationError):
+            getattr(b, rule)(*refs)
 
 
 def one_liner(system, schema, formula):

@@ -21,7 +21,7 @@ from plausible.proofs import (
     proof_from_data,
     proof_to_data,
 )
-from plausible.syntax import And, Nabla, parse, render_schema
+from plausible.syntax import And, Box, Iff, Nabla, parse, render_schema
 from record_translations import outputs, proofs
 
 # (fixture, accepted, failing line)
@@ -203,11 +203,14 @@ class TestCheckProof:
     def test_re_in_s5_gated_by_flag(self):
         from plausible.derivations import ProofBuilder, identity, iff_intro
 
+        # The builder refuses RE in S5 at build(), so the RE line is appended here.
         b = ProofBuilder(SystemId.S5)
         i = identity(b, parse("p0"))
         both = iff_intro(b, i, i)
-        b.re(both)
-        proof = b.build()
+        lines = b.build().lines
+        src = lines[both - 1].formula
+        re_line = ProofLine(Iff(Box(src.left), Box(src.right)), RE(both))
+        proof = Proof(SystemId.S5, (), lines + (re_line,), re_line.formula)
         result = check_proof(proof)
         assert not result.accepted and "RE" in result.reason
         assert check_proof(proof, s5_re=True).accepted
