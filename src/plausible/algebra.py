@@ -78,6 +78,9 @@ class FinitePlausibilityAlgebra:
     def from_data(cls, data: dict) -> "FinitePlausibilityAlgebra":
         if not isinstance(data, dict):
             raise AlgebraFormatError("algebra file must contain a JSON object")
+        extra = data.keys() - {"base", "sharp"}
+        if extra:
+            raise AlgebraFormatError(f"unexpected algebra keys: {', '.join(sorted(extra))}")
         base = data.get("base")
         sharp = data.get("sharp")
         # bool is a subclass of int, but true is not a base size or an element

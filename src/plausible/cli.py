@@ -49,10 +49,20 @@ def _emit(data, pretty_lines=None, pretty=False) -> None:
         sys.stdout.write(canonical_json(data))
 
 
+def _json_object(pairs: list) -> dict:
+    # json.load would keep the last of a repeated key's values silently
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"repeated key {repeated!r} in a JSON object")
+    return data
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_json_object)
         except RecursionError:
             raise ValueError(f"{path}: JSON nests too deeply") from None
 

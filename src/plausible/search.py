@@ -82,6 +82,10 @@ WORLD_CAPS: dict[ModelClass, int] = {
     ModelClass.UNIVERSAL: 10,
 }
 
+# Random search draws at most this many samples: each costs tens of
+# microseconds, so the bound is a few seconds of work.
+MAX_SAMPLES = 100_000
+
 _CLASS_ID: dict[ModelClass, int] = {
     ModelClass.CONSTRAINED_NEIGHBORHOOD: _kernel_py.CLASS_CONSTRAINED,
     ModelClass.RAW_NEIGHBORHOOD: _kernel_py.CLASS_RAW,
@@ -280,9 +284,12 @@ def sample_countermodel(
     f: Formula, bounds: SearchBounds, samples: int, seed: int
 ) -> SearchOutcome:
     """Seeded random search within ``bounds`` (so ``WORLD_CAPS`` applies).
-    Returns the first falsifying sample or ``Inconclusive`` after ``samples`` draws."""
+    Returns the first falsifying sample or ``Inconclusive`` after ``samples``
+    draws, of which there are at most ``MAX_SAMPLES``."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise BoundsExceededError(f"samples are capped at {MAX_SAMPLES}, got {samples}")
     _require_class_dialect((f,), bounds.model_class)
     rng = random.Random(seed)
     mc = bounds.model_class

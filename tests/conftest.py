@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import random
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -24,6 +26,21 @@ from plausible.syntax import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _load_oracle():
+    """``perfbench/oracle.py``, the search reference written from the
+    definitions; it imports nothing from ``plausible``."""
+    path = Path(__file__).parent.parent / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    # its frozen dataclass looks the module up in sys.modules while it is built
+    sys.modules["oracle"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _load_oracle()
 
 _UNARY_OPS = {"box": Box, "diamond": Diamond, "nabla": Nabla}
 

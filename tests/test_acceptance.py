@@ -32,19 +32,19 @@ from plausible.search import (
     ModelClass,
     SearchBounds,
     Verdict,
-    enumerate_models,
     experiment_report,
     find_countermodel,
     run_k_experiment,
 )
+from plausible._kernel_py import constrained_candidates, family_key
 from plausible.semantics import (
     KripkeModel,
-    NeighborhoodModel,
     is_valid_in,
     nm_check_conditions,
     relation_properties,
     supplement,
     truth_mask,
+    world_conditions,
 )
 from plausible.syntax import Box, Dialect, instantiate, parse, translate
 from plausible.proofs import SCHEMAS
@@ -181,22 +181,24 @@ def test_c06_truth_set_homomorphism():
 
 
 def test_c07_filter_collapse_oracle():
-    raw = list(enumerate_models(SearchBounds(ModelClass.RAW_NEIGHBORHOOD, 2, (0,))))
-    raw_two = [m for m in raw if m.worlds == 2]
-    assert len(raw_two) == 16 * 16 * 4  # family pairs times valuations
-
-    chn = {m for m in raw_two if nm_check_conditions(m).chn_hold}
-    generated = set()
-    for cores in itertools.product(range(4), repeat=2):
-        families = tuple(tuple(x for x in range(4) if x & c == c) for c in cores)
-        for mask in range(4):
-            generated.add(NeighborhoodModel(2, families, ((0, mask),)))
-    assert chn == generated
-
-    chtn = [m for m in raw if nm_check_conditions(m).all_hold]
-    constrained = list(enumerate_models(SearchBounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 2, (0,))))
-    assert chtn == constrained
-    report("C7 filter-collapse oracle", f"{len(raw_two)} raw models, {len(chn)} satisfy (c)(h)(n)")
+    # At every world, over every raw family in the raw kernel's order
+    # (ascending family bitmask): (c)(h)(t)(n) keeps exactly the constrained
+    # kernel's candidates, in its order, and (c)(h)(n) exactly the superset
+    # families of arbitrary cores.  Both kernels take the product of the
+    # per-world lists, so the filtered raw class is the constrained class,
+    # model for model and in order.
+    checks = 0
+    for n in range(1, 5):
+        families = [tuple(x for x in range(1 << n) if bits >> x & 1) for bits in range(1 << (1 << n))]
+        principal = sorted(family_key(core, n) for core in range(1 << n))
+        for w, candidates in enumerate(constrained_candidates(n)):
+            reports = [world_conditions(family, w, n) for family in families]
+            assert [bits for bits, r in enumerate(reports) if r.all_hold] == [
+                family_key(core, n) for core in candidates
+            ], (n, w)
+            assert [bits for bits, r in enumerate(reports) if r.chn_hold] == principal, (n, w)
+            checks += len(reports)
+    report("C7 filter-collapse oracle", f"{checks} per-world checks up to 4 worlds")
 
 
 CORPUS = [

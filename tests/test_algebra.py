@@ -270,6 +270,8 @@ class TestSerialization:
             FinitePlausibilityAlgebra.from_data({"base": 1, "sharp": [0, 9]})
         with pytest.raises(AlgebraFormatError):
             FinitePlausibilityAlgebra.from_data({"base": 1, "sharp": [False, True]})
+        with pytest.raises(AlgebraFormatError, match="unexpected algebra keys: extra"):
+            FinitePlausibilityAlgebra.from_data({"base": 1, "sharp": [0, 1], "extra": 7})
 
 
 class TestAgreement:

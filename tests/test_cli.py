@@ -13,7 +13,7 @@ from plausible.algebra import MAX_BASE, AlgebraFormatError, InvalidAlgebraError
 from plausible.cli import build_parser, main
 from plausible.derivations import TranslationError
 from plausible.proofs import ProofFormatError, proof_from_data
-from plausible.search import BoundsExceededError, SearchInternalError
+from plausible.search import MAX_SAMPLES, BoundsExceededError, SearchInternalError
 from plausible.semantics import (
     MAX_CONDITION_WORLDS,
     ModelFormatError,
@@ -200,6 +200,13 @@ class TestValid:
             "--sample", samples, "--seed", "1",
         )
         assert code == 2 and out == "" and "at least 1" in err
+
+    def test_samples_past_the_bound_are_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "valid", "[]p0 -> p0", "--class", "constrained", "--max-worlds", "2",
+            "--sample", str(MAX_SAMPLES + 1), "--seed", "1",
+        )
+        assert code == 2 and out == "" and f"capped at {MAX_SAMPLES}" in err
 
     def test_single_sample(self, capsys):
         code, data, _ = run_json(
@@ -458,6 +465,12 @@ class TestAlgebra:
         code, out, err = run(capsys, "algebra", str(path))
         assert code == 2 and out == "" and '"base"' in err
 
+    def test_unknown_key_rejected(self, capsys, tmp_path):
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps({"base": 1, "sharp": [0, 1], "extra": 7}), encoding="utf-8")
+        code, out, err = run(capsys, "algebra", str(path))
+        assert code == 2 and out == "" and "unexpected algebra keys: extra" in err
+
 
 class TestExperimentK:
     def test_report_written_and_stable(self, capsys, tmp_path):
@@ -477,6 +490,27 @@ def test_deeply_nested_json_is_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "eval", str(path), "0", "p0")
     assert code == 2 and out == ""
     assert "nests too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "argv,text,key",
+    [
+        (["eval", "FILE", "1", "p0"], '{"worlds": 1, "worlds": 2, "V": {"p0": [1]}}', "worlds"),
+        (["eval", "FILE", "0", "p0"], '{"worlds": 1, "V": {"p0": [], "p0": [0]}}', "p0"),
+        (
+            ["checkproof", "FILE"],
+            '{"system": "LPC", "lines": [{"formula": "true", "rule": "axiom", "schema": "PL13",'
+            ' "rule": "premise"}], "conclusion": "true"}',
+            "rule",
+        ),
+        (["algebra", "FILE"], '{"base": 2, "sharp": [0, 1], "base": 1}', "base"),
+    ],
+)
+def test_repeated_json_key_is_input_error(capsys, tmp_path, argv, text, key):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 2 and out == "" and f"repeated key {key!r}" in err
 
 
 def test_uncaught_exception_is_internal_error(capsys, monkeypatch):

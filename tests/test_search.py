@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import reference_kernel
-from conftest import formulas
+from conftest import formulas, oracle
 from plausible import _kernel_py
 from plausible.search import (
+    _CLASS_ID,
+    MAX_SAMPLES,
+    WORLD_CAPS,
     BoundsExceededError,
     K_FORMULA,
     ModelClass,
@@ -26,13 +28,12 @@ from plausible.search import (
     sample_countermodel,
 )
 from plausible.semantics import (
-    NeighborhoodModel,
     eval_model,
     is_valid_in,
     nm_check_conditions,
     relation_properties,
 )
-from plausible.syntax import DialectError, parse
+from plausible.syntax import DialectError, parse, render
 
 
 def bounds(model_class, max_worlds, atoms=()):
@@ -98,28 +99,6 @@ class TestCompileProgram:
             compile_program(parse("p0 -> nabla p0"), {0: 0})
 
 
-class TestFilterCollapseOracle:
-    def test_raw_filtered_equals_core_generated(self):
-        raw = list(enumerate_models(bounds(ModelClass.RAW_NEIGHBORHOOD, 2, (0,))))
-        filtered = [m for m in raw if nm_check_conditions(m).all_hold]
-        constrained = list(enumerate_models(bounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 2, (0,))))
-        assert filtered == constrained  # same models, same order
-
-    def test_chn_filtered_equals_arbitrary_core_generated(self):
-        raw = list(enumerate_models(bounds(ModelClass.RAW_NEIGHBORHOOD, 2, (0,))))
-        filtered = {m for m in raw if nm_check_conditions(m).chn_hold}
-        generated = set()
-        for n in (1, 2):
-            # any core at all: without (t) the cores generate the (c)(h)(n) families
-            for cores in itertools.product(range(1 << n), repeat=n):
-                families = tuple(
-                    tuple(x for x in range(1 << n) if x & c == c) for c in cores
-                )
-                for mask in range(1 << n):
-                    generated.add(NeighborhoodModel(n, families, ((0, mask),)))
-        assert filtered == generated
-
-
 class TestFindCountermodel:
     def test_documented_first_countermodel(self):
         out = find_countermodel(parse("p0 -> []p0"), bounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 2, (0,)))
@@ -150,45 +129,10 @@ class TestFindCountermodel:
         with pytest.raises(BoundsExceededError):
             bounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 5, (0,))
 
-    def test_matches_naive_scan(self):
-        cases = [
-            ("p0 -> []p0", ModelClass.CONSTRAINED_NEIGHBORHOOD, 2, (0,)),
-            ("[]p0 -> []([]p0 & p0)", ModelClass.CONSTRAINED_NEIGHBORHOOD, 2, (0,)),
-            ("[]p0 -> p0", ModelClass.RAW_NEIGHBORHOOD, 2, (0,)),
-            ("[]p0 | ~[]p0", ModelClass.RAW_NEIGHBORHOOD, 2, (0,)),
-            ("<>p0 -> []<>p0", ModelClass.KRIPKE_ALL, 2, (0,)),
-            ("[]p0 -> p0", ModelClass.KRIPKE_EQUIVALENCE, 3, (0,)),
-            ("<>p0 -> p0", ModelClass.UNIVERSAL, 3, (0,)),
-        ]
-        for text, mc, n, atoms in cases:
-            f = parse(text)
-            b = bounds(mc, n, atoms)
-            out = find_countermodel(f, b)
-            naive = None
-            checked = 0
-            for m in enumerate_models(b):
-                checked += 1
-                bad = [w for w in range(m.worlds) if not eval_model(m, w, f)]
-                if bad:
-                    naive = (m, bad[0], checked)
-                    break
-            if naive is None:
-                assert out.verdict is Verdict.EXHAUSTED_VALID
-                assert out.models_checked == checked
-            else:
-                assert out.verdict is Verdict.COUNTERMODEL_FOUND
-                assert (out.countermodel, out.world, out.models_checked) == naive
-
     def test_determinism(self):
         f = parse("p0 -> []p0")
         b = bounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 2, (0,))
         assert find_countermodel(f, b) == find_countermodel(f, b)
-
-
-def _programs(texts, natoms):
-    """Compile formulas with atom ``i`` in slot ``i``."""
-    slots = {a: a for a in range(natoms)}
-    return [compile_program(parse(t), slots) for t in texts]
 
 
 @contextmanager
@@ -201,8 +145,28 @@ def chunk_log2(value):
         _kernel_py.CHUNK_LOG2 = saved
 
 
+_MODEL_CLASS = {class_id: mc for mc, class_id in _CLASS_ID.items()}
+
+
+def assert_oracle_parity(gamma, target, class_id, worlds, natoms, log2s):
+    """``check_global_consequence`` at each chunk size in ``log2s`` gives the
+    oracle's verdict, model count, first countermodel and world."""
+    mc = _MODEL_CLASS[class_id]
+    b = bounds(mc, worlds, range(natoms))
+    expected = oracle.first_countermodel(
+        mc.value, worlds, list(b.atoms),
+        [oracle.parse(render(g)) for g in gamma], oracle.parse(render(target)),
+    )
+    for log2 in log2s:
+        with chunk_log2(log2):
+            out = check_global_consequence(gamma, target, b)
+        model = None if out.countermodel is None else oracle.model_from_data(out.countermodel.to_data())
+        assert (out.verdict.value, out.models_checked, model, out.world) == expected
+
+
 class TestReferenceParity:
-    """The bit-sliced kernel against the per-model reference kernel."""
+    """Search against ``perfbench/oracle.py``, which scans each class from
+    its definition one model at a time."""
 
     CASES = [
         ((), "p0 -> []p0", _kernel_py.CLASS_CONSTRAINED, 2, 1),
@@ -220,25 +184,26 @@ class TestReferenceParity:
         # refuted at 2 worlds in the second chunk of valuations
         ((), "p0 -> []p0 | p1 & p2 & p3 & p4 & p5 & p6", _kernel_py.CLASS_UNIVERSAL, 3, 7),
         (("p0 -> p1", "[]p0"), "[]p1", _kernel_py.CLASS_CONSTRAINED, 3, 2),
+        ((), "[]p0 -> []([]p0 & p0)", _kernel_py.CLASS_CONSTRAINED, 2, 1),
+        ((), "[]p0 | ~[]p0", _kernel_py.CLASS_RAW, 2, 1),
+        ((), "<>p0 -> []<>p0", _kernel_py.CLASS_KRIPKE_ALL, 2, 1),
+        ((), "[]p0 -> p0", _kernel_py.CLASS_KRIPKE_EQUIV, 3, 1),
+        ((), "<>p0 -> p0", _kernel_py.CLASS_UNIVERSAL, 3, 1),
     ]
 
     @pytest.mark.parametrize("gamma,text,class_id,worlds,natoms", CASES)
     def test_identical_results(self, gamma, text, class_id, worlds, natoms):
-        programs = _programs((*gamma, text), natoms)
-        expected = reference_kernel.run_search(class_id, worlds, natoms, programs)
-        assert _kernel_py.run_search(class_id, worlds, natoms, programs) == expected
-        with chunk_log2(1):
-            assert _kernel_py.run_search(class_id, worlds, natoms, programs) == expected
+        premises = [parse(g) for g in gamma]
+        assert_oracle_parity(premises, parse(text), class_id, worlds, natoms, (_kernel_py.CHUNK_LOG2, 1))
 
     def test_exhaustion_across_chunks(self):
-        # Recorded from reference_kernel.run_search (about 2.1 M models, too
-        # slow to repeat here): sum of 2^(7n) for n = 1..3.
-        programs = _programs(["p0|~p0|p1|p2|p3|p4|p5"], 7)
-        got = _kernel_py.run_search(_kernel_py.CLASS_UNIVERSAL, 3, 7, programs)
-        assert got == (False, 2_113_664, 0, (), (), -1)
+        # 2,113,664 models, too many for the oracle to scan here
+        out = find_countermodel(parse("p0|~p0|p1|p2|p3|p4|p5"), bounds(ModelClass.UNIVERSAL, 3, range(7)))
+        assert out.verdict is Verdict.EXHAUSTED_VALID
+        assert out.models_checked == oracle.model_count("universal", 3, 7)
 
     # (class, max worlds, atoms, modal operators): small enough that the
-    # reference exhausts every class in milliseconds.
+    # oracle exhausts every class in milliseconds.
     CLASSES = [
         (_kernel_py.CLASS_CONSTRAINED, 2, 2, ("box",)),
         (_kernel_py.CLASS_RAW, 2, 1, ("box",)),
@@ -255,11 +220,7 @@ class TestReferenceParity:
         gamma = data.draw(st.lists(strategy, max_size=2))
         target = data.draw(strategy)
         log2 = data.draw(st.sampled_from([1, 2, _kernel_py.CHUNK_LOG2]))
-        slots = {a: a for a in range(natoms)}
-        programs = [compile_program(g, slots) for g in (*gamma, target)]
-        expected = reference_kernel.run_search(class_id, worlds, natoms, programs)
-        with chunk_log2(log2):
-            assert _kernel_py.run_search(class_id, worlds, natoms, programs) == expected
+        assert_oracle_parity(gamma, target, class_id, worlds, natoms, (log2,))
 
 
 class TestKernel:
@@ -268,9 +229,21 @@ class TestKernel:
         filtered = [
             rows
             for rows in itertools.product(range(1 << n), repeat=n)
-            if reference_kernel.is_equivalence(rows, n)
+            if oracle.class_conditions_hold("kripke-equiv", oracle.Model("kripke", n, rows, ()))
         ]
         assert list(_kernel_py.structures(_kernel_py.CLASS_KRIPKE_EQUIV, n)) == filtered
+
+    @pytest.mark.parametrize("model_class", list(ModelClass), ids=lambda mc: mc.value)
+    def test_structures_are_the_oracle_frames(self, model_class):
+        for n in range(1, WORLD_CAPS[model_class] + 1):
+            got = list(_kernel_py.structures(_CLASS_ID[model_class], n))
+            expected = oracle.frames(model_class.value, n)
+            if model_class is ModelClass.CONSTRAINED_NEIGHBORHOOD:
+                # a constrained world's structure is the core of its family
+                got = [tuple(_kernel_py.family_key(core, n) for core in s) for s in got]
+            if oracle.model_kind(model_class.value) == "nbhd":
+                expected = [tuple(map(oracle.family_key, frame)) for frame in expected]
+            assert got == expected, n
 
     def test_bit_patterns(self):
         patterns = _kernel_py.bit_patterns(3)
@@ -381,6 +354,12 @@ class TestSampling:
             assert out.world == falsified[0]
             several += len(falsified) > 1
         assert several
+
+    def test_samples_past_the_bound(self):
+        b = bounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 2, (0,))
+        assert sample_countermodel(parse("false"), b, MAX_SAMPLES, seed=1).models_checked == 1
+        with pytest.raises(BoundsExceededError, match="capped at 100000"):
+            sample_countermodel(parse("false"), b, MAX_SAMPLES + 1, seed=1)
 
     def test_equivalence_samples_are_equivalences(self):
         out = sample_countermodel(

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import formulas, load_fixture, random_raw_model
+from plausible._kernel_py import family_key
 from plausible.semantics import (
     MAX_CONDITION_WORLDS,
     BoundsExceededError,
@@ -21,6 +22,7 @@ from plausible.semantics import (
     supplement,
     truth_mask,
     truth_set,
+    world_conditions,
 )
 from plausible.syntax import Box, DialectError, parse
 
@@ -114,6 +116,28 @@ class TestConditions:
                 assert x in m.families[w] and not (x >> w) & 1
             if report.n_witness is not None:
                 assert m.full_mask not in m.families[report.n_witness]
+
+    def test_h_witness_is_the_literal_scan(self):
+        def literal(fam, n):
+            for x in range(1 << n):
+                for y in range(1 << n):
+                    if (x in fam or y in fam) and x | y not in fam:
+                        return (0, x, y)
+            return None
+
+        rng = random.Random(43)
+        cases = [(n, bits) for n in (1, 2, 3) for bits in range(1 << (1 << n))]
+        for i in range(3000):
+            # half uniform, half the supersets of a core with one set toggled
+            toggled = family_key(rng.randrange(16), 4) ^ 1 << rng.randrange(16)
+            cases.append((4, toggled if i % 2 else rng.randrange(1 << 16)))
+        holds = 0
+        for n, bits in cases:
+            family = tuple(x for x in range(1 << n) if bits >> x & 1)
+            witness = world_conditions(family, 0, n).h_witness
+            assert witness == literal(set(family), n), (n, bits)
+            holds += witness is None
+        assert holds > 100
 
 
 class TestValidity:
