@@ -28,6 +28,7 @@ from plausible.search import (
     sample_countermodel,
 )
 from plausible.semantics import (
+    NeighborhoodModel,
     eval_model,
     is_valid_in,
     nm_check_conditions,
@@ -97,6 +98,28 @@ class TestCompileProgram:
     def test_nabla_not_compiled(self):
         with pytest.raises(DialectError):
             compile_program(parse("p0 -> nabla p0"), {0: 0})
+
+
+class TestFilterCollapseOracle:
+    def test_raw_filtered_equals_core_generated(self):
+        raw = list(enumerate_models(bounds(ModelClass.RAW_NEIGHBORHOOD, 2, (0,))))
+        filtered = [m for m in raw if nm_check_conditions(m).all_hold]
+        constrained = list(enumerate_models(bounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 2, (0,))))
+        assert filtered == constrained  # same models, same order
+
+    def test_chn_filtered_equals_arbitrary_core_generated(self):
+        raw = list(enumerate_models(bounds(ModelClass.RAW_NEIGHBORHOOD, 2, (0,))))
+        filtered = {m for m in raw if nm_check_conditions(m).chn_hold}
+        generated = set()
+        for n in (1, 2):
+            # any core at all: without (t) the cores generate the (c)(h)(n) families
+            for cores in itertools.product(range(1 << n), repeat=n):
+                families = tuple(
+                    tuple(x for x in range(1 << n) if x & c == c) for c in cores
+                )
+                for mask in range(1 << n):
+                    generated.add(NeighborhoodModel(n, families, ((0, mask),)))
+        assert filtered == generated
 
 
 class TestFindCountermodel:
