@@ -111,11 +111,15 @@ class ProofBuilder:
         return self._append(f, Premise(), False)
 
     def axiom(self, schema_id: str, binding: MetaBinding | None = None) -> int:
-        f = instantiate(SCHEMAS[schema_id], binding or {})
-        cached = self._theorems.get(f)
-        if cached is not None:
-            return cached
-        return self._append(f, AxiomInstance(schema_id, tuple(sorted((binding or {}).items()))), True)
+        binding = binding or {}
+        f = instantiate(SCHEMAS[schema_id], binding)
+        # One probe, which hashes the whole formula once: a new axiom
+        # formula claims the index it is about to take.
+        idx = self._theorems.setdefault(f, len(self._lines) + 1)
+        if idx > len(self._lines):
+            self._lines.append(ProofLine(f, AxiomInstance(schema_id, tuple(sorted(binding.items())))))
+            self._free.append(True)
+        return idx
 
     def mp(self, antecedent: int, implication: int) -> int:
         imp = self._operand(implication, Implies, "MP")
@@ -434,11 +438,14 @@ def translate_proof(proof: Proof) -> Proof:
     target_system = SystemId.LPBOX if proof.system is SystemId.LNABLA else SystemId.LNABLA
     target = SYSTEM_DIALECT[target_system]
 
-    b = ProofBuilder(target_system, tuple(translate(f, source, target) for f in proof.premises))
+    # One memo for the whole proof: the bindings of an axiom line are
+    # subtrees of its formula, translated just before them.
+    memo: dict = {}
+    b = ProofBuilder(target_system, tuple(translate(f, source, target, memo) for f in proof.premises))
     mapping: dict[int, int] = {}
 
     for number, line in enumerate(proof.lines, start=1):
-        expected = translate(line.formula, source, target)
+        expected = translate(line.formula, source, target, memo)
         j = line.justification
         if isinstance(j, Premise):
             mapping[number] = b.premise(expected)
@@ -446,7 +453,7 @@ def translate_proof(proof: Proof) -> Proof:
             mapping[number] = b.mp(mapping[j.antecedent], mapping[j.implication])
         elif isinstance(j, AxiomInstance):
             binding = match_schema(SCHEMAS[j.schema_id], line.formula)
-            moved = {k: translate(v, source, target) for k, v in binding.items()}
+            moved = {k: translate(v, source, target, memo) for k, v in binding.items()}
             direct = _AXIOM_MAP[proof.system].get(j.schema_id)
             if j.schema_id.startswith("PL"):
                 mapping[number] = b.axiom(j.schema_id, moved)

@@ -51,6 +51,11 @@ class BoundsExceededError(ValueError):
 # hold every world-set takes about 0.6 s and supplementing at most 0.2 s.
 MAX_CONDITION_WORLDS = 10
 
+# A model file may declare at most this many worlds.  Reading one builds a
+# family or a row per world and evaluation visits every world, so the count
+# sets the work; search finds countermodels of at most 10 worlds.
+MAX_MODEL_WORLDS = 1024
+
 
 def mask_of(worlds: Iterable[int], n: int) -> int:
     """Bitmask for a set of world indices, validated against ``n`` worlds."""
@@ -316,6 +321,8 @@ def _read_worlds(data, *structure: str) -> int:
     # bool is a subclass of int, but "worlds": true is not a world count
     if not isinstance(worlds, int) or isinstance(worlds, bool) or worlds < 1:
         raise ModelFormatError('"worlds" must be a positive integer')
+    if worlds > MAX_MODEL_WORLDS:
+        raise BoundsExceededError(f"model files declare at most {MAX_MODEL_WORLDS} worlds, got {worlds}")
     return worlds
 
 

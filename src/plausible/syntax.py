@@ -540,29 +540,59 @@ def dialect_of(f: Formula) -> Dialect:
     raise DialectError(f"mixed modal dialects in {render(f)}")
 
 
-def translate(f: Formula, source: Dialect, target: Dialect) -> Formula:
+class _ForeignOperator(Exception):
+    """Raised by ``_swap`` at a modal operator outside the source dialect."""
+
+
+# The image of each unary node type that a translation from the dialect
+# admits; a modal operator missing here is foreign to that dialect.  ``_swap``
+# tests node types by set membership, which is faster than ``isinstance``.
+_SWAPS: dict[Dialect, dict[type, type]] = {
+    Dialect.NABLA: {Not: Not, Nabla: Box},
+    Dialect.BOX: {Not: Not, Box: Nabla},
+}
+_LEAF_TYPES = frozenset({Atom, Top, Bottom})
+_BINARY_TYPES = frozenset(_BINARY)
+
+
+def _swap(f: Formula, swap: dict, memo: dict) -> Formula:
+    t = type(f)
+    if t in _LEAF_TYPES:
+        return f
+    hit = memo.get(id(f))
+    if hit is not None:
+        return hit[1]
+    if t in _BINARY_TYPES:
+        out = t(_swap(f.left, swap, memo), _swap(f.right, swap, memo))
+    else:
+        op = swap.get(t)
+        if op is None:
+            raise _ForeignOperator
+        out = op(_swap(f.operand, swap, memo))
+    # Recorded only once the whole subtree translated; the entry keeps
+    # ``f`` alive, so its id is not reused while the memo is.
+    memo[id(f)] = (f, out)
+    return out
+
+
+def translate(f: Formula, source: Dialect, target: Dialect, memo: dict | None = None) -> Formula:
     """Swap every nabla for box (or conversely), leaving all else intact.
 
     ``source`` and ``target`` must be the nabla and box dialects in either
-    order; translating twice returns the original formula.
+    order; translating twice returns the original formula.  ``memo`` maps
+    ``id(node)`` to ``(node, translation)`` for the nodes already
+    translated.  Pass one dict to several calls in one direction to
+    translate each node object they share once, into one shared node; it
+    must serve that direction alone.
     """
     if {source, target} - {Dialect.NABLA, Dialect.BOX}:
         raise DialectError("translation is defined between NablaSystem and BoxSystem only")
-    require_dialect(f, source)
     if source is target:
+        require_dialect(f, source)
         return f
-
-    def walk(g: Formula) -> Formula:
-        match g:
-            case Atom() | Top() | Bottom():
-                return g
-            case Nabla(x):
-                return Box(walk(x))
-            case Box(x):
-                return Nabla(walk(x))
-            case Not(x):
-                return Not(walk(x))
-            case _:
-                return type(g)(walk(g.left), walk(g.right))
-
-    return walk(f)
+    try:
+        return _swap(f, _SWAPS[source], {} if memo is None else memo)
+    except _ForeignOperator:
+        pass
+    require_dialect(f, source)  # raises, naming every foreign operator
+    raise AssertionError("require_dialect found no foreign operator")

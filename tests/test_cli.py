@@ -16,6 +16,7 @@ from plausible.proofs import ProofFormatError, proof_from_data
 from plausible.search import MAX_SAMPLES, BoundsExceededError, SearchInternalError
 from plausible.semantics import (
     MAX_CONDITION_WORLDS,
+    MAX_MODEL_WORLDS,
     ModelFormatError,
     WorldRangeError,
     model_from_data,
@@ -151,6 +152,16 @@ class TestEval:
         assert code == 2 and out == "" and err.startswith("error: ")
         with pytest.raises(ModelFormatError):
             model_from_data(data)
+
+    @pytest.mark.parametrize("structure", [{"S": {}}, {"R": []}, {}])
+    def test_world_count_bound(self, capsys, tmp_path, structure):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"worlds": MAX_MODEL_WORLDS, **structure}), encoding="utf-8")
+        code, data, _ = run_json(capsys, "eval", str(path), str(MAX_MODEL_WORLDS - 1), "p0 | ~p0")
+        assert code == 0 and data["value"] is True
+        path.write_text(json.dumps({"worlds": MAX_MODEL_WORLDS + 1, **structure}), encoding="utf-8")
+        code, out, err = run(capsys, "eval", str(path), "0", "p0 | ~p0")
+        assert code == 2 and out == "" and f"at most {MAX_MODEL_WORLDS} worlds" in err
 
     def test_boolean_world_count_rejected(self, capsys, tmp_path):
         path = tmp_path / "model.json"

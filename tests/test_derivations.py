@@ -186,6 +186,15 @@ class TestBuilder:
             b.build(idx)
         assert str(exc.value) == f"built proof fails at line {line}: {reason}"
 
+    def test_repeated_axiom_returns_its_first_line(self):
+        b = ProofBuilder(SystemId.LPC)
+        b.axiom("PL13")
+        binding = {0: parse("p0"), 1: parse("nabla p1")}
+        first = b.axiom("PL1", binding)
+        assert b.axiom("PL1", dict(binding)) == first == 2
+        assert b.axiom("PL13") == 1
+        assert len(b) == 2
+
     def test_rn_in_s5(self):
         b = ProofBuilder(SystemId.S5)
         proof = b.build(b.rn(b.axiom("PL13")))

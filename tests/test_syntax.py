@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 
@@ -207,8 +208,9 @@ ADMITTED = {
 
 
 class TestMemo:
-    """``render`` and ``fits_dialect`` take a memo keyed by node identity,
-    shared by the calls of one proof; it must not change any answer."""
+    """``render``, ``fits_dialect`` and ``translate`` take a memo keyed by
+    node identity, shared by the calls of one proof; it must not change any
+    answer."""
 
     @given(shared_formulas())
     def test_shared_render_memo_gives_fresh_renderings(self, pool):
@@ -243,6 +245,62 @@ class TestMemo:
             f = Box(p0) if i % 2 else Nabla(p0)
             assert fits_dialect(f, Dialect.BOX, memo) is bool(i % 2)
             del f
+
+    @pytest.mark.parametrize(
+        "source, target, modal",
+        [(Dialect.NABLA, Dialect.BOX, "nabla"), (Dialect.BOX, Dialect.NABLA, "box")],
+    )
+    @given(data=st.data())
+    def test_shared_translate_memo_gives_fresh_translations(self, source, target, modal, data):
+        pool = data.draw(shared_formulas(modal=(modal,)))
+        memo = {}
+        there = [translate(f, source, target, memo) for f in pool]
+        assert there == [translate(f, source, target) for f in pool]
+        assert all(id(node) == key for key, (node, _) in memo.items())
+        back = {}
+        assert [translate(g, target, source, back) for g in there] == pool
+
+    @pytest.mark.parametrize(
+        "text, source, target, message",
+        [
+            (
+                "nabla p0 & <>nabla p1", Dialect.NABLA, Dialect.BOX,
+                "Diamond not allowed in dialect NablaSystem: nabla p0 & <>nabla p1",
+            ),
+            (
+                "[]p0 -> nabla []p1", Dialect.BOX, Dialect.NABLA,
+                "Nabla not allowed in dialect BoxSystem: []p0 -> nabla []p1",
+            ),
+            (
+                "[](p0 & p1) | nabla <>(p0 & p1)", Dialect.NABLA, Dialect.BOX,
+                "Box, Diamond not allowed in dialect NablaSystem: [](p0 & p1) | nabla <>(p0 & p1)",
+            ),
+        ],
+    )
+    def test_foreign_operator_message_ignores_the_memo(self, text, source, target, message):
+        f = parse(text)
+        with pytest.raises(DialectError) as cold:
+            translate(f, source, target)
+        assert str(cold.value) == message
+        memo = {}
+        admitted = [g for g in subformulas(f) if fits_dialect(g, source)]
+        warm = [translate(g, source, target, memo) for g in admitted]
+        with pytest.raises(DialectError) as hot:
+            translate(f, source, target, memo)
+        assert str(hot.value) == message
+        assert [translate(g, source, target, memo) for g in admitted] == warm
+
+    def test_translate_leaves_no_reference_cycle(self):
+        # A cycle would keep the memo alive until a full collection.
+        f = parse("nabla (p0 & ~nabla p1) -> nabla p0 | p1")
+        gc.disable()
+        try:
+            gc.collect()
+            translate(f, Dialect.NABLA, Dialect.BOX)
+            translate(f, Dialect.NABLA, Dialect.BOX, {})
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_render_schema_keeps_its_own_names(self):
         schema = parse_schema("[]A -> A | B")
