@@ -166,25 +166,25 @@ def compile_program(f: Formula, atom_slots: dict[int, int]) -> list[int]:
     Atoms without a slot (outside the search bounds) denote the empty set.
     """
     prog: list[int] = []
-
-    def walk(g: Formula) -> None:
-        match g:
-            case Atom(i) if i in atom_slots:
-                prog.extend((_kernel_py.OP_ATOM, atom_slots[i]))
-            case Atom() | Top() | Bottom():
-                prog.extend((_OPCODES[type(g)], 0))
-            case Not(x) | Box(x) | Diamond(x):
-                walk(x)
-                prog.extend((_OPCODES[type(g)], 0))
-            case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-                walk(l)
-                walk(r)
-                prog.extend((_OPCODES[type(g)], 0))
-            case _:
-                raise DialectError(f"cannot compile {render(g)} for model search")
-
-    walk(f)
+    _compile(f, atom_slots, prog)
     return prog
+
+
+def _compile(f: Formula, atom_slots: dict[int, int], prog: list[int]) -> None:
+    match f:
+        case Atom(i) if i in atom_slots:
+            prog.extend((_kernel_py.OP_ATOM, atom_slots[i]))
+        case Atom() | Top() | Bottom():
+            prog.extend((_OPCODES[type(f)], 0))
+        case Not(x) | Box(x) | Diamond(x):
+            _compile(x, atom_slots, prog)
+            prog.extend((_OPCODES[type(f)], 0))
+        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
+            _compile(l, atom_slots, prog)
+            _compile(r, atom_slots, prog)
+            prog.extend((_OPCODES[type(f)], 0))
+        case _:
+            raise DialectError(f"cannot compile {render(f)} for model search")
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +313,7 @@ def sample_countermodel(
         falsified = model.full_mask & ~truth_mask(model, f)
         if falsified:
             lowest = (falsified & -falsified).bit_length() - 1
+            _revalidate(bounds, model, lowest, (), f)
             return SearchOutcome(Verdict.COUNTERMODEL_FOUND, i, model, lowest)
     return SearchOutcome(Verdict.INCONCLUSIVE, samples)
 

@@ -139,9 +139,10 @@ _DIALECT_OPS: dict[Dialect, frozenset[type]] = {
 
 # Bound the parser's recursion, and the recursion of every later walk over
 # the tree, far below the interpreter's limit.  A parenthesis costs the
-# parser six frames, so prefixes and parentheses get the tighter bound; a
-# binary operator costs it at most one frame and the tree one level.  The
-# perfbench workloads (seeds 1, 11, 2027) reach 20 levels.
+# parser two frames, and a unary prefix or a binary operator at most one;
+# each prefix and operator costs the tree one level.  A formula at both
+# bounds takes the parser 400 frames deep.  The perfbench workloads (seeds
+# 1, 11, 2027) reach 20 levels.
 MAX_NESTING = 100  # unary prefixes and parentheses
 MAX_DEPTH = 300  # all levels, binary operators included
 
@@ -149,7 +150,11 @@ MAX_DEPTH = 300  # all levels, binary operators included
 # not blank, which the lexical check then rejects.
 _LEXEME_RE = re.compile(r"<->|<>|\[\]|->|[~&|()]|[A-Za-z][A-Za-z0-9]*|[^ \t\r\n]")
 _PREFIX = {"~": Not, "[]": Box, "<>": Diamond, "nabla": Nabla}
-_OPERATORS = frozenset(("<->", "->", "&", "|", "(", ")", *_PREFIX))
+# Each binary sigil: its node type, its binding level (a higher level binds
+# tighter, and every unary prefix tighter still) and whether it associates
+# to the right.  Parsing and rendering both read this table.
+_INFIX = {"<->": (Iff, 1, True), "->": (Implies, 2, True), "|": (Or, 3, False), "&": (And, 4, False)}
+_OPERATORS = frozenset(("(", ")", *_PREFIX, *_INFIX))
 _END = ""  # follows the last lexeme; no lexeme is empty
 
 
@@ -224,63 +229,58 @@ class _Parser:
         self.nesting -= prefix
 
     def parse(self) -> Formula:
-        f = self.iff()
+        f = self.binary(1)
         if self.lexemes[self.i] != _END:
             raise self.error(f"unexpected trailing {self.found()!r}")
         return f
 
-    def iff(self) -> Formula:
-        left = self.implies()
-        if self.lexemes[self.i] == "<->":
+    def binary(self, level: int) -> Formula:
+        """Parse an operand and the binary operators binding at ``level`` or
+        tighter that follow it; ``binary(1)`` parses a whole formula.
+
+        An arrow parses its right operand at its own level, so it associates
+        to the right, and its nesting level closes after that operand.
+        ``&`` and ``|`` parse theirs one level up and stay in the loop, so
+        they associate to the left, and their nesting levels stay open to
+        the end of the chain: until the level changes or the loop ends.
+        """
+        left = self.operand()
+        entry = self.depth
+        chain = None
+        while True:
+            infix = _INFIX.get(self.lexemes[self.i])
+            if infix is None or infix[1] < level:
+                break
+            op, at, right_assoc = infix
+            if at != chain:
+                self.depth = entry
+                chain = at
             self.enter()
-            left = Iff(left, self.iff())
-            self.leave()
+            if right_assoc:
+                left = op(left, self.binary(at))
+                self.leave()
+            else:
+                left = op(left, self.binary(at + 1))
+        self.depth = entry
         return left
 
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.lexemes[self.i] == "->":
-            self.enter()
-            left = Implies(left, self.implies())
-            self.leave()
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        outer = self.depth
-        while self.lexemes[self.i] == "|":
-            self.enter()
-            left = Or(left, self.conjunction())
-        self.depth = outer
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        outer = self.depth
-        while self.lexemes[self.i] == "&":
-            self.enter()
-            left = And(left, self.unary())
-        self.depth = outer
-        return left
-
-    def unary(self) -> Formula:
-        op = _PREFIX.get(self.lexemes[self.i])
-        if op is None:
-            return self.atomic()
-        self.enter(prefix=True)
-        f = op(self.unary())
-        self.leave(prefix=True)
-        return f
-
-    def atomic(self) -> Formula:
+    def operand(self) -> Formula:
+        """Parse a leaf, a unary prefix and its operand, or a formula in
+        parentheses."""
         lx = self.lexemes[self.i]
         leaf = self.leaves.get(lx)
         if leaf is not None:
             self.i += 1
             return leaf
+        op = _PREFIX.get(lx)
+        if op is not None:
+            self.enter(prefix=True)
+            f = op(self.operand())
+            self.leave(prefix=True)
+            return f
         if lx == "(":
             self.enter(prefix=True)
-            inner = self.iff()
+            inner = self.binary(1)
             if self.lexemes[self.i] != ")":
                 raise self.error(f"expected ')', found {self.found()!r}")
             self.i += 1
@@ -297,18 +297,8 @@ def parse(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Rendering
 
-_PREC_ATOM = 100
-_PREC_UNARY = 90
-_PREC_BIN = {And: 40, Or: 30, Implies: 20, Iff: 10}
-_BIN_SIGIL = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
-
-
-def _prec(f: Formula) -> int:
-    if isinstance(f, (Atom, Top, Bottom)):
-        return _PREC_ATOM
-    if isinstance(f, _UNARY):
-        return _PREC_UNARY
-    return _PREC_BIN[type(f)]
+_SIGIL = {op: sigil for sigil, op in _PREFIX.items()}
+_BINDING = {op: (sigil, level, assoc) for sigil, (op, level, assoc) in _INFIX.items()}
 
 
 def _render(f: Formula, atom_name, memo: dict) -> str:
@@ -321,30 +311,30 @@ def _render(f: Formula, atom_name, memo: dict) -> str:
     hit = memo.get(id(f))
     if hit is not None:
         return hit[1]
-    if isinstance(f, _UNARY):
-        inner = _render(f.operand, atom_name, memo)
-        wrapped = f"({inner})" if _prec(f.operand) < _PREC_UNARY else inner
-        if isinstance(f, Not):
-            text = "~" + wrapped
-        elif isinstance(f, Box):
-            text = "[]" + wrapped
-        elif isinstance(f, Diamond):
-            text = "<>" + wrapped
-        else:
-            # "nabla" is a word, so it needs a separator unless parentheses follow
-            text = "nabla" + wrapped if wrapped.startswith("(") else "nabla " + wrapped
+    binding = _BINDING.get(type(f))
+    if binding is None:
+        sigil = _SIGIL[type(f)]
+        text = _render(f.operand, atom_name, memo)
+        if type(f.operand) in _BINDING:
+            text = f"({text})"
+        elif sigil.isalpha():
+            # a word needs a separator unless parentheses follow
+            sigil += " "
+        text = sigil + text
     else:
-        level = _PREC_BIN[type(f)]
-        right_assoc = isinstance(f, (Implies, Iff))
-        lp = _prec(f.left)
-        rp = _prec(f.right)
+        # Only a binary operand can bind looser than its operator.  One at
+        # the operator's own level needs parentheses on the side it does
+        # not associate to.
+        sigil, level, right_assoc = binding
         left = _render(f.left, atom_name, memo)
-        right = _render(f.right, atom_name, memo)
-        if lp < level or (right_assoc and lp == level):
+        inner = _BINDING.get(type(f.left))
+        if inner is not None and inner[1] < level + right_assoc:
             left = f"({left})"
-        if rp < level or (not right_assoc and rp == level):
+        right = _render(f.right, atom_name, memo)
+        inner = _BINDING.get(type(f.right))
+        if inner is not None and inner[1] < level + (not right_assoc):
             right = f"({right})"
-        text = f"{left} {_BIN_SIGIL[type(f)]} {right}"
+        text = f"{left} {sigil} {right}"
     # The entry keeps ``f`` alive, so its id is not reused while the memo is.
     memo[id(f)] = (f, text)
     return text
@@ -385,8 +375,12 @@ def parse_schema(text: str) -> Schema:
     return Schema(_Parser(text, metavariables=True).parse())
 
 
+def _metavariable_name(i: int) -> str:
+    return chr(ord("A") + i) if i < 26 else f"A{i}"
+
+
 def render_schema(s: Schema) -> str:
-    return _render(s.pattern, lambda i: chr(ord("A") + i) if i < 26 else f"A{i}", {})
+    return _render(s.pattern, _metavariable_name, {})
 
 
 MetaBinding = dict[int, Formula]
@@ -399,42 +393,42 @@ def match_schema(s: Schema, f: Formula) -> MetaBinding | None:
     ``None`` when ``f`` is not an instance of the schema.
     """
     binding: MetaBinding = {}
+    return binding if _match(s.pattern, f, binding) else None
 
-    def walk(pat: Formula, tgt: Formula) -> bool:
-        if isinstance(pat, Atom):
-            bound = binding.get(pat.index)
-            if bound is None:
-                binding[pat.index] = tgt
-                return True
-            return bound == tgt
-        if type(pat) is not type(tgt):
-            return False
-        if isinstance(pat, (Top, Bottom)):
+
+def _match(pat: Formula, tgt: Formula, binding: MetaBinding) -> bool:
+    if isinstance(pat, Atom):
+        bound = binding.get(pat.index)
+        if bound is None:
+            binding[pat.index] = tgt
             return True
-        if isinstance(pat, _UNARY):
-            return walk(pat.operand, tgt.operand)
-        return walk(pat.left, tgt.left) and walk(pat.right, tgt.right)
-
-    return binding if walk(s.pattern, f) else None
+        return bound == tgt
+    if type(pat) is not type(tgt):
+        return False
+    if isinstance(pat, (Top, Bottom)):
+        return True
+    if isinstance(pat, _UNARY):
+        return _match(pat.operand, tgt.operand, binding)
+    return _match(pat.left, tgt.left, binding) and _match(pat.right, tgt.right, binding)
 
 
 def instantiate(s: Schema, binding: MetaBinding) -> Formula:
     """Homomorphic substitution of ``binding`` into the schema pattern."""
+    return _instantiate(s.pattern, binding)
 
-    def walk(pat: Formula) -> Formula:
-        if isinstance(pat, Atom):
-            try:
-                return binding[pat.index]
-            except KeyError:
-                name = chr(ord("A") + pat.index) if pat.index < 26 else str(pat.index)
-                raise UnboundMetavariableError(f"metavariable {name} is unbound") from None
-        if isinstance(pat, (Top, Bottom)):
-            return pat
-        if isinstance(pat, _UNARY):
-            return type(pat)(walk(pat.operand))
-        return type(pat)(walk(pat.left), walk(pat.right))
 
-    return walk(s.pattern)
+def _instantiate(pat: Formula, binding: MetaBinding) -> Formula:
+    if isinstance(pat, Atom):
+        try:
+            return binding[pat.index]
+        except KeyError:
+            name = _metavariable_name(pat.index)
+            raise UnboundMetavariableError(f"metavariable {name} is unbound") from None
+    if isinstance(pat, (Top, Bottom)):
+        return pat
+    if isinstance(pat, _UNARY):
+        return type(pat)(_instantiate(pat.operand, binding))
+    return type(pat)(_instantiate(pat.left, binding), _instantiate(pat.right, binding))
 
 
 # ---------------------------------------------------------------------------
@@ -480,19 +474,19 @@ def subformulas(f: Formula) -> frozenset[Formula]:
 def modal_operators(f: Formula) -> frozenset[type]:
     """The set of modal operator classes occurring in ``f``."""
     ops: set[type] = set()
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, _MODAL):
-            ops.add(type(g))
-            walk(g.operand)
-        elif isinstance(g, Not):
-            walk(g.operand)
-        elif isinstance(g, _BINARY):
-            walk(g.left)
-            walk(g.right)
-
-    walk(f)
+    _collect_modal(f, ops)
     return frozenset(ops)
+
+
+def _collect_modal(f: Formula, ops: set[type]) -> None:
+    if isinstance(f, _MODAL):
+        ops.add(type(f))
+        _collect_modal(f.operand, ops)
+    elif isinstance(f, Not):
+        _collect_modal(f.operand, ops)
+    elif isinstance(f, _BINARY):
+        _collect_modal(f.left, ops)
+        _collect_modal(f.right, ops)
 
 
 def _fits(f: Formula, allowed: frozenset[type], memo: dict) -> bool:

@@ -8,7 +8,7 @@ import pytest
 
 import plausible
 from conftest import FIXTURES
-from plausible import _kernel_py
+from plausible import _kernel_py, search
 from plausible.algebra import MAX_BASE, AlgebraFormatError, InvalidAlgebraError
 from plausible.cli import build_parser, main
 from plausible.derivations import TranslationError
@@ -18,6 +18,7 @@ from plausible.semantics import (
     MAX_CONDITION_WORLDS,
     MAX_MODEL_WORLDS,
     ModelFormatError,
+    NeighborhoodModel,
     WorldRangeError,
     model_from_data,
 )
@@ -246,6 +247,17 @@ class TestValid:
         bogus = (True, 1, 1, (1,), (1,), 0)
         monkeypatch.setattr(_kernel_py, "run_search", lambda *args: bogus)
         code, out, err = run(capsys, "valid", "p0", "--class", "constrained", "--max-worlds", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: ")
+
+    def test_sampling_defect_is_internal_error(self, capsys, monkeypatch):
+        # the sampled model breaks (t) and falsifies a theorem of the class
+        broken = NeighborhoodModel(1, ((0, 1),), ((0, 0),))
+        monkeypatch.setattr(search, "_model_from_struct", lambda *args: broken)
+        code, out, err = run(
+            capsys, "valid", "[]p0 -> p0", "--class", "constrained", "--max-worlds", "1",
+            "--sample", "1", "--seed", "1",
+        )
         assert code == 3 and out == ""
         assert err.startswith("internal error: ")
 

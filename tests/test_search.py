@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import formulas, oracle
-from plausible import _kernel_py
+from plausible import _kernel_py, search
 from plausible.search import (
     _CLASS_ID,
     MAX_SAMPLES,
@@ -16,6 +16,7 @@ from plausible.search import (
     K_FORMULA,
     ModelClass,
     SearchBounds,
+    SearchInternalError,
     SearchOutcome,
     Verdict,
     check_global_consequence,
@@ -383,6 +384,14 @@ class TestSampling:
         assert sample_countermodel(parse("false"), b, MAX_SAMPLES, seed=1).models_checked == 1
         with pytest.raises(BoundsExceededError, match="capped at 100000"):
             sample_countermodel(parse("false"), b, MAX_SAMPLES + 1, seed=1)
+
+    def test_sampled_countermodel_is_revalidated(self, monkeypatch):
+        # The empty set neighbours world 0, against (t), so []p0 -> p0 fails there.
+        broken = NeighborhoodModel(1, ((0, 1),), ((0, 0),))
+        monkeypatch.setattr(search, "_model_from_struct", lambda *args: broken)
+        b = bounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 1, (0,))
+        with pytest.raises(SearchInternalError, match="conditions"):
+            sample_countermodel(parse("[]p0 -> p0"), b, 1, seed=1)
 
     def test_equivalence_samples_are_equivalences(self):
         out = sample_countermodel(

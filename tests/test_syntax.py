@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, formulas, shared_formulas
+from conftest import FIXTURES, formulas, oracle, shared_formulas
 from plausible.proofs import SCHEMAS
+from plausible.search import compile_program
 from plausible.syntax import (
     BOTTOM,
     TOP,
     And,
     Atom,
+    Bottom,
     Box,
     Diamond,
     Dialect,
@@ -26,6 +28,7 @@ from plausible.syntax import (
     Not,
     Or,
     Schema,
+    Top,
     UnboundMetavariableError,
     atoms_of,
     dialect_of,
@@ -38,6 +41,7 @@ from plausible.syntax import (
     parse_schema,
     render,
     render_schema,
+    require_dialect,
     subformulas,
     translate,
 )
@@ -198,6 +202,60 @@ class TestRender:
         assert parse(render(f)) == f
 
 
+# The oracle's tag of each node type: parse and render share one operator
+# table, so only a parser written apart from them can catch a wrong level.
+ORACLE_TAG = {
+    Atom: "atom", Top: "top", Bottom: "bot", Not: "not", Box: "box", Diamond: "dia",
+    Nabla: "nabla", And: "and", Or: "or", Implies: "imp", Iff: "iff",
+}
+
+
+def as_oracle(f):
+    tag = ORACLE_TAG[type(f)]
+    if tag == "atom":
+        return (tag, f.index)
+    if tag in ("top", "bot"):
+        return (tag,)
+    if tag in oracle.UNARY:
+        return (tag, as_oracle(f.operand))
+    return (tag, as_oracle(f.left), as_oracle(f.right))
+
+
+@st.composite
+def operator_chains(draw, depth=3):
+    """Text of a chain of binary operators over operands that may carry
+    unary prefixes or hold a chain in parentheses, spaced at random."""
+    lexemes = []
+    for k in range(draw(st.integers(1, 4))):
+        if k:
+            lexemes.append(draw(st.sampled_from(["&", "|", "->", "<->"])))
+        lexemes += draw(st.lists(st.sampled_from(["~", "[]", "<>", "nabla"]), max_size=2))
+        if depth and draw(st.booleans()):
+            lexemes += ["(", draw(operator_chains(depth - 1)), ")"]
+        else:
+            lexemes.append(draw(st.sampled_from(["p0", "p1", "true", "false"])))
+    text = ""
+    for lx in lexemes:
+        gap = draw(st.sampled_from(["", " ", "  ", "\t"]))
+        if not gap and text[-1:].isalnum() and lx[:1].isalnum():
+            gap = " "  # two words need a separator
+        text += gap + lx
+    return text
+
+
+class TestAgainstOracle:
+    @given(formulas(modal=("box", "diamond", "nabla")))
+    def test_render_and_parse_agree_with_the_oracle(self, f):
+        assert oracle.parse(render(f)) == as_oracle(f)
+        assert parse(oracle.render(as_oracle(f))) == f
+
+    @given(operator_chains())
+    def test_chains_agree_with_the_oracle(self, text):
+        f = parse(text)
+        assert as_oracle(f) == oracle.parse(text)
+        assert oracle.parse(render(f)) == as_oracle(f)
+
+
 # The operators each dialect admits, written out as the oracle of fits_dialect.
 ADMITTED = {
     Dialect.CLASSICAL: set(),
@@ -291,14 +349,27 @@ class TestMemo:
         assert [translate(g, source, target, memo) for g in admitted] == warm
 
     def test_translate_leaves_no_reference_cycle(self):
-        # A cycle would keep the memo alive until a full collection.
+        # A cycle would keep the memo, or a walker's binding or output,
+        # alive until a full collection.
         f = parse("nabla (p0 & ~nabla p1) -> nabla p0 | p1")
+        k = parse("[](p0 -> p1) -> ([]p0 -> []p1)")
+        t = parse_schema("[]A -> A")
+        calls = {
+            "translate": lambda: (
+                translate(f, Dialect.NABLA, Dialect.BOX),
+                translate(f, Dialect.NABLA, Dialect.BOX, {}),
+            ),
+            "parse": lambda: (parse("~(p0 | p1) <-> [](p0 & p1)"), parse_schema("A -> (B -> A)")),
+            "schema": lambda: instantiate(t, match_schema(t, parse("[](p0 & p1) -> p0 & p1"))),
+            "dialect": lambda: (modal_operators(k), dialect_of(k), require_dialect(k, Dialect.BOX)),
+            "compile": lambda: compile_program(k, {0: 0, 1: 1}),
+        }
         gc.disable()
         try:
             gc.collect()
-            translate(f, Dialect.NABLA, Dialect.BOX)
-            translate(f, Dialect.NABLA, Dialect.BOX, {})
-            assert gc.collect() == 0
+            for name, call in calls.items():
+                call()
+                assert gc.collect() == 0, name
         finally:
             gc.enable()
 
@@ -338,6 +409,12 @@ class TestSchemas:
     def test_instantiate_unbound(self):
         with pytest.raises(UnboundMetavariableError):
             instantiate(parse_schema("A -> B"), {0: p0})
+
+    def test_metavariable_past_z_has_one_name(self):
+        s = Schema(Implies(Atom(26), Atom(0)))
+        assert render_schema(s) == "A26 -> A"
+        with pytest.raises(UnboundMetavariableError, match="^metavariable A26 is unbound$"):
+            instantiate(s, {0: p0})
 
     @pytest.mark.parametrize("text, column", [("p1 -> B", 0), ("A -> p0", 5), ("[](A & p12)", 7)])
     def test_atoms_are_not_metavariables(self, text, column):
