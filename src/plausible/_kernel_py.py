@@ -90,23 +90,24 @@ def is_equivalence(rows: tuple[int, ...], n: int) -> bool:
 def partition_rows(n: int) -> list[tuple[int, ...]]:
     """Relation rows of every equivalence on ``n`` worlds, one per set
     partition: ``rows[w]`` is the block containing ``w``."""
-    out = []
-    blocks: list[int] = []
-
-    def place(w: int) -> None:
-        if w == n:
-            out.append(tuple(next(b for b in blocks if (b >> z) & 1) for z in range(n)))
-            return
-        for i in range(len(blocks)):
-            blocks[i] |= 1 << w
-            place(w + 1)
-            blocks[i] ^= 1 << w
-        blocks.append(1 << w)
-        place(w + 1)
-        blocks.pop()
-
-    place(0)
+    out: list[tuple[int, ...]] = []
+    _place(0, n, [], out)
     return out
+
+
+def _place(w: int, n: int, blocks: list[int], out: list) -> None:
+    """Put world ``w`` into each block of ``blocks`` in turn, then into a
+    new block of its own, and recurse; at ``w == n`` record the rows."""
+    if w == n:
+        out.append(tuple(next(b for b in blocks if (b >> z) & 1) for z in range(n)))
+        return
+    for i in range(len(blocks)):
+        blocks[i] |= 1 << w
+        _place(w + 1, n, blocks, out)
+        blocks[i] ^= 1 << w
+    blocks.append(1 << w)
+    _place(w + 1, n, blocks, out)
+    blocks.pop()
 
 
 def structures(class_id: int, n: int):

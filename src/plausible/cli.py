@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Machine-readable JSON goes to stdout (``--pretty`` switches to a human
-rendering); diagnostics go to stderr.  Exit status: 0 for success, 1 for a
-semantically meaningful negative (countermodel found, proof rejected,
+Each subcommand computes one JSON document; ``main`` writes it to stdout,
+or with ``--pretty`` the subcommand's human view, computed from that
+document alone.  Diagnostics go to stderr.  Exit status: 0 for success, 1
+for a semantically meaningful negative (countermodel found, proof rejected,
 axiom violated, formula false), 2 for usage or input errors, 3 for an
 internal error (a search result or derivation that failed its check, or
 any other uncaught exception: a defect must never read as a negative answer).
@@ -41,14 +42,6 @@ def canonical_json(data) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def _emit(data, pretty_lines=None, pretty=False) -> None:
-    if pretty and pretty_lines is not None:
-        for line in pretty_lines:
-            print(line)
-    else:
-        sys.stdout.write(canonical_json(data))
-
-
 def _json_object(pairs: list) -> dict:
     # json.load would keep the last of a repeated key's values silently
     data = dict(pairs)
@@ -68,18 +61,17 @@ def _load_json(path: str):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each ``cmd_*`` returns its exit status and its JSON document,
+# and each ``_*_view`` turns such a document into the ``--pretty`` lines.
 
 
-def cmd_fmt(args) -> int:
+def cmd_fmt(args) -> tuple[int, dict]:
     f = parse(args.formula)
-    dialect = dialect_of(f)
-    _emit(
-        {"formula": render(f), "dialect": dialect.value},
-        pretty_lines=[render(f), f"dialect: {dialect.value}"],
-        pretty=args.pretty,
-    )
-    return 0
+    return 0, {"formula": render(f), "dialect": dialect_of(f).value}
+
+
+def _fmt_view(data: dict) -> list[str]:
+    return [data["formula"], f"dialect: {data['dialect']}"]
 
 
 _EVAL_CLASSES = {
@@ -89,7 +81,7 @@ _EVAL_CLASSES = {
 }
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[int, dict]:
     model = model_from_data(_load_json(args.model))
     if args.model_class and not isinstance(model, _EVAL_CLASSES[args.model_class]):
         raise ModelFormatError(
@@ -97,12 +89,11 @@ def cmd_eval(args) -> int:
         )
     f = parse(args.formula)
     value = eval_model(model, args.world, f)
-    _emit(
-        {"formula": render(f), "world": args.world, "value": value},
-        pretty_lines=[f"{render(f)} at world {args.world}: {'true' if value else 'false'}"],
-        pretty=args.pretty,
-    )
-    return 0 if value else 1
+    return 0 if value else 1, {"formula": render(f), "world": args.world, "value": value}
+
+
+def _eval_view(data: dict) -> list[str]:
+    return [f"{data['formula']} at world {data['world']}: {'true' if data['value'] else 'false'}"]
 
 
 _SEARCH_CLASSES = {c.value: c for c in srch.ModelClass}
@@ -117,18 +108,21 @@ def _parse_atoms(text: str | None, fallback) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def _outcome_exit(args, f, bounds, outcome, extra: dict | None = None) -> int:
+def _search_report(args, f, bounds, outcome, extra: dict | None = None) -> tuple[int, dict]:
     report = srch.experiment_report(f, bounds, outcome)
     if extra:
         report = {**extra, **report}
-    lines = [f"{report['verdict']} after {report['models_checked']} models"]
-    if outcome.countermodel is not None:
-        lines.append(f"countermodel (world {outcome.world}):")
-        lines.append(canonical_json(outcome.countermodel.to_data()).rstrip())
-    _emit(report, pretty_lines=lines, pretty=args.pretty)
     if args.out:
         Path(args.out).write_text(canonical_json(report), encoding="utf-8")
-    return 1 if outcome.verdict is srch.Verdict.COUNTERMODEL_FOUND else 0
+    return 1 if outcome.verdict is srch.Verdict.COUNTERMODEL_FOUND else 0, report
+
+
+def _search_view(report: dict) -> list[str]:
+    lines = [f"{report['verdict']} after {report['models_checked']} models"]
+    if "countermodel" in report:
+        lines.append(f"countermodel (world {report['world']}):")
+        lines.append(canonical_json(report["countermodel"]).rstrip())
+    return lines
 
 
 def _bounds_from_args(args, atom_fallback) -> srch.SearchBounds:
@@ -139,7 +133,7 @@ def _bounds_from_args(args, atom_fallback) -> srch.SearchBounds:
     )
 
 
-def cmd_valid(args) -> int:
+def cmd_valid(args) -> tuple[int, dict]:
     f = parse(args.formula)
     bounds = _bounds_from_args(args, atoms_of(f))
     if args.sample is not None:
@@ -148,33 +142,32 @@ def cmd_valid(args) -> int:
         outcome = srch.sample_countermodel(f, bounds, args.sample, args.seed)
     else:
         outcome = srch.find_countermodel(f, bounds)
-    return _outcome_exit(args, f, bounds, outcome)
+    return _search_report(args, f, bounds, outcome)
 
 
-def cmd_consequence(args) -> int:
+def cmd_consequence(args) -> tuple[int, dict]:
     gamma = [parse(text) for text in args.gamma or []]
     f = parse(args.formula)
     atom_fallback = set(atoms_of(f)).union(*(atoms_of(g) for g in gamma)) if gamma else atoms_of(f)
     bounds = _bounds_from_args(args, atom_fallback)
     outcome = srch.check_global_consequence(gamma, f, bounds)
-    return _outcome_exit(args, f, bounds, outcome, extra={"gamma": [render(g) for g in gamma]})
+    return _search_report(args, f, bounds, outcome, extra={"gamma": [render(g) for g in gamma]})
 
 
-def cmd_checkproof(args) -> int:
+def cmd_checkproof(args) -> tuple[int, dict]:
     proof = proof_from_data(_load_json(args.proof))
     result = check_proof(proof, s5_re=args.s5_re)
-    data = result.to_data()
-    data["system"] = proof.system.value
-    data["conclusion"] = render(proof.conclusion)
-    if result.accepted:
-        lines = [f"accepted: {render(proof.conclusion)} [{proof.system.value}]"]
-    else:
-        lines = [f"rejected at line {result.failing_line}: {result.reason}"]
-    _emit(data, pretty_lines=lines, pretty=args.pretty)
-    return 0 if result.accepted else 1
+    data = {**result.to_data(), "system": proof.system.value, "conclusion": render(proof.conclusion)}
+    return 0 if result.accepted else 1, data
 
 
-def cmd_translate(args) -> int:
+def _checkproof_view(data: dict) -> list[str]:
+    if data["accepted"]:
+        return [f"accepted: {data['conclusion']} [{data['system']}]"]
+    return [f"rejected at line {data['line']}: {data['reason']}"]
+
+
+def cmd_translate(args) -> tuple[int, dict]:
     target = Dialect.NABLA if args.to == "nabla" else Dialect.BOX
     source = Dialect.BOX if target is Dialect.NABLA else Dialect.NABLA
     try:
@@ -186,73 +179,73 @@ def cmd_translate(args) -> int:
         translated = translate_proof(proof)
         if (translated.system.value == "LNabla") != (args.to == "nabla"):
             raise TranslationError(f"proof translates away from --to {args.to}")
-        _emit(
-            proof_to_data(translated),
-            pretty_lines=[f"{translated.system.value} proof of {render(translated.conclusion)}"],
-            pretty=args.pretty,
-        )
-        return 0
-    f = parse(args.target)
-    out = translate(f, source, target)
-    _emit({"formula": render(out)}, pretty_lines=[render(out)], pretty=args.pretty)
-    return 0
+        return 0, proof_to_data(translated)
+    return 0, {"formula": render(translate(parse(args.target), source, target))}
 
 
-def cmd_supplement(args) -> int:
+def _translate_view(data: dict) -> list[str]:
+    if "system" in data:  # a proof
+        return [f"{data['system']} proof of {data['conclusion']}"]
+    return [data["formula"]]
+
+
+def cmd_supplement(args) -> tuple[int, dict]:
     model = model_from_data(_load_json(args.model))
     if not isinstance(model, NeighborhoodModel):
         raise ModelFormatError("supplementation applies to neighborhood models")
     before = nm_check_conditions(model)
     supplemented = supplement(model)
-    after = nm_check_conditions(supplemented)
     data = {
         "model": supplemented.to_data(),
         "conditions_before": before.to_data(),
-        "conditions_after": after.to_data(),
+        "conditions_after": nm_check_conditions(supplemented).to_data(),
     }
     if args.out:
-        Path(args.out).write_text(canonical_json(supplemented.to_data()), encoding="utf-8")
-    _emit(
-        data,
-        pretty_lines=[
-            "conditions before: "
-            + ", ".join(f"{k}={v}" for k, v in before.to_data().items() if k != "failures"),
-            "conditions after:  "
-            + ", ".join(f"{k}={v}" for k, v in after.to_data().items() if k != "failures"),
-        ],
-        pretty=args.pretty,
-    )
-    return 0
+        Path(args.out).write_text(canonical_json(data["model"]), encoding="utf-8")
+    return 0, data
 
 
-def cmd_algebra(args) -> int:
+def _flags(report: dict) -> str:
+    return ", ".join(f"{k}={v}" for k, v in report.items() if k != "failures")
+
+
+def _supplement_view(data: dict) -> list[str]:
+    return [
+        f"conditions before: {_flags(data['conditions_before'])}",
+        f"conditions after:  {_flags(data['conditions_after'])}",
+    ]
+
+
+def cmd_algebra(args) -> tuple[int, dict]:
     a = alg.FinitePlausibilityAlgebra.from_data(_load_json(args.algebra))
     report = alg.check_algebra(a)
     data: dict = {"axioms": report.to_data()}
-    negative = not report.valid
-    lines = ["axioms: " + ", ".join(f"{k}={v}" for k, v in report.to_data().items() if k != "failures")]
-    if report.valid:
-        plausibles = sorted(alg.plausible_elements(a))
-        data["plausible"] = plausibles
-        data["derived_laws"] = alg.check_derived_laws(a).to_data()
-        lines.append(f"plausible elements: {plausibles}")
-        if args.formula:
-            f = parse(args.formula)
-            validates = alg.alg_validates(a, f)
-            data["formula"] = render(f)
-            data["validates"] = validates
-            negative = negative or not validates
-            lines.append(f"validates {render(f)}: {validates}")
-    _emit(data, pretty_lines=lines, pretty=args.pretty)
-    return 1 if negative else 0
+    if not report.valid:
+        return 1, data
+    data["plausible"] = sorted(alg.plausible_elements(a))
+    data["derived_laws"] = alg.check_derived_laws(a).to_data()
+    if args.formula:
+        f = parse(args.formula)
+        data["formula"] = render(f)
+        data["validates"] = alg.alg_validates(a, f)
+    return 0 if data.get("validates", True) else 1, data
 
 
-def cmd_experiment_k(args) -> int:
+def _algebra_view(data: dict) -> list[str]:
+    lines = [f"axioms: {_flags(data['axioms'])}"]
+    if "plausible" in data:
+        lines.append(f"plausible elements: {data['plausible']}")
+    if "validates" in data:
+        lines.append(f"validates {data['formula']}: {data['validates']}")
+    return lines
+
+
+def cmd_experiment_k(args) -> tuple[int, dict]:
     bounds = srch.SearchBounds(
         srch.ModelClass.CONSTRAINED_NEIGHBORHOOD, args.max_worlds, (0, 1)
     )
     outcome = srch.run_k_experiment(bounds)
-    return _outcome_exit(args, srch.K_FORMULA, bounds, outcome)
+    return _search_report(args, srch.K_FORMULA, bounds, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``plaus`` parser, built on the first call and shared after it.
 
     Every ``main`` call in a process parses with this one parser, so the
-    subcommands hold the ``cmd_*`` functions as they were at that first
-    call; a ``cmd_*`` replaced later is not seen.
+    subcommands hold the ``cmd_*`` functions and their views as they were
+    at that first call; one replaced later is not seen.
     """
     parser = argparse.ArgumentParser(
         prog="plaus",
@@ -273,16 +266,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, view, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func, out=None)
+        p.set_defaults(func=func, view=view, out=None)
         p.add_argument("--pretty", action="store_true", help="human-oriented output")
         return p
 
-    p = add("fmt", cmd_fmt, "parse a formula and print its canonical rendering")
+    p = add("fmt", cmd_fmt, _fmt_view, "parse a formula and print its canonical rendering")
     p.add_argument("formula")
 
-    p = add("eval", cmd_eval, "evaluate a formula at a world of a model file")
+    p = add("eval", cmd_eval, _eval_view, "evaluate a formula at a world of a model file")
     p.add_argument("model")
     p.add_argument("world", type=int)
     p.add_argument("formula")
@@ -292,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("valid", cmd_valid, "bounded validity check with countermodel search"),
         ("consequence", cmd_consequence, "bounded global-consequence check"),
     ):
-        p = add(name, func, help_text)
+        p = add(name, func, _search_view, help_text)
         p.add_argument("formula")
         p.add_argument("--class", dest="model_class", required=True, choices=sorted(_SEARCH_CLASSES))
         p.add_argument("--max-worlds", type=int, required=True)
@@ -304,23 +297,24 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sample", type=int, help="seeded random sampling instead of exhaustion")
             p.add_argument("--seed", type=int, help="RNG seed, required with --sample")
 
-    p = add("checkproof", cmd_checkproof, "check a proof file")
+    p = add("checkproof", cmd_checkproof, _checkproof_view, "check a proof file")
     p.add_argument("proof")
     p.add_argument("--s5-re", action="store_true", help="admit RE as primitive in S5")
 
-    p = add("translate", cmd_translate, "translate a formula or proof between nabla and box")
+    p = add("translate", cmd_translate, _translate_view, "translate a formula or proof between nabla and box")
     p.add_argument("target", help="formula text, or path to a proof file")
     p.add_argument("--to", required=True, choices=("nabla", "box"))
 
-    p = add("supplement", cmd_supplement, "close a neighborhood model under supersets")
+    p = add("supplement", cmd_supplement, _supplement_view, "close a neighborhood model under supersets")
     p.add_argument("model")
     p.add_argument("--out", help="write the supplemented model to a file")
 
-    p = add("algebra", cmd_algebra, "check a plausibility algebra file")
+    p = add("algebra", cmd_algebra, _algebra_view, "check a plausibility algebra file")
     p.add_argument("algebra")
     p.add_argument("--formula", help="also test algebraic validity of a formula")
 
-    p = add("experiment-k", cmd_experiment_k, "exhaustive K-schema experiment on the constrained class")
+    p = add("experiment-k", cmd_experiment_k, _search_view,
+            "exhaustive K-schema experiment on the constrained class")
     p.add_argument("--max-worlds", type=int, default=3)
     p.add_argument("--out", help="also write the report to a file")
 
@@ -330,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, document = args.func(args)
+        sys.stdout.write("\n".join(args.view(document)) + "\n" if args.pretty else canonical_json(document))
+        return code
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

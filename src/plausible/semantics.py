@@ -160,10 +160,6 @@ class NeighborhoodModel(_BaseModel):
             families.append(fam)
         object.__setattr__(self, "families", tuple(families))
 
-    def family(self, w: int) -> tuple[int, ...]:
-        _check_world(self.worlds, w)
-        return self.families[w]
-
     def box(self, ts: int) -> int:
         """Worlds whose neighborhood family contains the truth set ``ts``."""
         out = 0

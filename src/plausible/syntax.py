@@ -514,10 +514,12 @@ def fits_dialect(f: Formula, dialect: Dialect, memo: dict | None = None) -> bool
 
 
 def require_dialect(f: Formula, dialect: Dialect) -> None:
-    ops = modal_operators(f) - _DIALECT_OPS[dialect]
-    if ops:
-        names = ", ".join(sorted(t.__name__ for t in ops))
-        raise DialectError(f"{names} not allowed in dialect {dialect.value}: {render(f)}")
+    """Raise ``DialectError``, naming each operator of ``f`` outside
+    ``dialect``, unless ``f`` fits it.  Only the error walks ``f`` for names."""
+    if _fits(f, _DIALECT_OPS[dialect], {}):
+        return
+    names = ", ".join(sorted(t.__name__ for t in modal_operators(f) - _DIALECT_OPS[dialect]))
+    raise DialectError(f"{names} not allowed in dialect {dialect.value}: {render(f)}")
 
 
 def dialect_of(f: Formula) -> Dialect:

@@ -46,22 +46,31 @@ _UNARY_OPS = {"box": Box, "diamond": Diamond, "nabla": Nabla}
 
 
 def formulas(atoms=(0, 1, 2), modal=("box", "diamond"), max_leaves=12):
-    """Hypothesis strategy for formulas over the given atoms and modal ops."""
+    """Hypothesis strategy for formulas over the given atoms and modal ops,
+    with at most ``max_leaves`` leaves.
+
+    A node with room for two leaves is binary two times in three, so most
+    formulas nest binary operators and mix their binding levels; shrinking
+    goes towards fewer leaves."""
     leaves = st.one_of(
         st.sampled_from([TOP, BOTTOM]),
         st.sampled_from(list(atoms)).map(Atom),
     )
-    unary = [Not] + [_UNARY_OPS[name] for name in modal]
+    unary = st.sampled_from([Not] + [_UNARY_OPS[name] for name in modal])
+    binary = st.sampled_from([And, Or, Implies, Iff])
+    # leaf, unary or binary; a node with room for one leaf is never binary
+    one_leaf, more_leaves = st.sampled_from("lu"), st.sampled_from("lubbbb")
 
-    def extend(children):
-        branches = [children.map(op) for op in unary]
-        branches += [
-            st.tuples(children, children).map(lambda t, op=op: op(*t))
-            for op in (And, Or, Implies, Iff)
-        ]
-        return st.one_of(*branches)
+    def tree(draw, room):
+        kind = draw(more_leaves if room > 1 else one_leaf)
+        if kind == "l":
+            return draw(leaves)
+        if kind == "u":
+            return draw(unary)(tree(draw, room))
+        left = draw(st.integers(1, room - 1))
+        return draw(binary)(tree(draw, left), tree(draw, room - left))
 
-    return st.recursive(leaves, extend, max_leaves=max_leaves)
+    return st.composite(lambda draw: tree(draw, draw(st.integers(1, max_leaves))))()
 
 
 @st.composite

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import plausible
+import record_cli
 from conftest import FIXTURES
-from plausible import _kernel_py, search
+from plausible import _kernel_py, cli, search
 from plausible.algebra import MAX_BASE, AlgebraFormatError, InvalidAlgebraError
 from plausible.cli import build_parser, main
 from plausible.derivations import TranslationError
@@ -630,6 +631,63 @@ class TestSharedParser:
             main(["valid"])
         assert exc.value.code == 2
         assert run(capsys, "fmt", "p0")[0] == 0
+
+
+class TestGoldenOutputs:
+    """Every subcommand, with and without ``--pretty``, reproduces the
+    table ``tests/record_cli.py`` recorded, byte for byte."""
+
+    TABLE = json.loads((FIXTURES / "cli_outputs.json").read_text(encoding="utf-8"))
+
+    def test_table_covers_every_subcommand_both_ways(self):
+        recorded = {(argv[0], "--pretty" in argv) for argv, *_ in self.TABLE}
+        assert recorded == {(argv[0], pretty) for argv in EVERY_SUBCOMMAND for pretty in (False, True)}
+
+    def test_reproduced(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(FIXTURES.parent.parent)
+        for name, text in record_cli.INPUTS.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        for row in self.TABLE:
+            assert record_cli.run(row[0], tmp_path) == row
+
+
+class TestAnswerOnce:
+    """``main`` serializes the document a command returns, once."""
+
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+    def test_commands_return_their_document(self, capsys, argv):
+        args = build_parser().parse_args(list(argv))
+        code, document = args.func(args)
+        assert capsys.readouterr().out == ""
+        assert run(capsys, *argv) == (code, cli.canonical_json(document), "")
+
+    @pytest.mark.parametrize("argv", [
+        ("valid", "p0 -> []p0", "--class", "constrained", "--max-worlds", "2"),
+        ("valid", "[]p0 -> p0", "--class", "constrained", "--max-worlds", "2"),
+        ("consequence", "p0", "--gamma", "p0 | p1", "--class", "kripke-all", "--max-worlds", "2"),
+        ("fmt", "p0 -> []p0"),
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_canonical_json_runs_once(self, capsys, monkeypatch, argv):
+        calls, original = [], cli.canonical_json
+
+        def counted(data):
+            calls.append(data)
+            return original(data)
+
+        monkeypatch.setattr(cli, "canonical_json", counted)
+        code, out, _ = run(capsys, *argv)
+        assert len(calls) == 1 and out == original(calls[0])
+
+    @pytest.mark.parametrize("argv", [
+        ("valid", "p0 -> []p0", "--class", "constrained", "--max-worlds", "2"),
+        ("consequence", "[]p0", "--gamma", "p0", "--class", "constrained", "--max-worlds", "2"),
+        ("experiment-k", "--max-worlds", "2"),
+        ("supplement", str(MODELS / "nm_supplement.json")),
+    ], ids=lambda argv: argv[0])
+    def test_failed_out_write_prints_no_json(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "report.json"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "missing" in err
 
 
 def test_library_import_leaves_the_cli_out():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 from contextlib import contextmanager
@@ -268,6 +269,24 @@ class TestKernel:
             if oracle.model_kind(model_class.value) == "nbhd":
                 expected = [tuple(map(oracle.family_key, frame)) for frame in expected]
             assert got == expected, n
+
+    def test_equivalence_search_leaves_no_reference_cycle(self):
+        # A self-referring closure in the partition walk would leave a cycle
+        # for the collector on every kripke-equiv search.
+        b = bounds(ModelClass.KRIPKE_EQUIVALENCE, 4, (0, 1))
+        gc.disable()
+        try:
+            gc.collect()
+            assert [len(_kernel_py.partition_rows(n)) for n in range(1, 5)] == [1, 2, 5, 15]
+            assert gc.collect() == 0
+            for text, verdict in [
+                ("<>p0 -> []<>p0", Verdict.EXHAUSTED_VALID),
+                ("p0 -> []p0", Verdict.COUNTERMODEL_FOUND),
+            ]:
+                assert find_countermodel(parse(text), b).verdict is verdict
+                assert gc.collect() == 0, text
+        finally:
+            gc.enable()
 
     def test_bit_patterns(self):
         patterns = _kernel_py.bit_patterns(3)

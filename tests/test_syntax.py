@@ -468,6 +468,19 @@ class TestDialects:
         f = parse("p0 -> p1")
         assert translate(f, Dialect.NABLA, Dialect.BOX) == f
 
+    @given(formulas(modal=("box", "diamond", "nabla")), st.sampled_from(list(Dialect)))
+    def test_require_dialect_names_exactly_the_foreign_operators(self, f, dialect):
+        foreign = {type(g) for g in subformulas(f)} & {Box, Diamond, Nabla} - ADMITTED[dialect]
+        if fits_dialect(f, dialect):
+            assert not foreign
+            require_dialect(f, dialect)
+            return
+        assert foreign
+        names = ", ".join(sorted(t.__name__ for t in foreign))
+        with pytest.raises(DialectError) as exc:
+            require_dialect(f, dialect)
+        assert str(exc.value) == f"{names} not allowed in dialect {dialect.value}: {render(f)}"
+
     def test_translate_dialect_violation(self):
         with pytest.raises(DialectError):
             translate(parse("[]p0"), Dialect.NABLA, Dialect.BOX)
