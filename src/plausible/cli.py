@@ -20,7 +20,7 @@ from pathlib import Path
 from . import algebra as alg
 from . import search as srch
 from .derivations import TranslationError, translate_proof
-from .proofs import check_proof, proof_from_data, proof_to_data
+from .proofs import SYSTEM_DIALECT, check_proof, proof_from_data, proof_to_data
 from .semantics import (
     KripkeModel,
     ModelFormatError,
@@ -31,7 +31,7 @@ from .semantics import (
     nm_check_conditions,
     supplement,
 )
-from .syntax import Dialect, atoms_of, dialect_of, parse, render, translate
+from .syntax import Dialect, atoms_of, dialect_of, parse, render, require_dialect, translate
 
 # Every input-error class of the package is a ValueError, and so is a JSON
 # decoding error; OSError covers unreadable files.
@@ -176,10 +176,9 @@ def cmd_translate(args) -> tuple[int, dict]:
         is_file = False
     if is_file:
         proof = proof_from_data(_load_json(args.target))
-        translated = translate_proof(proof)
-        if (translated.system.value == "LNabla") != (args.to == "nabla"):
+        if SYSTEM_DIALECT[proof.system] is target:  # LNabla or LPBox, already on the --to side
             raise TranslationError(f"proof translates away from --to {args.to}")
-        return 0, proof_to_data(translated)
+        return 0, proof_to_data(translate_proof(proof))
     return 0, {"formula": render(translate(parse(args.target), source, target))}
 
 
@@ -218,14 +217,17 @@ def _supplement_view(data: dict) -> list[str]:
 
 def cmd_algebra(args) -> tuple[int, dict]:
     a = alg.FinitePlausibilityAlgebra.from_data(_load_json(args.algebra))
+    f = None
+    if args.formula:  # an input error, whatever the algebra's report
+        f = parse(args.formula)
+        require_dialect(f, Dialect.NABLA)
     report = alg.check_algebra(a)
     data: dict = {"axioms": report.to_data()}
     if not report.valid:
         return 1, data
     data["plausible"] = sorted(alg.plausible_elements(a))
     data["derived_laws"] = alg.check_derived_laws(a).to_data()
-    if args.formula:
-        f = parse(args.formula)
+    if f is not None:
         data["formula"] = render(f)
         data["validates"] = alg.alg_validates(a, f)
     return 0 if data.get("validates", True) else 1, data

@@ -238,6 +238,16 @@ def check_proof(proof: Proof, *, s5_re: bool = False) -> CheckResult:
     ``s5_re`` additionally admits the RE rule in S5 proofs (where the rule
     is derivable but not primitive).
 
+    A line's rule is judged first, and the rule decides which parts of the
+    line the dialect check walks.  Every earlier line fits the dialect, so an
+    MP line, which concludes a part of one, fits; RE and RN add only a box
+    and RNabla only a nabla, each in the dialect of every system admitting
+    the rule; an axiom line fits when the values bound to its schema's
+    metavariables do, since every schema lies in its system's dialect.  Only
+    a premise line is walked whole.  When the rule fails, or a part it
+    brings in does not fit, the whole line is walked, and an operator
+    outside the dialect is the reason given before any other.
+
     Raises ProofFormatError for structural defects (dangling references,
     unknown schema names); returns a rejection verdict for semantic ones.
     """
@@ -261,62 +271,70 @@ def check_proof(proof: Proof, *, s5_re: bool = False) -> CheckResult:
         if isinstance(j, AxiomInstance) and j.schema_id not in SCHEMAS:
             raise ProofFormatError(f"line {number} names unknown schema {j.schema_id!r}")
 
-    def reject(number: int, reason: str) -> CheckResult:
-        return CheckResult(False, number, reason, tuple(premise_free))
-
     for number, line in enumerate(proof.lines, start=1):
-        f = line.formula
+        reason, brought = _judge(proof, line, allowed, premises, premise_free)
+        if reason is not None or (
+            brought and not all(fits_dialect(g, dialect, fitting) for g in brought)
+        ):
+            if not fits_dialect(line.formula, dialect, fitting):
+                reason = f"formula outside the {dialect.value} dialect"
+            return CheckResult(False, number, reason, tuple(premise_free))
         j = line.justification
-        if not fits_dialect(f, dialect, fitting):
-            return reject(number, f"formula outside the {dialect.value} dialect")
-        if not isinstance(j, allowed):
-            return reject(number, f"rule {type(j).__name__} is not part of {proof.system.value}")
-
-        if isinstance(j, Premise):
-            if f not in premises:
-                return reject(number, "formula is not among the premises")
-            premise_free.append(False)
-        elif isinstance(j, AxiomInstance):
-            if j.schema_id not in SYSTEM_AXIOMS[proof.system]:
-                return reject(number, f"schema {j.schema_id} is not an axiom of {proof.system.value}")
-            binding = match_schema(SCHEMAS[j.schema_id], f)
-            if binding is None:
-                return reject(number, f"formula is not an instance of {j.schema_id}")
-            if j.binding is not None and dict(j.binding) != binding:
-                return reject(number, f"stated binding does not produce the formula from {j.schema_id}")
-            premise_free.append(True)
-        elif isinstance(j, MP):
-            a = proof.lines[j.antecedent - 1].formula
-            imp = proof.lines[j.implication - 1].formula
-            if imp != Implies(a, f):
-                return reject(
-                    number,
-                    f"line {j.implication} is not ({render(a)}) -> ({render(f)})",
-                )
+        if isinstance(j, MP):
             premise_free.append(premise_free[j.antecedent - 1] and premise_free[j.implication - 1])
-        else:
-            ref = j.ref
-            src = proof.lines[ref - 1].formula
-            if not premise_free[ref - 1]:
-                return reject(
-                    number,
-                    f"{type(j).__name__} applied to premise-dependent line {ref}",
-                )
-            if isinstance(j, RE):
-                if not (isinstance(src, Iff) and f == Iff(Box(src.left), Box(src.right))):
-                    return reject(number, f"RE expects line {ref} to be A <-> B and this line []A <-> []B")
-            elif isinstance(j, RNabla):
-                if not (
-                    isinstance(src, Implies)
-                    and f == Implies(Nabla(src.left), Nabla(src.right))
-                ):
-                    return reject(number, f"RNabla expects line {ref} to be A -> B and this line nabla A -> nabla B")
-            else:  # RN
-                if f != Box(src):
-                    return reject(number, f"RN expects this line to be [] of line {ref}")
-            premise_free.append(True)
+        else:  # RE, RNabla and RN apply only to premise-free lines
+            premise_free.append(not isinstance(j, Premise))
 
     return CheckResult(True, None, None, tuple(premise_free))
+
+
+def _judge(
+    proof: Proof,
+    line: ProofLine,
+    allowed: tuple[type, ...],
+    premises: set[Formula],
+    premise_free: list[bool],
+) -> tuple[str | None, tuple[Formula, ...]]:
+    """Why ``line``'s rule does not justify its formula, or ``None``; and,
+    when it does, the subformulas the rule brings in, which the dialect
+    check must walk."""
+    f = line.formula
+    j = line.justification
+    if not isinstance(j, allowed):
+        return f"rule {type(j).__name__} is not part of {proof.system.value}", ()
+
+    if isinstance(j, Premise):
+        if f not in premises:
+            return "formula is not among the premises", ()
+        return None, (f,)
+    if isinstance(j, AxiomInstance):
+        if j.schema_id not in SYSTEM_AXIOMS[proof.system]:
+            return f"schema {j.schema_id} is not an axiom of {proof.system.value}", ()
+        binding = match_schema(SCHEMAS[j.schema_id], f)
+        if binding is None:
+            return f"formula is not an instance of {j.schema_id}", ()
+        if j.binding is not None and dict(j.binding) != binding:
+            return f"stated binding does not produce the formula from {j.schema_id}", ()
+        return None, tuple(binding.values())
+    if isinstance(j, MP):
+        a = proof.lines[j.antecedent - 1].formula
+        if proof.lines[j.implication - 1].formula != Implies(a, f):
+            return f"line {j.implication} is not ({render(a)}) -> ({render(f)})", ()
+        return None, ()
+
+    ref = j.ref
+    src = proof.lines[ref - 1].formula
+    if not premise_free[ref - 1]:
+        return f"{type(j).__name__} applied to premise-dependent line {ref}", ()
+    if isinstance(j, RE):
+        if not (isinstance(src, Iff) and f == Iff(Box(src.left), Box(src.right))):
+            return f"RE expects line {ref} to be A <-> B and this line []A <-> []B", ()
+    elif isinstance(j, RNabla):
+        if not (isinstance(src, Implies) and f == Implies(Nabla(src.left), Nabla(src.right))):
+            return f"RNabla expects line {ref} to be A -> B and this line nabla A -> nabla B", ()
+    elif f != Box(src):  # RN
+        return f"RN expects this line to be [] of line {ref}", ()
+    return None, ()
 
 
 # ---------------------------------------------------------------------------

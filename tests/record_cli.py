@@ -73,10 +73,13 @@ CASES = [
     ["translate", "[]p0 -> p0", "--to", "nabla"],
     ["translate", PROOFS + "lnabla_ax3.json", "--to", "box"],
     ["translate", PROOFS + "lpbox_h.json", "--to", "nabla"],
+    ["translate", PROOFS + "lnabla_ax3.json", "--to", "nabla"],
     ["supplement", MODELS + "nm_supplement.json"],
     ["algebra", ALGEBRAS + "identity_k2.json"],
     ["algebra", ALGEBRAS + "zero_k1.json"],
     ["algebra", ALGEBRAS + "zero_k1.json", "--formula", "nabla p0"],
+    ["algebra", ALGEBRAS + "zero_k1.json", "--formula", "p0 -> ("],
+    ["algebra", ALGEBRAS + "zero_k1.json", "--formula", "[]p0"],
     ["algebra", ALGEBRAS + "identity_k2.json", "--formula", "nabla p0 -> p0"],
     ["algebra", ALGEBRAS + "identity_k2.json", "--formula", "nabla p0"],
     ["experiment-k", "--max-worlds", "2"],

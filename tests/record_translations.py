@@ -6,7 +6,8 @@ it, ``[argv, exit code, stdout, stderr]``.  The proofs are every LNabla and
 LPBox fixture in ``tests/fixtures/proofs`` and seeded proofs that
 ``derivations.box_k``, ``nabla_top`` and ``nabla_h`` build over random
 formulas, each also with the formula of one line replaced, which the
-checker mostly rejects.
+checker mostly rejects, and then the named proofs of ``FOREIGN``, each
+rejected for an operator outside its dialect on a line of a different rule.
 ``test_proofs.TestGoldenOutputs`` requires the CLI to reproduce every
 output byte for byte.  Run from the repository root:
 
@@ -34,6 +35,32 @@ SEEDED_PROOFS = 40
 HERE = Path(__file__).parent
 PROOFS = HERE / "fixtures" / "proofs"
 OUT = HERE / "fixtures" / "translations.json"
+
+
+def _line(formula: str, rule: str, **extra) -> dict:
+    return {"formula": formula, "rule": rule, **extra}
+
+
+_TRUE = _line("true", "axiom", schema="PL13")
+
+# Proofs with one operator outside the system's dialect, each in a different
+# place: inside an axiom binding, on a rule line whose shape fails, on a
+# premise line with a foreign premise, and on a line whose rule the system
+# lacks.  The checker rejects each at its last line with the dialect message.
+FOREIGN: list[tuple[str, dict]] = [
+    (f"foreign_{name}", {"system": system, "premises": premises, "lines": lines,
+                         "conclusion": lines[-1]["formula"]})
+    for name, system, premises, lines in (
+        ("axiom_binding", "LPBox", [], [_TRUE, _line("nabla p0 -> p1 -> nabla p0", "axiom", schema="PL1")]),
+        ("axiom_schema", "LPBox", [], [_TRUE, _line("nabla p0 -> p0", "axiom", schema="Ax3")]),
+        ("mp_shape", "LPBox", ["p0", "p0 -> p1"],
+         [_line("p0", "premise"), _line("p0 -> p1", "premise"), _line("nabla p1", "mp", refs=[1, 2])]),
+        ("re_shape", "LPBox", [], [_TRUE, _line("nabla p0 <-> nabla p0", "re", refs=[1])]),
+        ("rnabla_shape", "LNabla", [], [_TRUE, _line("[]p0 -> []p0", "rnabla", refs=[1])]),
+        ("premise", "LPBox", ["p0", "nabla p0"], [_line("p0", "premise"), _line("nabla p0", "premise")]),
+        ("rule_outside_system", "LNabla", [], [_TRUE, _line("[]true <-> []true", "re", refs=[1])]),
+    )
+]
 
 
 def formula(rng: random.Random, modal: type, size: int):
@@ -110,7 +137,7 @@ def proofs() -> list[tuple[str, dict]]:
     for k in range(SEEDED_PROOFS):
         data = seeded_proof(rng, k)
         named += [(f"seeded_{k}", data), (f"seeded_{k}_broken", broken(rng, data))]
-    return named
+    return named + FOREIGN
 
 
 def main() -> None:

@@ -382,9 +382,15 @@ class TestTranslate:
         assert data["conclusion"] == "[]p0 -> p0"
         assert check_proof(proof_from_data(data)).accepted
 
-    def test_proof_wrong_direction(self, capsys):
-        code, _, err = run(capsys, "translate", str(PROOFS / "lnabla_ax3.json"), "--to", "nabla")
-        assert code == 2
+    def test_proof_wrong_direction(self, capsys, monkeypatch):
+        # decided from the proof's system, before anything is translated
+        def refuse(proof):
+            raise AssertionError("translate_proof called")
+
+        monkeypatch.setattr("plausible.cli.translate_proof", refuse)
+        for name, to in (("lnabla_ax3.json", "nabla"), ("lpbox_t.json", "box")):
+            code, out, err = run(capsys, "translate", str(PROOFS / name), "--to", to)
+            assert (code, out, err) == (2, "", f"error: proof translates away from --to {to}\n")
 
     def test_wrong_bridge_is_internal_error(self, capsys, monkeypatch):
         # A bridge that concludes the wrong formula is a defect, not an input error.
@@ -462,6 +468,16 @@ class TestAlgebra:
             capsys, "algebra", str(ALGEBRAS / "identity_k2.json"), "--formula", "[]p0 -> p0"
         )
         assert code == 2 and out == "" and "Box" in err
+
+    @pytest.mark.parametrize("formula,message", [
+        ("[]p0", "error: Box not allowed in dialect NablaSystem: []p0\n"),
+        ("p0 -> (", "error: expected a formula, found 'end' (at column 7)\n"),
+    ], ids=["box", "syntax"])
+    def test_formula_read_before_the_axioms(self, capsys, axiom_checks, formula, message):
+        # an input error even on an algebra that fails its axioms
+        code, out, err = run(capsys, "algebra", str(ALGEBRAS / "zero_k1.json"), "--formula", formula)
+        assert (code, out, err) == (2, "", message)
+        assert axiom_checks == []
 
     def test_axioms_checked_once(self, capsys, axiom_checks):
         code, data, _ = run_json(

@@ -1,19 +1,27 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, formulas, load_fixture
+from conftest import FIXTURES, formulas, load_fixture, oracle
+from plausible import proofs as proofs_module
 from plausible.derivations import ProofBuilder, box_k
 from plausible.proofs import (
+    _RULE_AVAILABLE,
+    MP,
+    RE,
+    RN,
     SCHEMAS,
     SYSTEM_AXIOMS,
+    SYSTEM_DIALECT,
     AxiomInstance,
+    Premise,
     Proof,
     ProofFormatError,
     ProofLine,
-    RE,
+    RNabla,
     SystemId,
     check_proof,
     is_axiom_instance,
@@ -21,7 +29,18 @@ from plausible.proofs import (
     proof_from_data,
     proof_to_data,
 )
-from plausible.syntax import And, Box, Iff, Nabla, parse, render_schema
+from plausible.syntax import (
+    And,
+    Atom,
+    Box,
+    Iff,
+    Nabla,
+    fits_dialect,
+    match_schema,
+    modal_operators,
+    parse,
+    render_schema,
+)
 from record_translations import outputs, proofs
 
 # (fixture, accepted, failing line)
@@ -307,6 +326,122 @@ class TestGoldenOutputs:
     def test_outputs_byte_for_byte(self, tmp_path):
         for case in self.TABLE:
             assert outputs(case["proof"], tmp_path) == case["runs"], case["name"]
+
+
+def accepted_proofs() -> list[tuple[str, Proof]]:
+    """Every accepted proof of the fixtures and of the translation table,
+    parsed, so no two lines share a node object."""
+    named = [(name, load_proof(name)) for name, accepted, _ in CORPUS if accepted]
+    named += [(case["name"], proof_from_data(case["proof"])) for case in TestGoldenOutputs.TABLE
+              if case["runs"][0][1] == 0]
+    return named
+
+
+class TestDialectByRule:
+    """``check_proof`` walks for the dialect only what a line's rule brings
+    in; these are the facts that vouch for the rest of the line."""
+
+    # The modal operators each inference rule adds to what it takes from
+    # earlier lines; premise lines are walked, and axiom lines in part.
+    RULE_ADDS = {MP: set(), RE: {Box}, RN: {Box}, RNabla: {Nabla}}
+
+    def test_schemas_lie_in_their_systems_dialect(self):
+        for system in SystemId:
+            for name in SYSTEM_AXIOMS[system]:
+                assert fits_dialect(SCHEMAS[name].pattern, SYSTEM_DIALECT[system]), (system, name)
+
+    @pytest.mark.parametrize("s5_re", [False, True])
+    def test_rules_add_only_operators_of_the_dialect(self, s5_re):
+        for system in SystemId:
+            rules = _RULE_AVAILABLE[system] + ((RE,) if s5_re and system is SystemId.S5 else ())
+            for rule in set(rules) - {Premise, AxiomInstance}:
+                for op in self.RULE_ADDS[rule]:
+                    assert fits_dialect(op(Atom(0)), SYSTEM_DIALECT[system]), (system, rule)
+
+    def test_rule_lines_add_only_their_rules_operator(self):
+        seen = set()
+        for name, proof in accepted_proofs():
+            for line in proof.lines:
+                rule = type(line.justification)
+                seen.add(rule)
+                if rule in self.RULE_ADDS:
+                    taken = set().union(*(modal_operators(proof.lines[ref - 1].formula)
+                                          for ref in line.references()))
+                    added = modal_operators(line.formula) - taken
+                    assert added <= self.RULE_ADDS[rule], (name, line)
+        assert seen == {Premise, AxiomInstance, MP, RE, RN, RNabla}
+
+    def test_walks_only_premises_and_axiom_bindings(self, monkeypatch):
+        calls = []
+        fits = proofs_module.fits_dialect
+
+        def recorded(f, dialect, memo=None):
+            calls.append(f)
+            return fits(f, dialect, memo)
+
+        monkeypatch.setattr(proofs_module, "fits_dialect", recorded)
+        seen = set()
+        for name, proof in accepted_proofs():
+            calls.clear()
+            assert check_proof(proof).accepted, name
+            expected = []
+            for line in proof.lines:
+                j = line.justification
+                seen.add(type(j))
+                if isinstance(j, Premise):
+                    expected.append(line.formula)
+                elif isinstance(j, AxiomInstance):
+                    expected += match_schema(SCHEMAS[j.schema_id], line.formula).values()
+            assert [id(f) for f in calls] == [id(f) for f in expected], name
+        assert seen == {Premise, AxiomInstance, MP, RE, RN, RNabla}
+
+
+def _swap_modal(text: str) -> str:
+    return text.replace("[]", "\0").replace("nabla", "[]").replace("\0", "nabla ")
+
+
+def mutant(data: dict, rng: random.Random) -> dict:
+    """``data`` with one line changed: its formula swapped for another
+    line's, its boxes and nablas swapped, ``nabla p0`` or ``[]p0`` conjoined
+    to it, or, on an MP line, its refs reversed.  The conclusion follows
+    the last line."""
+    lines = [dict(line) for line in data["lines"]]
+    line = rng.choice(lines)
+    kinds = ["swap", "modal", "nabla", "box"] + (["refs"] if line["rule"] == "mp" else [])
+    kind = rng.choice(kinds)
+    if kind == "swap":
+        line["formula"] = rng.choice(data["lines"])["formula"]
+    elif kind == "modal":
+        line["formula"] = _swap_modal(line["formula"])
+    elif kind == "refs":
+        line["refs"] = line["refs"][::-1]
+    else:
+        line["formula"] = f"({line['formula']}) & {'nabla ' if kind == 'nabla' else '[]'}p0"
+    return dict(data, lines=lines, conclusion=lines[-1]["formula"])
+
+
+class TestAgainstOracle:
+    """``check_proof`` gives ``perfbench/oracle.py``'s verdict, first failing
+    line included, on seeded one-line mutants of every fixture proof and of
+    every proof in the translation table."""
+
+    SEED = 20261018
+    MUTANTS = 600
+
+    @pytest.mark.parametrize("s5_re", [False, True])
+    def test_mutants_get_the_oracles_verdict(self, s5_re):
+        sources = [load_fixture("proofs", path.name) for path in sorted((FIXTURES / "proofs").glob("*.json"))]
+        sources += [case["proof"] for case in TestGoldenOutputs.TABLE]
+        rng = random.Random(self.SEED)
+        rejected = 0
+        for _ in range(self.MUTANTS // 2):
+            data = mutant(rng.choice(sources), rng)
+            result = check_proof(proof_from_data(data), s5_re=s5_re)
+            assert (result.accepted, result.failing_line) == oracle.check_proof(data, s5_re), data
+            if not result.accepted:
+                rejected += 1
+                assert len(result.premise_free) == result.failing_line - 1
+        assert rejected > self.MUTANTS // 4
 
 
 class TestSoundnessHooks:
