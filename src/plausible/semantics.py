@@ -109,7 +109,9 @@ def _valuation_from_data(data) -> dict[int, list[int]]:
         raise ModelFormatError('"V" must be an object mapping atoms to world arrays')
     atoms = {}
     for key, members in data.items():
-        if not (isinstance(key, str) and key.startswith("p") and key[1:].isdigit()):
+        # ASCII digits only, as in formula text: str.isdigit also admits
+        # other scripts' digits and superscripts
+        if not (isinstance(key, str) and key.startswith("p") and key[1:].isdigit() and key.isascii()):
             raise ModelFormatError(f"bad atom name {key!r}")
         atom = int(key[1:])
         if atom in atoms:
@@ -525,15 +527,6 @@ class RelationProperties:
     symmetric: bool
     transitive: bool
     equivalence: bool
-
-    def to_data(self) -> dict:
-        return {
-            "reflexive": self.reflexive,
-            "euclidean": self.euclidean,
-            "symmetric": self.symmetric,
-            "transitive": self.transitive,
-            "equivalence": self.equivalence,
-        }
 
 
 def relation_properties(m: KripkeModel) -> RelationProperties:

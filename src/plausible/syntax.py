@@ -199,8 +199,6 @@ class _Parser:
         self.text = text
         self.lexemes, self.leaves = _lex(text, metavariables)
         self.i = 0
-        self.depth = 0
-        self.nesting = 0
 
     def error(self, message: str) -> FormulaSyntaxError:
         return FormulaSyntaxError(message, _column(self.text, self.i))
@@ -212,40 +210,27 @@ class _Parser:
             return "end"
         return "atom" if isinstance(self.leaves.get(lx), Atom) else lx
 
-    def enter(self, prefix: bool = False) -> None:
-        """Open one nesting level at the current lexeme, a unary prefix or an
-        opening parenthesis if ``prefix``, and step past it; the caller
-        closes the level with ``leave``."""
-        if prefix and self.nesting == MAX_NESTING:
-            raise self.error(f"formula nests deeper than {MAX_NESTING} unary prefixes and parentheses")
-        if self.depth == MAX_DEPTH:
-            raise self.error(f"formula nests deeper than {MAX_DEPTH} levels")
-        self.depth += 1
-        self.nesting += prefix
-        self.i += 1
-
-    def leave(self, prefix: bool = False) -> None:
-        self.depth -= 1
-        self.nesting -= prefix
-
     def parse(self) -> Formula:
-        f = self.binary(1)
+        f = self.binary(1, 0, 0)
         if self.lexemes[self.i] != _END:
             raise self.error(f"unexpected trailing {self.found()!r}")
         return f
 
-    def binary(self, level: int) -> Formula:
+    def binary(self, level: int, depth: int, nesting: int) -> Formula:
         """Parse an operand and the binary operators binding at ``level`` or
-        tighter that follow it; ``binary(1)`` parses a whole formula.
+        tighter that follow it, inside ``depth`` open levels of which
+        ``nesting`` are unary prefixes and parentheses; ``binary(1, 0, 0)``
+        parses a whole formula.
 
-        An arrow parses its right operand at its own level, so it associates
-        to the right, and its nesting level closes after that operand.
-        ``&`` and ``|`` parse theirs one level up and stay in the loop, so
-        they associate to the left, and their nesting levels stay open to
-        the end of the chain: until the level changes or the loop ends.
+        Each operator opens one more level for its right operand, which an
+        arrow parses at its own level, so it associates to the right, and
+        ``&`` and ``|`` one level up, so they associate to the left.  The
+        levels of one chain of operators at one binding level stay open to
+        its end: until the binding level changes or the loop ends.  An
+        arrow's right operand takes every later arrow of its level, so an
+        arrow's chain ends with it.
         """
-        left = self.operand()
-        entry = self.depth
+        left = self.operand(depth, nesting)
         chain = None
         while True:
             infix = _INFIX.get(self.lexemes[self.i])
@@ -253,40 +238,40 @@ class _Parser:
                 break
             op, at, right_assoc = infix
             if at != chain:
-                self.depth = entry
+                open_levels = depth
                 chain = at
-            self.enter()
-            if right_assoc:
-                left = op(left, self.binary(at))
-                self.leave()
-            else:
-                left = op(left, self.binary(at + 1))
-        self.depth = entry
+            if open_levels == MAX_DEPTH:
+                raise self.error(f"formula nests deeper than {MAX_DEPTH} levels")
+            open_levels += 1
+            self.i += 1
+            left = op(left, self.binary(at if right_assoc else at + 1, open_levels, nesting))
         return left
 
-    def operand(self) -> Formula:
+    def operand(self, depth: int, nesting: int) -> Formula:
         """Parse a leaf, a unary prefix and its operand, or a formula in
-        parentheses."""
+        parentheses, inside ``depth`` open levels of which ``nesting`` are
+        unary prefixes and parentheses; a prefix or parenthesis opens one
+        more of each."""
         lx = self.lexemes[self.i]
         leaf = self.leaves.get(lx)
         if leaf is not None:
             self.i += 1
             return leaf
         op = _PREFIX.get(lx)
+        if op is None and lx != "(":
+            raise self.error(f"expected a formula, found {self.found()!r}")
+        if nesting == MAX_NESTING:
+            raise self.error(f"formula nests deeper than {MAX_NESTING} unary prefixes and parentheses")
+        if depth == MAX_DEPTH:
+            raise self.error(f"formula nests deeper than {MAX_DEPTH} levels")
+        self.i += 1
         if op is not None:
-            self.enter(prefix=True)
-            f = op(self.operand())
-            self.leave(prefix=True)
-            return f
-        if lx == "(":
-            self.enter(prefix=True)
-            inner = self.binary(1)
-            if self.lexemes[self.i] != ")":
-                raise self.error(f"expected ')', found {self.found()!r}")
-            self.i += 1
-            self.leave(prefix=True)
-            return inner
-        raise self.error(f"expected a formula, found {self.found()!r}")
+            return op(self.operand(depth + 1, nesting + 1))
+        inner = self.binary(1, depth + 1, nesting + 1)
+        if self.lexemes[self.i] != ")":
+            raise self.error(f"expected ')', found {self.found()!r}")
+        self.i += 1
+        return inner
 
 
 def parse(text: str) -> Formula:

@@ -6,8 +6,10 @@ stderr]`` row per command in ``CASES``, each run as written and again with
 exhausted on each search class, ``--sample`` refuted and inconclusive,
 ``consequence`` with and without ``--gamma``, accepted and rejected proofs,
 formula and proof translations in both directions, the algebra checks, and
-inputs that exit 2.  ``test_cli.TestGoldenOutputs`` requires the CLI to
-reproduce every row byte for byte.  Run from the repository root:
+inputs that exit 2; then an algebra failing every axiom, a model failing
+every condition, and ``--sample`` refuting on the universal class.
+``test_cli.TestGoldenOutputs`` requires the CLI to reproduce every row byte
+for byte.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/record_cli.py
 
@@ -31,7 +33,13 @@ ALGEBRAS = "tests/fixtures/algebras/"
 
 # Input files that no fixture holds, written to a temporary directory; an
 # argv names one as INPUT/<name>.
-INPUTS = {"repeated_key.json": '{"worlds": 1, "worlds": 2, "V": {"p0": [1]}}'}
+INPUTS = {
+    "repeated_key.json": '{"worlds": 1, "worlds": 2, "V": {"p0": [1]}}',
+    # fails a1-a4
+    "failing_algebra.json": '{"base": 2, "sharp": [0, 1, 1, 0]}',
+    # fails (c), (h), (t) and (n)
+    "failing_conditions.json": '{"worlds": 3, "S": {"0": [[0]], "1": [], "2": [[1, 2], [0]]}}',
+}
 
 
 def _search(command: str, formula: str, model_class: str, worlds: int, *extra: str) -> list[str]:
@@ -83,6 +91,9 @@ CASES = [
     ["algebra", ALGEBRAS + "identity_k2.json", "--formula", "nabla p0 -> p0"],
     ["algebra", ALGEBRAS + "identity_k2.json", "--formula", "nabla p0"],
     ["experiment-k", "--max-worlds", "2"],
+    ["algebra", "INPUT/failing_algebra.json"],
+    ["supplement", "INPUT/failing_conditions.json"],
+    _search("valid", "p0 -> []p0", "universal", 3, "--sample", "10", "--seed", "2"),
 ]
 
 

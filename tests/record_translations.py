@@ -6,8 +6,10 @@ it, ``[argv, exit code, stdout, stderr]``.  The proofs are every LNabla and
 LPBox fixture in ``tests/fixtures/proofs`` and seeded proofs that
 ``derivations.box_k``, ``nabla_top`` and ``nabla_h`` build over random
 formulas, each also with the formula of one line replaced, which the
-checker mostly rejects, and then the named proofs of ``FOREIGN``, each
-rejected for an operator outside its dialect on a line of a different rule.
+checker mostly rejects, then the named proofs of ``FOREIGN``, each
+rejected for an operator outside its dialect on a line of a different rule,
+and last ``REDERIVED``, whose translation derives its conclusion before
+its last line.
 ``test_proofs.TestGoldenOutputs`` requires the CLI to reproduce every
 output byte for byte.  Run from the repository root:
 
@@ -61,6 +63,16 @@ FOREIGN: list[tuple[str, dict]] = [
         ("rule_outside_system", "LNabla", [], [_TRUE, _line("[]true <-> []true", "re", refs=[1])]),
     )
 ]
+
+
+# An LNabla proof that repeats its first line as its conclusion.  Its
+# translation finds that line already derived, before the last line, so
+# ``ProofBuilder.build`` re-derives it at the end by a trivial modus ponens.
+REDERIVED = ("rederived_conclusion", {
+    "system": "LNabla", "premises": [], "conclusion": "nabla(p0 | ~p0)",
+    "lines": [_line("nabla(p0 | ~p0)", "axiom", schema="Ax2"), _line("nabla p1 -> p1", "axiom", schema="Ax3"),
+              _line("nabla(p0 | ~p0)", "axiom", schema="Ax2")],
+})
 
 
 def formula(rng: random.Random, modal: type, size: int):
@@ -137,7 +149,7 @@ def proofs() -> list[tuple[str, dict]]:
     for k in range(SEEDED_PROOFS):
         data = seeded_proof(rng, k)
         named += [(f"seeded_{k}", data), (f"seeded_{k}_broken", broken(rng, data))]
-    return named + FOREIGN
+    return named + FOREIGN + [REDERIVED]
 
 
 def main() -> None:

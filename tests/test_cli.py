@@ -155,6 +155,13 @@ class TestEval:
         with pytest.raises(ModelFormatError):
             model_from_data(data)
 
+    @pytest.mark.parametrize("key", ["p٣", "p²"], ids=["arabic_indic_three", "superscript_two"])
+    def test_atom_name_digits_are_ascii(self, capsys, tmp_path, key):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"worlds": 1, "V": {key: [0]}}), encoding="utf-8")
+        code, out, err = run(capsys, "eval", str(path), "0", "p3")
+        assert code == 2 and out == "" and f"bad atom name {key!r}" in err
+
     @pytest.mark.parametrize("structure", [{"S": {}}, {"R": []}, {}])
     def test_world_count_bound(self, capsys, tmp_path, structure):
         path = tmp_path / "model.json"

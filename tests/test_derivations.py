@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import formulas, load_fixture
+from record_translations import REDERIVED
 from plausible.derivations import (
     DerivationError,
     ProofBuilder,
@@ -21,6 +22,7 @@ from plausible.derivations import (
     translate_proof,
 )
 from plausible.proofs import (
+    MP,
     AxiomInstance,
     Proof,
     ProofLine,
@@ -302,6 +304,17 @@ class TestTranslateProof:
             back = translate_proof(translate_proof(proof))
             assert back.system is proof.system
             assert back.conclusion == proof.conclusion
+
+    def test_conclusion_hit_before_the_last_line_is_rederived(self):
+        proof = proof_from_data(REDERIVED[1])
+        out = translate_proof(proof)
+        goal = parse("[](p0 | ~p0)")
+        last = out.lines[-1]
+        assert len(out.lines) == 156 and out.conclusion == goal
+        assert isinstance(last.justification, MP) and last.formula == goal
+        assert out.lines[last.justification.antecedent - 1].formula == goal
+        assert out.lines[last.justification.implication - 1].formula == Implies(goal, goal)
+        assert translate_proof(out).conclusion == proof.conclusion
 
     def test_rejected_input_refused(self):
         proof = proof_from_data(load_fixture("proofs", "broken_rnabla_premise.json"))
