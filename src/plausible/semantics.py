@@ -113,7 +113,12 @@ def _valuation_from_data(data) -> dict[int, list[int]]:
         # other scripts' digits and superscripts
         if not (isinstance(key, str) and key.startswith("p") and key[1:].isdigit() and key.isascii()):
             raise ModelFormatError(f"bad atom name {key!r}")
-        atom = int(key[1:])
+        try:
+            atom = int(key[1:])
+        except ValueError:  # more digits than int() converts
+            raise ModelFormatError(
+                f"bad atom name: atom index of {len(key) - 1} digits is too long"
+            ) from None
         if atom in atoms:
             raise ModelFormatError(f"atom {key!r} repeats p{atom}")
         atoms[atom] = _int_list(members, f'"V" entry {key!r}')

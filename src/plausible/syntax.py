@@ -14,6 +14,7 @@ and at most ``MAX_DEPTH`` levels in all.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -35,84 +36,127 @@ class UnboundMetavariableError(ValueError):
     """A schema instantiation is missing a binding for some metavariable."""
 
 
-class Formula:
+class Formula(tuple):
     """Base class for formula nodes.
 
-    Instances are immutable and hashable; equality is structural and is the
-    notion of formula identity used throughout the package.
+    A node is the tuple ``(tag, *fields)``: ``tag`` is a small int, one per
+    node type, and the fields are the node's operands (an ``Atom``'s index).
+    Nodes are immutable.  Equality and hashing are the tuple's, structural
+    and computed in C; the tags keep nodes of different types unequal, and
+    as every leaf holds only ints, a formula hashes alike in every process.
+    Equality is the notion of formula identity used throughout the package.
     """
 
     __slots__ = ()
 
+    def __getnewargs__(self):
+        # what ``copy`` and ``pickle`` pass back to ``__new__``
+        return self[1:]
 
-@dataclass(frozen=True)
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self[1:]))})"
+
+
+# Each node type states its tag; the class of its arity builds its tuple and
+# names its fields.  Every class declares empty ``__slots__``, so no node has
+# a ``__dict__`` and setting any attribute raises ``AttributeError``.  The
+# fields are a named tuple's field accessors, which read any tuple's item in
+# C and refuse assignment; ``property(itemgetter(k))`` takes about twice as
+# long a read, which the ``match`` in ``truth_mask`` pays at every node.
+_Fields = namedtuple("_Fields", "tag first second")
+
+
+class _Nullary(Formula):
+    __slots__ = ()
+
+    def __new__(cls):
+        return tuple.__new__(cls, (cls._tag,))
+
+
+class _Unary(Formula):
+    __slots__ = ()
+    __match_args__ = ("operand",)
+    operand = _Fields.first
+
+    def __new__(cls, operand: Formula):
+        return tuple.__new__(cls, (cls._tag, operand))
+
+
+class _Binary(Formula):
+    __slots__ = ()
+    __match_args__ = ("left", "right")
+    left = _Fields.first
+    right = _Fields.second
+
+    def __new__(cls, left: Formula, right: Formula):
+        return tuple.__new__(cls, (cls._tag, left, right))
+
+
 class Atom(Formula):
-    index: int
+    __slots__ = ()
+    __match_args__ = ("index",)
+    _tag = 0
+    index = _Fields.first
 
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"atom index must be non-negative, got {self.index}")
-
-
-@dataclass(frozen=True)
-class Top(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class Bottom(Formula):
-    pass
+    def __new__(cls, index: int):
+        if index < 0:
+            raise ValueError(f"atom index must be non-negative, got {index}")
+        return tuple.__new__(cls, (cls._tag, index))
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    operand: Formula
+class Top(_Nullary):
+    __slots__ = ()
+    _tag = 1
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class Bottom(_Nullary):
+    __slots__ = ()
+    _tag = 2
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Not(_Unary):
+    __slots__ = ()
+    _tag = 3
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
+    _tag = 4
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
+    _tag = 5
 
 
-@dataclass(frozen=True)
-class Box(Formula):
-    operand: Formula
+class Implies(_Binary):
+    __slots__ = ()
+    _tag = 6
 
 
-@dataclass(frozen=True)
-class Diamond(Formula):
-    operand: Formula
+class Iff(_Binary):
+    __slots__ = ()
+    _tag = 7
 
 
-@dataclass(frozen=True)
-class Nabla(Formula):
-    operand: Formula
+class Box(_Unary):
+    __slots__ = ()
+    _tag = 8
+
+
+class Diamond(_Unary):
+    __slots__ = ()
+    _tag = 9
+
+
+class Nabla(_Unary):
+    __slots__ = ()
+    _tag = 10
 
 
 TOP = Top()
 BOTTOM = Bottom()
 
-_UNARY = (Not, Box, Diamond, Nabla)
-_BINARY = (And, Or, Implies, Iff)
 _MODAL = (Box, Diamond, Nabla)
 
 
@@ -390,9 +434,9 @@ def _match(pat: Formula, tgt: Formula, binding: MetaBinding) -> bool:
         return bound == tgt
     if type(pat) is not type(tgt):
         return False
-    if isinstance(pat, (Top, Bottom)):
+    if isinstance(pat, _Nullary):
         return True
-    if isinstance(pat, _UNARY):
+    if isinstance(pat, _Unary):
         return _match(pat.operand, tgt.operand, binding)
     return _match(pat.left, tgt.left, binding) and _match(pat.right, tgt.right, binding)
 
@@ -409,9 +453,9 @@ def _instantiate(pat: Formula, binding: MetaBinding) -> Formula:
         except KeyError:
             name = _metavariable_name(pat.index)
             raise UnboundMetavariableError(f"metavariable {name} is unbound") from None
-    if isinstance(pat, (Top, Bottom)):
+    if isinstance(pat, _Nullary):
         return pat
-    if isinstance(pat, _UNARY):
+    if isinstance(pat, _Unary):
         return type(pat)(_instantiate(pat.operand, binding))
     return type(pat)(_instantiate(pat.left, binding), _instantiate(pat.right, binding))
 
@@ -469,7 +513,7 @@ def _collect_modal(f: Formula, ops: set[type]) -> None:
         _collect_modal(f.operand, ops)
     elif isinstance(f, Not):
         _collect_modal(f.operand, ops)
-    elif isinstance(f, _BINARY):
+    elif isinstance(f, _Binary):
         _collect_modal(f.left, ops)
         _collect_modal(f.right, ops)
 
@@ -477,7 +521,7 @@ def _collect_modal(f: Formula, ops: set[type]) -> None:
 def _fits(f: Formula, allowed: frozenset[type], memo: dict) -> bool:
     if isinstance(f, (Atom, Top, Bottom)) or id(f) in memo:
         return True
-    if isinstance(f, _BINARY):
+    if isinstance(f, _Binary):
         fits = _fits(f.left, allowed, memo) and _fits(f.right, allowed, memo)
     else:
         fits = (isinstance(f, Not) or type(f) in allowed) and _fits(f.operand, allowed, memo)
@@ -533,7 +577,7 @@ _SWAPS: dict[Dialect, dict[type, type]] = {
     Dialect.BOX: {Not: Not, Box: Nabla},
 }
 _LEAF_TYPES = frozenset({Atom, Top, Bottom})
-_BINARY_TYPES = frozenset(_BINARY)
+_BINARY_TYPES = frozenset({And, Or, Implies, Iff})
 
 
 def _swap(f: Formula, swap: dict, memo: dict) -> Formula:

@@ -13,7 +13,7 @@ from plausible import _kernel_py, cli, search
 from plausible.algebra import MAX_BASE, AlgebraFormatError, InvalidAlgebraError
 from plausible.cli import build_parser, main
 from plausible.derivations import TranslationError
-from plausible.proofs import ProofFormatError, proof_from_data
+from plausible.proofs import ProofFormatError, proof_from_data, proof_to_data
 from plausible.search import MAX_SAMPLES, BoundsExceededError, SearchInternalError
 from plausible.semantics import (
     MAX_CONDITION_WORLDS,
@@ -23,7 +23,7 @@ from plausible.semantics import (
     WorldRangeError,
     model_from_data,
 )
-from plausible.syntax import DialectError, FormulaSyntaxError, UnboundMetavariableError
+from plausible.syntax import DialectError, Formula, FormulaSyntaxError, UnboundMetavariableError
 
 MODELS = FIXTURES / "models"
 PROOFS = FIXTURES / "proofs"
@@ -161,6 +161,14 @@ class TestEval:
         path.write_text(json.dumps({"worlds": 1, "V": {key: [0]}}), encoding="utf-8")
         code, out, err = run(capsys, "eval", str(path), "0", "p3")
         assert code == 2 and out == "" and f"bad atom name {key!r}" in err
+
+    def test_atom_name_too_long_for_int(self, capsys, tmp_path):
+        # worded as TestFmt.test_atom_index_too_long_for_int's lexer error
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"worlds": 1, "V": {"p" + "9" * 5000: [0]}}), encoding="utf-8")
+        code, out, err = run(capsys, "eval", str(path), "0", "p3")
+        assert code == 2 and out == ""
+        assert err == "error: bad atom name: atom index of 5000 digits is too long\n"
 
     @pytest.mark.parametrize("structure", [{"S": {}}, {"R": []}, {}])
     def test_world_count_bound(self, capsys, tmp_path, structure):
@@ -711,6 +719,51 @@ class TestAnswerOnce:
         code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "report.json"))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "missing" in err
+
+
+def formulas_in(data) -> list:
+    """Every formula node inside a document.  A node is a tuple, which
+    ``json.dumps`` prints as an array instead of refusing it."""
+    if isinstance(data, Formula):
+        return [data]
+    if isinstance(data, dict):
+        data = list(data.values())
+    if isinstance(data, (list, tuple)):
+        return [f for item in data for f in formulas_in(item)]
+    return []
+
+
+class TestDocumentsHoldNoFormula:
+    """Every document the CLI prints holds only JSON values, no formula."""
+
+    def test_command_documents(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(FIXTURES.parent.parent)
+        for name, text in record_cli.INPUTS.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        reports, experiment_report = [], search.experiment_report
+
+        def recorded(*args):
+            reports.append(experiment_report(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(search, "experiment_report", recorded)
+        commands = set()
+        for argv in record_cli.CASES:
+            real = [str(tmp_path / a[len("INPUT/"):]) if a.startswith("INPUT/") else a for a in argv]
+            args = build_parser().parse_args(real)
+            try:
+                _, document = args.func(args)
+            except (ValueError, OSError):  # an input error has no document
+                continue
+            commands.add(args.func.__name__)
+            assert formulas_in(document) == [], argv
+        assert commands == {name for name in vars(cli) if name.startswith("cmd_")}
+        assert reports and formulas_in(reports) == []
+
+    @pytest.mark.parametrize("path", sorted(PROOFS.glob("*.json")), ids=lambda p: p.name)
+    def test_proof_documents(self, path):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert formulas_in(proof_to_data(proof_from_data(data))) == []
 
 
 def test_library_import_leaves_the_cli_out():

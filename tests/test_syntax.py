@@ -1,12 +1,20 @@
+import copy
 import gc
 import json
+import os
+import pickle
 import re
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, formulas, oracle, shared_formulas
+import plausible
 from plausible.proofs import SCHEMAS
 from plausible.search import compile_program
 from plausible.syntax import (
@@ -47,6 +55,105 @@ from plausible.syntax import (
 )
 
 p0, p1, p2, p3 = Atom(0), Atom(1), Atom(2), Atom(3)
+
+
+# One node of each type, grouped by the fields the type has.
+NODES_BY_FIELDS = {
+    "nullary": [Top(), Bottom()],
+    "operand": [Not(p1), Box(p1), Diamond(p1), Nabla(p1)],
+    "left, right": [And(p0, p1), Or(p0, p1), Implies(p0, p1), Iff(p0, p1)],
+}
+ALL_NODES = [p0, *(n for group in NODES_BY_FIELDS.values() for n in group)]
+
+
+class TestNodes:
+    """The contract every consumer of formula nodes relies on."""
+
+    def test_trees_built_apart_are_equal_and_hash_alike(self):
+        text = "[](p0 -> ~p1) <-> nabla(p2 & true) | <>false"
+        built = Iff(Box(Implies(p0, Not(p1))), Or(Nabla(And(p2, Top())), Diamond(Bottom())))
+        parsed = parse(text)
+        assert parsed is not built and parsed == built and hash(parsed) == hash(built)
+        assert parse(text) == parsed and hash(parse(text)) == hash(parsed)
+        assert {parsed: 1}[built] == 1
+
+    @pytest.mark.parametrize("fields", list(NODES_BY_FIELDS))
+    def test_types_with_the_same_fields_are_unequal(self, fields):
+        for a, b in combinations(NODES_BY_FIELDS[fields], 2):
+            assert a != b and b != a and not a == b
+        assert len(set(NODES_BY_FIELDS[fields])) == len(NODES_BY_FIELDS[fields])
+
+    @pytest.mark.parametrize("node", ALL_NODES, ids=lambda n: type(n).__name__)
+    def test_assignment_raises_attribute_error(self, node):
+        for name in (*getattr(node, "__match_args__", ()), "extra"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, p2)
+
+    def test_fields_read_back(self):
+        assert p3.index == 3
+        assert [n.operand for n in NODES_BY_FIELDS["operand"]] == [p1] * 4
+        assert [(n.left, n.right) for n in NODES_BY_FIELDS["left, right"]] == [(p0, p1)] * 4
+
+    def test_atom_index_is_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Atom(-1)
+
+    def test_class_patterns_bind(self):
+        def shape(f):
+            match f:
+                case Atom(i):
+                    return ("atom", i)
+                case Top() | Bottom():
+                    return (type(f).__name__,)
+                case Not(g) | Box(g) | Diamond(g) | Nabla(g):
+                    return (type(f).__name__, g)
+                case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
+                    return (type(f).__name__, l, r)
+            return None
+
+        assert shape(p3) == ("atom", 3)
+        assert shape(Bottom()) == ("Bottom",)
+        assert shape(Nabla(p1)) == ("Nabla", p1)
+        assert shape(Implies(p0, p1)) == ("Implies", p0, p1)
+        assert [shape(n) is not None for n in ALL_NODES] == [True] * len(ALL_NODES)
+
+    def test_hash_is_the_same_in_every_process(self):
+        text = "[](p0 -> ~p1) <-> nabla(p2 & true) | <>false"
+        script = f"from plausible.syntax import parse; print(hash(parse({text!r})))"
+        src = str(Path(plausible.__file__).resolve().parent.parent)
+        hashes = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert hashes == {f"{hash(parse(text))}\n"}
+
+    @staticmethod
+    def assert_round_trips(round_trip):
+        f = parse("[](p0 -> ~p1) <-> nabla(p2 & true) | <>false")
+        for node in (f, *ALL_NODES):
+            back = round_trip(node)
+            assert back == node and hash(back) == hash(node) and type(back) is type(node)
+            assert repr(back) == repr(node) and render(back) == render(node)
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+    def test_copy_round_trips(self, copier):
+        self.assert_round_trips(copier)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trips(self, protocol):
+        self.assert_round_trips(lambda f: pickle.loads(pickle.dumps(f, protocol)))
+
+    def test_representation(self):
+        # a node is the tuple (tag, *fields), with one int tag per node type
+        assert all(isinstance(n, tuple) for n in ALL_NODES)
+        assert [n[1:] for n in NODES_BY_FIELDS["left, right"]] == [(p0, p1)] * 4
+        tags = [n[0] for n in ALL_NODES]
+        assert all(type(t) is int for t in tags) and len(set(tags)) == len(tags)
+        assert repr(And(Atom(0), Top())) == "And(Atom(0), Top())"
 
 
 class TestParse:
