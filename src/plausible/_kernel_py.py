@@ -22,6 +22,26 @@ Valuations are streamed in chunks of at most ``2**CHUNK_LOG2`` consecutive
 indices, cut at whole atoms: the low atoms vary inside a chunk, the high
 atoms are constant across it.  Memory therefore stays bounded whatever
 the atom count.
+
+Only one structure per isomorphism class is scanned.  Relabelling the
+worlds by a permutation π maps a structure S to π(S) and each valuation to
+one of π(S); a formula's truth at w becomes its truth at π(w), so premises
+valid everywhere stay valid and a falsified target stays falsified.  Call
+S orbit-minimal if no π(S) comes earlier in the order above.  The first
+structure with a countermodel is orbit-minimal: an earlier relabelling
+would have one too.  So scanning the orbit-minimal structures in order,
+each in full, finds the same first countermodel as scanning them all, and
+the count the full scan reports is still exact.  With k atoms, S the
+countermodel's structure on n worlds, rank(S) its position among all
+structures on n worlds and v its valuation's index,
+
+    models_checked = Σ_{m<n} |structures(m)|·2^(m·k) + rank(S)·2^(n·k) + v + 1,
+
+and an exhausted search over 1..N worlds reports
+Σ_{n≤N} |structures(n)|·2^(n·k).  Finding the orbit minima costs more than
+the searches they save, so their ranks are committed in
+``plausible._orbits`` (written by ``tests/record_orbits.py``) and decoded
+on first use.
 """
 
 from itertools import product
@@ -110,14 +130,21 @@ def _place(w: int, n: int, blocks: list[int], out: list) -> None:
     blocks.pop()
 
 
+def world_choices(class_id: int, n: int) -> list:
+    """Each world's entries in order, for the classes whose structures are
+    all their combinations: candidate cores (constrained), family bitmasks
+    (raw) or successor rows (Kripke)."""
+    if class_id == CLASS_CONSTRAINED:
+        return constrained_candidates(n)
+    if class_id == CLASS_RAW:
+        return [range(1 << (1 << n))] * n
+    return [range(1 << n)] * n
+
+
 def structures(class_id: int, n: int):
     """Yield per-world structure tuples for one world count, in order."""
-    if class_id == CLASS_CONSTRAINED:
-        yield from product(*constrained_candidates(n))
-    elif class_id == CLASS_RAW:
-        yield from product(range(1 << (1 << n)), repeat=n)
-    elif class_id == CLASS_KRIPKE_ALL:
-        yield from product(range(1 << n), repeat=n)
+    if class_id in (CLASS_CONSTRAINED, CLASS_RAW, CLASS_KRIPKE_ALL):
+        yield from product(*world_choices(class_id, n))
     elif class_id == CLASS_KRIPKE_EQUIV:
         # Sorted rows tuples are the product order of the relations.
         for rows in sorted(partition_rows(n)):
@@ -125,6 +152,44 @@ def structures(class_id: int, n: int):
                 yield rows
     else:
         yield ()
+
+
+# (class id, worlds) -> ranks of the orbit-minimal structures, decoded
+# from ``_orbits.RANKS`` on first use
+_ranks: dict[tuple[int, int], list[int]] = {}
+
+
+def orbit_ranks(class_id: int, n: int) -> list[int]:
+    """Ranks, ascending, of the orbit-minimal structures on ``n`` worlds:
+    their positions in ``structures(class_id, n)``."""
+    ranks = _ranks.get((class_id, n))
+    if ranks is None:
+        # imported here, so that a command that runs no search never loads it
+        from . import _orbits
+
+        text, width = _orbits.RANKS[class_id, n], _orbits.WIDTH
+        ranks = _ranks[class_id, n] = [int(text[i:i + width], 16) for i in range(0, len(text), width)]
+    return ranks
+
+
+def orbit_minima(class_id: int, n: int):
+    """``(count, minima)``: how many structures there are on ``n`` worlds,
+    and the orbit-minimal ones as ``(rank, structure)`` in order, decoded
+    as they are iterated."""
+    if class_id == CLASS_UNIVERSAL:
+        return 1, [(0, ())]
+    ranks = orbit_ranks(class_id, n)
+    if class_id == CLASS_KRIPKE_EQUIV:
+        every = list(structures(class_id, n))
+        return len(every), ((r, every[r]) for r in ranks)
+    # A rank's digits, world 0 the most significant, index the worlds'
+    # choices; every world has the same power-of-two number of them.
+    choices = world_choices(class_id, n)
+    bits = len(choices[0]).bit_length() - 1
+    digit = (1 << bits) - 1
+    shifts = [bits * (n - 1 - w) for w in range(n)]
+    minima = ((r, tuple(c[(r >> s) & digit] for c, s in zip(choices, shifts))) for r in ranks)
+    return 1 << (bits * n), minima
 
 
 def bit_patterns(nbits: int) -> list[int]:
@@ -221,7 +286,10 @@ def run_search(class_id: int, max_worlds: int, natoms: int, programs):
     """Scan the model class for the first model falsifying the last program
     while globally validating all earlier ones.
 
-    Returns ``(found, models_checked, worlds, structure, vmasks, world)``.
+    Only orbit-minimal structures are scanned; the result, ``models_checked``
+    included, is that of scanning every structure (see the module
+    docstring).  Returns ``(found, models_checked, worlds, structure,
+    vmasks, world)``.
     """
     gamma = programs[:-1]
     target = programs[-1]
@@ -240,7 +308,8 @@ def run_search(class_id: int, max_worlds: int, natoms: int, programs):
             for i in range(high, natoms)
         ]
         set_bits = [tuple(z for z in range(n) if (m >> z) & 1) for m in range(1 << n)]
-        for struct in structures(class_id, n):
+        count, minima = orbit_minima(class_id, n)
+        for rank, struct in minima:
             if class_id == CLASS_RAW:
                 frame = [[x for x in range(1 << n) if (fam >> x) & 1] for fam in struct]
             else:
@@ -265,6 +334,6 @@ def run_search(class_id: int, max_worlds: int, natoms: int, programs):
                     v = (chunk << (n * low)) | u
                     vmasks = tuple((v >> (n * (natoms - 1 - i))) & full for i in range(natoms))
                     world = next(w for w in range(n) if not (ts[w] >> u) & 1)
-                    return (True, checked + v + 1, n, struct, vmasks, world)
-            checked += 1 << (n * natoms)
+                    return (True, checked + (rank << (n * natoms)) + v + 1, n, struct, vmasks, world)
+        checked += count << (n * natoms)
     return (False, checked, 0, (), (), -1)

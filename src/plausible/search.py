@@ -48,6 +48,7 @@ from .syntax import (
     parse,
     render,
     require_dialect,
+    subformulas,
 )
 
 # Searches call the kernel through this attribute, so tools can wrap it.
@@ -235,14 +236,40 @@ def _revalidate(
         raise SearchInternalError("countermodel fails to falsify the formula")
 
 
+def universal_world_bound(formulas) -> int:
+    """Worlds enough for the first universal countermodel: m + 1, where m
+    counts the distinct modal subformulas of ``formulas``.
+
+    Take a universal countermodel: the premises hold at every world and the
+    target fails at world w.  Keep w and, for each modal subformula, one
+    witness if there is one: a world where A fails for ``[]A``, where A
+    holds for ``<>A`` (S5 selection; Blackburn, de Rijke & Venema, *Modal
+    Logic*, 2001, ch. 6).  By induction on subformulas, each of them has the
+    same truth value at a kept world in the submodel as in the model: a
+    modal one is true everywhere or nowhere, and its witness stayed.  So the
+    kept worlds, at most m + 1, are a countermodel too, and the smallest
+    world count with a countermodel is at most m + 1.
+    """
+    modal = {g for f in formulas for g in subformulas(f) if isinstance(g, (Box, Diamond))}
+    return len(modal) + 1
+
+
 def _search(gamma: tuple[Formula, ...], f: Formula, bounds: SearchBounds) -> SearchOutcome:
     _require_class_dialect((*gamma, f), bounds.model_class)
     slots = {atom: i for i, atom in enumerate(bounds.atoms)}
     programs = [compile_program(g, slots) for g in (*gamma, f)]
+    # A universal search stops at the bound above: the first countermodel
+    # lies within it, and without one each world count n past it adds its
+    # 2^(n·k) models to the full scan's count.
+    scanned = bounds.max_worlds
+    if bounds.model_class is ModelClass.UNIVERSAL:
+        scanned = min(scanned, universal_world_bound((*gamma, f)))
     found, checked, n, struct, vmasks, world = _ACTIVE.run_search(
-        _CLASS_ID[bounds.model_class], bounds.max_worlds, len(bounds.atoms), programs
+        _CLASS_ID[bounds.model_class], scanned, len(bounds.atoms), programs
     )
     if not found:
+        k = len(bounds.atoms)
+        checked += sum(1 << (worlds * k) for worlds in range(scanned + 1, bounds.max_worlds + 1))
         return SearchOutcome(Verdict.EXHAUSTED_VALID, checked)
     model = _model_from_struct(bounds.model_class, n, tuple(struct), tuple(vmasks), bounds.atoms)
     _revalidate(bounds, model, world, gamma, f)

@@ -215,6 +215,15 @@ class TestValid:
         )
         assert code == 0 and data["verdict"] == "ExhaustedValid"
 
+    def test_universal_ten_worlds_stops_at_the_world_bound(self, capsys):
+        # no modal subformula: one world holds the first countermodel if
+        # there is one, and the rest of the count is its closed form
+        code, data, _ = run_json(
+            capsys, "valid", "p0|~p0|p1|p2|p3|p4|p5|p6|p7|p8|p9", "--class", "universal", "--max-worlds", "10"
+        )
+        assert code == 0 and data["verdict"] == "ExhaustedValid"
+        assert data["models_checked"] == 1_268_889_750_375_080_065_623_288_448_000
+
     def test_sample_requires_seed(self, capsys):
         code, _, err = run(
             capsys, "valid", "p0", "--class", "constrained", "--max-worlds", "2", "--sample", "10"
@@ -778,3 +787,20 @@ def test_library_import_leaves_the_cli_out():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\n"
+
+
+def test_fmt_leaves_the_orbit_table_undecoded():
+    # Only a search loads the orbit table, and decodes only the world
+    # counts it scans.
+    script = (
+        "import sys; from plausible import _kernel_py, cli; "
+        "probe = lambda: print('plausible._orbits' in sys.modules, len(_kernel_py._ranks), file=sys.stderr); "
+        "cli.main(['fmt', 'p0']); probe(); "
+        "cli.main(['valid', '[]p0 -> p0', '--class', 'constrained', '--max-worlds', '2']); probe()"
+    )
+    src = str(Path(plausible.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stderr == "False 0\nTrue 2\n"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import formulas, oracle
-from plausible import _kernel_py, search
+from plausible import _kernel_py, _orbits, search
 from plausible.search import (
     _CLASS_ID,
     MAX_SAMPLES,
@@ -28,6 +28,7 @@ from plausible.search import (
     kernel_backend,
     run_k_experiment,
     sample_countermodel,
+    universal_world_bound,
 )
 from plausible.semantics import (
     NeighborhoodModel,
@@ -214,6 +215,12 @@ class TestReferenceParity:
         ((), "<>p0 -> []<>p0", _kernel_py.CLASS_KRIPKE_ALL, 2, 1),
         ((), "[]p0 -> p0", _kernel_py.CLASS_KRIPKE_EQUIV, 3, 1),
         ((), "<>p0 -> p0", _kernel_py.CLASS_UNIVERSAL, 3, 1),
+        # universal searches scan only up to their world bound, here 2, 3, 2
+        # and 3 worlds
+        ((), "<>p0 -> p0", _kernel_py.CLASS_UNIVERSAL, 5, 1),
+        (("<>p1", "~(p0 & p1)"), "<>p0 -> p0 | p1", _kernel_py.CLASS_UNIVERSAL, 5, 2),
+        (("p0",), "[]p0", _kernel_py.CLASS_UNIVERSAL, 5, 2),
+        (("[]p0 -> p1",), "<>p1 -> p1 & p0", _kernel_py.CLASS_UNIVERSAL, 5, 2),
     ]
 
     @pytest.mark.parametrize("gamma,text,class_id,worlds,natoms", CASES)
@@ -222,10 +229,39 @@ class TestReferenceParity:
         assert_oracle_parity(premises, parse(text), class_id, worlds, natoms, (_kernel_py.CHUNK_LOG2, 1))
 
     def test_exhaustion_across_chunks(self):
-        # 2,113,664 models, too many for the oracle to scan here
-        out = find_countermodel(parse("p0|~p0|p1|p2|p3|p4|p5"), bounds(ModelClass.UNIVERSAL, 3, range(7)))
+        # 2,113,664 models, too many for the oracle to scan here; two modal
+        # subformulas keep all 3 worlds, the last in 8 chunks, in the scan
+        f = parse("p0|~p0|[]p1|<>p2|p3|p4|p5")
+        assert universal_world_bound([f]) == 3
+        out = find_countermodel(f, bounds(ModelClass.UNIVERSAL, 3, range(7)))
         assert out.verdict is Verdict.EXHAUSTED_VALID
         assert out.models_checked == oracle.model_count("universal", 3, 7)
+
+    # Refuted first at 3 or 4 worlds, deep in the scan, over p0 and p1 up to
+    # 4 worlds: (premises, formula, class, worlds of the first countermodel,
+    # models checked).  The oracle scans every structure, so these check
+    # that scanning one structure per isomorphism class keeps the first
+    # countermodel and the count.
+    F3 = "~(~[]~(p0&p1) & ~[]~(p0&~p1) & ~[]~(~p0&p1))"
+    F4 = "~(~[]~(p0&p1) & ~[]~(p0&~p1) & ~[]~(~p0&p1) & ~[]~(~p0&~p1))"
+    D4 = "~(<>(p0&p1) & <>(p0&~p1) & <>(~p0&p1) & <>(~p0&~p1))"
+    DEEP = [
+        ((), F3, _kernel_py.CLASS_CONSTRAINED, 3, 98),
+        ((), F4, _kernel_py.CLASS_CONSTRAINED, 4, 4_218),
+        ((), D4, _kernel_py.CLASS_KRIPKE_EQUIV, 4, 3_994),
+        ((), D4, _kernel_py.CLASS_KRIPKE_ALL, 4, 36_926),
+        (("p1 -> []p1",), F3, _kernel_py.CLASS_CONSTRAINED, 3, 739),
+        (("p1 -> []p1",), F4, _kernel_py.CLASS_CONSTRAINED, 4, 18_081),
+        (("~p0 -> <>(p0 & p1)",), D4, _kernel_py.CLASS_KRIPKE_EQUIV, 4, 3_994),
+        (("p0 -> <>p1",), D4, _kernel_py.CLASS_KRIPKE_ALL, 4, 41_166),
+    ]
+
+    @pytest.mark.parametrize("gamma,text,class_id,worlds,checked", DEEP)
+    def test_deep_refutations(self, gamma, text, class_id, worlds, checked):
+        premises = [parse(g) for g in gamma]
+        assert_oracle_parity(premises, parse(text), class_id, 4, 2, (_kernel_py.CHUNK_LOG2,))
+        out = check_global_consequence(premises, parse(text), bounds(_MODEL_CLASS[class_id], 4, (0, 1)))
+        assert (out.countermodel.worlds, out.models_checked) == (worlds, checked)
 
     # (class, max worlds, atoms, modal operators): small enough that the
     # oracle exhausts every class in milliseconds.
@@ -300,15 +336,105 @@ class TestKernel:
         # time; atom tables for every chunk at once take about 0.3 MB.
         chunk_bytes = (1 << _kernel_py.CHUNK_LOG2) // 8
         b = bounds(ModelClass.UNIVERSAL, 5, (0, 1, 2, 3))
+        # four modal subformulas keep 5 worlds in the scan
+        f = parse("[]p0 -> p0 & (p1 | ~p1 | []p2 | <>p3 | []p1)")
+        assert universal_world_bound([f]) == 5
         tracemalloc.start()
         try:
-            out = find_countermodel(parse("[]p0 -> p0 & (p1 | ~p1 | p2 | p3)"), b)
+            out = find_countermodel(f, b)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert out.verdict is Verdict.EXHAUSTED_VALID
         assert out.models_checked == 1_118_480
         assert peak < 64 * chunk_bytes
+
+
+def relabel(frame, n: int, perm) -> tuple:
+    """An oracle frame with each world ``w`` renamed ``perm[w]``."""
+
+    def image(mask: int) -> int:
+        return sum(1 << perm[z] for z in range(n) if (mask >> z) & 1)
+
+    out = [None] * n
+    for w, entry in enumerate(frame):
+        out[perm[w]] = frozenset(map(image, entry)) if isinstance(entry, frozenset) else image(entry)
+    return tuple(out)
+
+
+class TestOrbitTable:
+    """The committed ranks of orbit-minimal structures (``tests/record_orbits.py``)."""
+
+    ENTRIES = sorted(_orbits.RANKS)
+    MINIMA = {
+        _kernel_py.CLASS_CONSTRAINED: [1, 3, 16, 218],
+        _kernel_py.CLASS_RAW: [4, 136],
+        _kernel_py.CLASS_KRIPKE_ALL: [2, 10, 104, 3_044],
+        _kernel_py.CLASS_KRIPKE_EQUIV: [1, 2, 3, 5],
+    }
+
+    def test_counts_of_minima(self):
+        assert {key: len(_kernel_py.orbit_ranks(*key)) for key in self.ENTRIES} == {
+            (class_id, n): count for class_id, counts in self.MINIMA.items() for n, count in enumerate(counts, 1)
+        }
+
+    def test_table_covers_every_searchable_world_count(self):
+        assert self.ENTRIES == sorted(
+            (class_id, n) for mc, class_id in _CLASS_ID.items() if mc is not ModelClass.UNIVERSAL
+            for n in range(1, WORLD_CAPS[mc] + 1)
+        )
+
+    # kripke-all/4, 65,536 frames, is left to CI's rebuild of the table
+    @pytest.mark.parametrize("class_id,n", [key for key in ENTRIES if key != (_kernel_py.CLASS_KRIPKE_ALL, 4)])
+    def test_minima_by_brute_force(self, class_id, n):
+        # a frame is orbit-minimal iff no relabelling maps it to an earlier one
+        frames = oracle.frames(_MODEL_CLASS[class_id].value, n)
+        index = {frame: i for i, frame in enumerate(frames)}
+        minimal = [
+            i for i, frame in enumerate(frames)
+            if all(index[relabel(frame, n, perm)] >= i for perm in itertools.permutations(range(n)))
+        ]
+        assert _kernel_py.orbit_ranks(class_id, n) == minimal
+
+    @pytest.mark.parametrize("class_id,n", ENTRIES)
+    def test_minima_decode_to_their_structures(self, class_id, n):
+        every = list(_kernel_py.structures(class_id, n))
+        count, minima = _kernel_py.orbit_minima(class_id, n)
+        assert count == len(every)
+        assert list(minima) == [(r, every[r]) for r in _kernel_py.orbit_ranks(class_id, n)]
+
+
+class TestUniversalWorldBound:
+    @pytest.mark.parametrize("texts,bound", [
+        (["p0|~p0|p1"], 1),
+        (["[]p0 -> []p0 & <>p1"], 3),
+        (["[][]p0 -> <>[]p0"], 4),
+        (["<>p1", "~(p0 & p1)", "<>p0 -> p0 | p1"], 3),
+    ])
+    def test_counts_distinct_modal_subformulas(self, texts, bound):
+        assert universal_world_bound([parse(t) for t in texts]) == bound
+
+    @pytest.mark.parametrize("max_worlds", [1, 2, 3, 6])
+    def test_scan_stops_at_the_bound(self, monkeypatch, max_worlds):
+        scanned, run_search = [], _kernel_py.run_search
+
+        def recorded(class_id, worlds, *rest):
+            scanned.append(worlds)
+            return run_search(class_id, worlds, *rest)
+
+        monkeypatch.setattr(_kernel_py, "run_search", recorded)
+        out = find_countermodel(parse("[]p0 -> []p0 & <>p1 | ~<>p1"), bounds(ModelClass.UNIVERSAL, max_worlds, (0, 1)))
+        assert scanned == [min(max_worlds, 3)]
+        assert (out.verdict, out.models_checked) == (Verdict.EXHAUSTED_VALID, oracle.model_count("universal", max_worlds, 2))
+
+    @pytest.mark.parametrize("gamma,text", [
+        ((), "<>p0 -> p0"),
+        (("<>p1", "~(p0 & p1)"), "<>p0 -> p0 | p1"),
+    ])
+    def test_refuted_at_exactly_the_bound(self, gamma, text):
+        premises = [parse(g) for g in gamma]
+        out = check_global_consequence(premises, parse(text), bounds(ModelClass.UNIVERSAL, 5, (0, 1)))
+        assert out.countermodel.worlds == universal_world_bound([*premises, parse(text)])
 
 
 class TestGlobalConsequence:
