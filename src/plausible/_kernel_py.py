@@ -1,5 +1,11 @@
 """Search kernel: bit-sliced model enumeration and formula evaluation.
 
+It has two callers.  ``search`` scans a model class with ``run_search``;
+``algebra.alg_validates`` hands the neighborhood frame of a finite
+plausibility algebra to ``first_countermodel`` as one raw structure, its
+assignments of elements to atoms being the structure's valuations.  Both
+go through the one chunk loop in ``first_countermodel``.
+
 Formulas arrive compiled to flat postfix programs ``[op0, arg0, op1, arg1,
 ...]``.  Enumeration order is total and deterministic: world count
 ascending, then per-world structures in ascending bitmask order (world 0
@@ -282,6 +288,54 @@ def eval_program(prog, atoms, ones, n, class_id, frame) -> list[int]:
     return stack[-1]
 
 
+def first_countermodel(gamma, target, n, natoms, class_id, minima):
+    """Scan structures on ``n`` worlds, each valuation by valuation a chunk
+    at a time, for the first model that globally validates every program of
+    ``gamma`` while falsifying ``target``.
+
+    ``minima`` lists ``(rank, structure)`` pairs in scan order, as
+    ``orbit_minima`` does.  Returns ``(rank, structure, v, world)``: the
+    model's structure, the index ``v`` of its valuation and a world where
+    the target fails; or ``None`` if no model qualifies.
+    """
+    low = min(natoms, max(1, CHUNK_LOG2 // n))  # atoms varying inside a chunk
+    high = natoms - low
+    ones = (1 << (1 << (n * low))) - 1
+    patterns = bit_patterns(n * low)
+    # Valuation v = chunk << (n * low) | u; bit n*(natoms-1-i) + w of v is
+    # atom i's truth at world w.
+    low_atoms = [
+        [patterns[n * (natoms - 1 - i) + w] for w in range(n)]
+        for i in range(high, natoms)
+    ]
+    set_bits = [tuple(z for z in range(n) if (m >> z) & 1) for m in range(1 << n)]
+    for rank, struct in minima:
+        if class_id == CLASS_RAW:
+            frame = [[x for x in range(1 << n) if (fam >> x) & 1] for fam in struct]
+        else:
+            frame = [set_bits[row] for row in struct]
+        for chunk in range(1 << (n * high)):
+            atoms = [
+                [ones if (chunk >> (n * (high - 1 - i) + w)) & 1 else 0 for w in range(n)]
+                for i in range(high)
+            ]
+            atoms += low_atoms
+            ok = ones
+            for g in gamma:
+                ok &= _and_all(eval_program(g, atoms, ones, n, class_id, frame), ones)
+                if not ok:
+                    break
+            if not ok:
+                continue
+            ts = eval_program(target, atoms, ones, n, class_id, frame)
+            bad = ok & ~_and_all(ts, ones)
+            if bad:
+                u = (bad & -bad).bit_length() - 1
+                world = next(w for w in range(n) if not (ts[w] >> u) & 1)
+                return rank, struct, (chunk << (n * low)) | u, world
+    return None
+
+
 def run_search(class_id: int, max_worlds: int, natoms: int, programs):
     """Scan the model class for the first model falsifying the last program
     while globally validating all earlier ones.
@@ -295,45 +349,12 @@ def run_search(class_id: int, max_worlds: int, natoms: int, programs):
     target = programs[-1]
     checked = 0
     for n in range(1, max_worlds + 1):
-        full = (1 << n) - 1
-        low = min(natoms, max(1, CHUNK_LOG2 // n))  # atoms varying inside a chunk
-        high = natoms - low
-        width = 1 << (n * low)
-        ones = (1 << width) - 1
-        patterns = bit_patterns(n * low)
-        # Valuation v = chunk << (n * low) | u; bit n*(natoms-1-i) + w of v
-        # is atom i's truth at world w.
-        low_atoms = [
-            [patterns[n * (natoms - 1 - i) + w] for w in range(n)]
-            for i in range(high, natoms)
-        ]
-        set_bits = [tuple(z for z in range(n) if (m >> z) & 1) for m in range(1 << n)]
         count, minima = orbit_minima(class_id, n)
-        for rank, struct in minima:
-            if class_id == CLASS_RAW:
-                frame = [[x for x in range(1 << n) if (fam >> x) & 1] for fam in struct]
-            else:
-                frame = [set_bits[row] for row in struct]
-            for chunk in range(1 << (n * high)):
-                atoms = [
-                    [ones if (chunk >> (n * (high - 1 - i) + w)) & 1 else 0 for w in range(n)]
-                    for i in range(high)
-                ]
-                atoms += low_atoms
-                ok = ones
-                for g in gamma:
-                    ok &= _and_all(eval_program(g, atoms, ones, n, class_id, frame), ones)
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                ts = eval_program(target, atoms, ones, n, class_id, frame)
-                bad = ok & ~_and_all(ts, ones)
-                if bad:
-                    u = (bad & -bad).bit_length() - 1
-                    v = (chunk << (n * low)) | u
-                    vmasks = tuple((v >> (n * (natoms - 1 - i))) & full for i in range(natoms))
-                    world = next(w for w in range(n) if not (ts[w] >> u) & 1)
-                    return (True, checked + (rank << (n * natoms)) + v + 1, n, struct, vmasks, world)
+        hit = first_countermodel(gamma, target, n, natoms, class_id, minima)
+        if hit:
+            rank, struct, v, world = hit
+            full = (1 << n) - 1
+            vmasks = tuple((v >> (n * (natoms - 1 - i))) & full for i in range(natoms))
+            return (True, checked + (rank << (n * natoms)) + v + 1, n, struct, vmasks, world)
         checked += count << (n * natoms)
     return (False, checked, 0, (), (), -1)

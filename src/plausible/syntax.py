@@ -490,14 +490,22 @@ def atoms_of(f: Formula) -> frozenset[int]:
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
-    """The set of subformulas of ``f``, including ``f`` itself."""
-    match f:
-        case Atom() | Top() | Bottom():
-            return frozenset({f})
-        case Not(g) | Box(g) | Diamond(g) | Nabla(g):
-            return frozenset({f}) | subformulas(g)
-        case _:
-            return frozenset({f}) | subformulas(f.left) | subformulas(f.right)
+    """The set of subformulas of ``f``, including ``f`` itself.
+
+    One walk fills one set; a subformula already in it has had its own
+    subformulas added, so the walk does not descend into it again.  Each
+    node is hashed once, by ``add``: a tuple's hash is not cached and walks
+    its whole subtree.
+    """
+    found: set[Formula] = set()
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        size = len(found)
+        found.add(g)
+        if len(found) > size and not isinstance(g, Atom):
+            todo.extend(g[1:])  # the operands; Top and Bottom have none
+    return frozenset(found)
 
 
 def modal_operators(f: Formula) -> frozenset[type]:

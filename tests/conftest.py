@@ -2,12 +2,14 @@ import importlib.util
 import json
 import random
 import sys
+from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+from plausible import _kernel_py
 from plausible import algebra as alg
 from plausible.algebra import FinitePlausibilityAlgebra
 from plausible.semantics import NeighborhoodModel
@@ -150,6 +152,17 @@ def all_sharp_maps(base_size: int):
     size = 1 << base_size
     for images in product(range(size), repeat=size):
         yield FinitePlausibilityAlgebra(base_size, images)
+
+
+@contextmanager
+def chunk_log2(value):
+    """Run the block with the kernel's chunks cut at ``2**value`` valuations."""
+    saved = _kernel_py.CHUNK_LOG2
+    _kernel_py.CHUNK_LOG2 = value
+    try:
+        yield
+    finally:
+        _kernel_py.CHUNK_LOG2 = saved
 
 
 def load_fixture(*parts):

@@ -3,10 +3,11 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_sharp_maps, formulas, load_fixture
+from conftest import all_sharp_maps, chunk_log2, formulas, load_fixture
+from plausible import _kernel_py
 from plausible.algebra import (
     MAX_ASSIGNMENTS,
     MAX_BASE,
@@ -24,6 +25,8 @@ from plausible.algebra import (
 )
 from plausible.semantics import BoundsExceededError
 from plausible.syntax import (
+    BOTTOM,
+    TOP,
     And,
     Atom,
     Bottom,
@@ -34,6 +37,7 @@ from plausible.syntax import (
     Not,
     Or,
     Top,
+    atoms_of,
     parse,
 )
 
@@ -48,7 +52,15 @@ ZERO_K1 = algebra(1, [0, 0])
 UNIT_ONLY_K2 = algebra(2, [0, 0, 0, 3])
 IDENTITY_K2 = algebra(2, [0, 1, 2, 3])
 VALID_K_LE_2 = [a for k in (1, 2) for a in all_sharp_maps(k) if check_algebra(a).valid]
+VALID_K3 = list(iter_valid_algebras(3))
 EXPERIMENTS = Path(__file__).parent.parent / "experiments"
+
+
+def load_regenerate():
+    spec = importlib.util.spec_from_file_location("regenerate", EXPERIMENTS / "regenerate.py")
+    regenerate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regenerate)
+    return regenerate
 
 
 class TestCheckAlgebra:
@@ -188,6 +200,70 @@ def sharp_walk(a, assignment, f):
             return a.sharp[sharp_walk(a, assignment, x)]
 
 
+def validates_by_assignment(a, f):
+    """The reference for ``alg_validates``: ``alg_eval`` (``truth_mask`` on
+    the algebra's neighborhood model) under every assignment in turn."""
+    atoms = sorted(atoms_of(f))
+    return all(
+        alg_eval(a, dict(zip(atoms, values)), f) == a.unit
+        for values in product(range(a.carrier_size), repeat=len(atoms))
+    )
+
+
+class TestKernelValidation:
+    """``alg_validates`` runs on the search kernel; the assignment loop
+    above is its reference."""
+
+    @pytest.mark.parametrize("text", load_regenerate().AGREEMENT_FORMULAS)
+    def test_agrees_on_every_valid_algebra_to_base_3(self, text):
+        f = parse(text)
+        for a in VALID_K_LE_2 + VALID_K3:
+            assert alg_validates(a, f) == validates_by_assignment(a, f), a
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        formulas(atoms=(0, 2, 5), modal=("nabla",)),
+        st.sampled_from(VALID_K3),
+        st.sampled_from([_kernel_py.CHUNK_LOG2, 1]),
+    )
+    @example(TOP, VALID_K3[0], 1)
+    @example(BOTTOM, VALID_K3[0], 1)
+    @example(Nabla(BOTTOM), VALID_K3[-1], _kernel_py.CHUNK_LOG2)
+    @example(Not(Nabla(BOTTOM)), VALID_K3[-1], _kernel_py.CHUNK_LOG2)
+    @example(Implies(Nabla(TOP), Nabla(Atom(5))), VALID_K3[-1], 1)
+    @example(Implies(Atom(5), Not(Atom(0))), VALID_K3[0], 1)  # refuted only past chunk 0
+    def test_agrees_on_random_formulas(self, f, base_3, log2):
+        # log2 = 1 cuts every base 2 or 3 search into one chunk per value
+        # of each atom but the last
+        with chunk_log2(log2):
+            for a in VALID_K_LE_2 + [base_3]:
+                assert alg_validates(a, f) == validates_by_assignment(a, f), a
+
+    def test_refutation_in_the_last_chunk(self):
+        # p0 and p1 are the atoms constant across each chunk; with # sending
+        # all but the unit to zero, only p0 = p1 = unit, the last chunk,
+        # falsifies the formula
+        others = Or(Atom(2), Atom(3))
+        for i in range(4, 8):
+            others = Or(others, Atom(i))
+        f = Not(And(And(Nabla(Atom(0)), Nabla(Atom(1))), Or(others, TOP)))
+        assert UNIT_ONLY_K2.carrier_size ** 8 == MAX_ASSIGNMENTS
+        assert not alg_validates(UNIT_ONLY_K2, f)
+        assert alg_eval(UNIT_ONLY_K2, {0: 3, 1: 3}, f) == 0
+        assert alg_eval(UNIT_ONLY_K2, {0: 3, 1: 2}, f) == UNIT_ONLY_K2.unit
+
+    def test_checks_come_before_evaluation(self, monkeypatch):
+        def evaluated(*args):
+            raise AssertionError("the kernel evaluated a formula")
+
+        monkeypatch.setattr(_kernel_py, "eval_program", evaluated)
+        with pytest.raises(InvalidAlgebraError):
+            alg_validates(ZERO_K1, parse("nabla p0 -> p0"))
+        past_cap = parse("nabla(p0 & p1 & p2 & p3 & p4 & p5 & p6 & p7 & p8) -> nabla p0")
+        with pytest.raises(BoundsExceededError):
+            alg_validates(IDENTITY_K2, past_cap)
+
+
 class TestAssignmentBound:
     def test_at_and_past_the_bound(self):
         # IDENTITY_K2 has 4 elements: 8 atoms give exactly MAX_ASSIGNMENTS
@@ -196,6 +272,7 @@ class TestAssignmentBound:
         for i in range(2, 8):
             at_bound = And(at_bound, Nabla(Atom(i)))
         assert alg_validates(IDENTITY_K2, at_bound) is False  # refuted by p_i = 0
+        assert alg_validates(IDENTITY_K2, Implies(Nabla(at_bound), Nabla(Atom(0)))) is True
         with pytest.raises(BoundsExceededError):
             alg_validates(IDENTITY_K2, And(at_bound, Nabla(Atom(8))))
 
@@ -292,9 +369,7 @@ class TestAgreement:
         assert report["agreements"] + report["disagreements"] == len(formulas)
 
     def test_experiments_check_each_algebra_once(self, monkeypatch, tmp_path, capsys, axiom_checks):
-        spec = importlib.util.spec_from_file_location("regenerate", EXPERIMENTS / "regenerate.py")
-        regenerate = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(regenerate)
+        regenerate = load_regenerate()
         monkeypatch.setattr(regenerate, "HERE", tmp_path)
         regenerate.main()
         # the 1 + 4 reflexive candidates at base 1 and 2, each checked once

@@ -1,13 +1,12 @@
 import gc
 import itertools
 import tracemalloc
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import formulas, oracle
+from conftest import chunk_log2, formulas, oracle
 from plausible import _kernel_py, _orbits, search
 from plausible.search import (
     _CLASS_ID,
@@ -159,16 +158,6 @@ class TestFindCountermodel:
         f = parse("p0 -> []p0")
         b = bounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 2, (0,))
         assert find_countermodel(f, b) == find_countermodel(f, b)
-
-
-@contextmanager
-def chunk_log2(value):
-    saved = _kernel_py.CHUNK_LOG2
-    _kernel_py.CHUNK_LOG2 = value
-    try:
-        yield
-    finally:
-        _kernel_py.CHUNK_LOG2 = saved
 
 
 _MODEL_CLASS = {class_id: mc for mc, class_id in _CLASS_ID.items()}

@@ -601,6 +601,18 @@ class TestDialects:
         assert back == f
 
 
+def union_of_subformulas(f):
+    """The reference for ``subformulas``: the union, at every node, of the
+    node and its operands' subformulas."""
+    match f:
+        case Atom() | Top() | Bottom():
+            return frozenset({f})
+        case Not(g) | Box(g) | Diamond(g) | Nabla(g):
+            return frozenset({f}) | union_of_subformulas(g)
+        case _:
+            return frozenset({f}) | union_of_subformulas(f.left) | union_of_subformulas(f.right)
+
+
 class TestMeasures:
     def test_modal_depth(self):
         assert modal_depth(parse("[][]p0")) == 2
@@ -614,6 +626,22 @@ class TestMeasures:
         assert subformulas(Not(p0)) == {Not(p0), p0}
         c = parse("[]p0 & p1")
         assert subformulas(c) == {c, Box(p0), p0, p1}
+
+    @given(formulas(modal=("box", "diamond", "nabla")))
+    def test_subformulas_match_the_recursive_union(self, f):
+        assert subformulas(f) == union_of_subformulas(f)
+        assert type(subformulas(f)) is frozenset
+
+    @given(shared_formulas())
+    def test_subformulas_of_shared_nodes(self, fs):
+        for f in fs:
+            assert subformulas(f) == union_of_subformulas(f)
+
+    def test_subformulas_of_a_300_box_disjunction(self):
+        f = parse("|".join(f"[]p{i}" for i in range(300)))
+        found = subformulas(f)
+        assert found == union_of_subformulas(f)
+        assert len(found) == 899  # 300 atoms, 300 boxes, 299 disjunctions
 
     @given(formulas())
     def test_modal_depth_zero_iff_classical(self, f):
