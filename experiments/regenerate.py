@@ -9,10 +9,10 @@ Both reports are deterministic; reruns must be byte-identical, which the
 acceptance suite checks against the committed files.
 """
 
-import json
 from pathlib import Path
 
 from plausible.algebra import agreement_report
+from plausible.cli import canonical_json
 from plausible.search import (
     K_FORMULA,
     ModelClass,
@@ -47,7 +47,7 @@ AGREEMENT_FORMULAS = [
 
 
 def write(path: Path, data) -> None:
-    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    path.write_text(canonical_json(data), encoding="utf-8")
     print(f"wrote {path}")
 
 

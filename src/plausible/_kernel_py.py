@@ -1,10 +1,10 @@
 """Search kernel: bit-sliced model enumeration and formula evaluation.
 
 It has two callers.  ``search`` scans a model class with ``run_search``;
-``algebra.alg_validates`` hands the neighborhood frame of a finite
-plausibility algebra to ``first_countermodel`` as one raw structure, its
-assignments of elements to atoms being the structure's valuations.  Both
-go through the one chunk loop in ``first_countermodel``.
+``algebra`` hands the neighborhood frames of finite plausibility algebras
+of one base size to ``first_countermodel`` as raw structures, the
+assignments of elements to atoms being their valuations.  Both go through
+the one chunk loop in ``first_countermodel``.
 
 Formulas arrive compiled to flat postfix programs ``[op0, arg0, op1, arg1,
 ...]``.  Enumeration order is total and deterministic: world count
@@ -336,14 +336,17 @@ def first_countermodel(gamma, target, n, natoms, class_id, minima):
     return None
 
 
-def run_search(class_id: int, max_worlds: int, natoms: int, programs):
+def run_search(class_id: int, max_worlds: int, natoms: int, programs, full_worlds: int):
     """Scan the model class for the first model falsifying the last program
     while globally validating all earlier ones.
 
     Only orbit-minimal structures are scanned; the result, ``models_checked``
     included, is that of scanning every structure (see the module
-    docstring).  Returns ``(found, models_checked, worlds, structure,
-    vmasks, world)``.
+    docstring).  The scan stops at ``max_worlds``, below ``full_worlds``
+    when the caller knows that the first countermodel, if any, lies within
+    it.  Without one, the count still covers every structure on up to
+    ``full_worlds`` worlds.  Returns ``(found, models_checked, worlds,
+    structure, vmasks, world)``.
     """
     gamma = programs[:-1]
     target = programs[-1]
@@ -357,4 +360,6 @@ def run_search(class_id: int, max_worlds: int, natoms: int, programs):
             vmasks = tuple((v >> (n * (natoms - 1 - i))) & full for i in range(natoms))
             return (True, checked + (rank << (n * natoms)) + v + 1, n, struct, vmasks, world)
         checked += count << (n * natoms)
+    for n in range(max_worlds + 1, full_worlds + 1):
+        checked += orbit_minima(class_id, n)[0] << (n * natoms)
     return (False, checked, 0, (), (), -1)

@@ -17,7 +17,9 @@ exactly # and an assignment of elements to atoms is a valuation.
 ``alg_eval`` evaluates one assignment on that model with ``truth_mask``.
 ``alg_validates`` hands the same structure to the search kernel as a
 raw-neighborhood frame, which evaluates the formula under every
-assignment at once, one chunk of valuations at a time.
+assignment at once, one chunk of valuations at a time;
+``agreement_report`` hands it every valid algebra of one base size in
+one scan.
 """
 
 from __future__ import annotations
@@ -269,24 +271,42 @@ def alg_validates(a: FinitePlausibilityAlgebra, f: Formula) -> bool:
     this as a search for a countermodel on that structure alone.
     """
     atoms = sorted(atoms_of(f))
-    if a.carrier_size ** len(atoms) > MAX_ASSIGNMENTS:
-        raise BoundsExceededError(
-            f"{a.carrier_size}^{len(atoms)} assignments exceed the cap of {MAX_ASSIGNMENTS}"
-        )
-    _require_valid(a)
-    # Imported here, as in agreement_report: imported at the top of this
-    # module, they would load nested inside the package's own import, which
-    # raises the peak memory of `import plausible` by about 0.25 MB.
-    from . import _kernel_py
+    return _all_validate([a], len(atoms), _compile(translate(f, Dialect.NABLA, Dialect.BOX), atoms))
+
+
+def _compile(boxed: Formula, atoms: list[int]) -> list[int]:
+    """A box formula as a kernel program, one slot per atom."""
+    # Imported here and in _all_validate, as in agreement_report: imported
+    # at the top of this module, search and the kernel would load nested
+    # inside the package's own import, which raises the peak memory of
+    # `import plausible` by about 0.25 MB.
     from .search import compile_program
 
-    boxed = translate(f, Dialect.NABLA, Dialect.BOX)
-    program = compile_program(boxed, {atom: i for i, atom in enumerate(atoms)})
-    # the frame as one raw structure: world w's family as a bitmask of its members
-    struct = tuple(sum(1 << x for x in family) for family in _families(a))
-    hit = _kernel_py.first_countermodel(
-        (), program, a.base_size, len(atoms), _kernel_py.CLASS_RAW, [(0, struct)]
-    )
+    return compile_program(boxed, {atom: i for i, atom in enumerate(atoms)})
+
+
+def _all_validate(algebras: list[FinitePlausibilityAlgebra], natoms: int, program: list[int]) -> bool:
+    """True iff each of ``algebras``, all on one base size, validates the
+    formula ``program`` compiles over ``natoms`` atoms.
+
+    One kernel scan decides them all: their frames are its structures, in
+    the order given, and it stops at the first with a countermodel.
+    """
+    base = algebras[0].base_size
+    if (1 << base) ** natoms > MAX_ASSIGNMENTS:
+        raise BoundsExceededError(
+            f"{1 << base}^{natoms} assignments exceed the cap of {MAX_ASSIGNMENTS}"
+        )
+    for a in algebras:
+        _require_valid(a)
+    from . import _kernel_py
+
+    # each frame as one raw structure: world w's family as a bitmask of its members
+    frames = [
+        (i, tuple(sum(1 << x for x in family) for family in _families(a)))
+        for i, a in enumerate(algebras)
+    ]
+    hit = _kernel_py.first_countermodel((), program, base, natoms, _kernel_py.CLASS_RAW, frames)
     return hit is None
 
 
@@ -330,15 +350,15 @@ def agreement_report(formulas: list[Formula], max_base: int = 2, max_worlds: int
     """
     from .search import ModelClass, SearchBounds, Verdict, find_countermodel
 
-    algebras = [a for k in range(1, max_base + 1) for a in iter_valid_algebras(k)]
+    by_base = [list(iter_valid_algebras(k)) for k in range(1, max_base + 1)]
     rows = []
     agreements = 0
     for f in formulas:
-        alg_valid = all(alg_validates(a, f) for a in algebras)
+        atoms = sorted(atoms_of(f))
         boxed = translate(f, Dialect.NABLA, Dialect.BOX)
-        bounds = SearchBounds(
-            ModelClass.CONSTRAINED_NEIGHBORHOOD, max_worlds, tuple(sorted(atoms_of(f)))
-        )
+        program = _compile(boxed, atoms)
+        alg_valid = all(_all_validate(group, len(atoms), program) for group in by_base)
+        bounds = SearchBounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, max_worlds, tuple(atoms))
         outcome = find_countermodel(boxed, bounds)
         nm_valid = outcome.verdict is Verdict.EXHAUSTED_VALID
         agree = alg_valid == nm_valid
@@ -352,7 +372,7 @@ def agreement_report(formulas: list[Formula], max_base: int = 2, max_worlds: int
             }
         )
     return {
-        "algebras": len(algebras),
+        "algebras": sum(map(len, by_base)),
         "max_base": max_base,
         "max_worlds": max_worlds,
         "formulas": rows,

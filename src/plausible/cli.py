@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from . import algebra as alg
@@ -39,7 +40,59 @@ _INPUT_ERRORS = (ValueError, OSError)
 
 
 def canonical_json(data) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    """``json.dumps(data, indent=2) + "\\n"``, for the values documents hold:
+    str, int, bool, None, lists and tuples, and dicts with str keys.  Any
+    other value raises ``TypeError``, a subclass of these too: a formula
+    node is a tuple, and a document holding one is a defect.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder; here
+    the strings still go through the C one.
+    """
+    out: list[str] = []
+    _write_json(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    # ``newline`` breaks a line and indents the next to ``value``'s depth
+    kind = type(value)
+    if kind is str:
+        out.append(_json_string(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _json_string(key) + ": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_object(pairs: list) -> dict:
@@ -260,16 +313,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     Every ``main`` call in a process parses with this one parser, so the
     subcommands hold the ``cmd_*`` functions and their views as they were
-    at that first call; one replaced later is not seen.
+    at that first call; one replaced later is not seen.  Its
+    ``subcommands`` attribute maps each subcommand's name to its parser.
     """
     parser = argparse.ArgumentParser(
         prog="plaus",
         description="Workbench for the propositional logic of the plausible.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = {}
 
     def add(name, func, view, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = parser.subcommands[name] = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func, view=view, out=None)
         p.add_argument("--pretty", action="store_true", help="human-oriented output")
         return p
@@ -323,8 +378,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsing each argument once.
+
+    The top-level parser hands every argument after a subcommand's name to
+    that subcommand's parser, which parses them all again.  So an argv that
+    starts with a subcommand's name goes to its parser directly.  Any other,
+    or one that leaves arguments over, goes through the top-level parser,
+    so every usage, help and error message comes from the parser that
+    prints it for ``build_parser().parse_args(argv)``.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    subparser = parser.subcommands.get(argv[0]) if argv else None
+    if subparser is not None:
+        args, rest = subparser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         code, document = args.func(args)
         sys.stdout.write("\n".join(args.view(document)) + "\n" if args.pretty else canonical_json(document))

@@ -259,17 +259,14 @@ def _search(gamma: tuple[Formula, ...], f: Formula, bounds: SearchBounds) -> Sea
     slots = {atom: i for i, atom in enumerate(bounds.atoms)}
     programs = [compile_program(g, slots) for g in (*gamma, f)]
     # A universal search stops at the bound above: the first countermodel
-    # lies within it, and without one each world count n past it adds its
-    # 2^(n·k) models to the full scan's count.
+    # lies within it, and without one the kernel counts the models past it.
     scanned = bounds.max_worlds
     if bounds.model_class is ModelClass.UNIVERSAL:
         scanned = min(scanned, universal_world_bound((*gamma, f)))
     found, checked, n, struct, vmasks, world = _ACTIVE.run_search(
-        _CLASS_ID[bounds.model_class], scanned, len(bounds.atoms), programs
+        _CLASS_ID[bounds.model_class], scanned, len(bounds.atoms), programs, bounds.max_worlds
     )
     if not found:
-        k = len(bounds.atoms)
-        checked += sum(1 << (worlds * k) for worlds in range(scanned + 1, bounds.max_worlds + 1))
         return SearchOutcome(Verdict.EXHAUSTED_VALID, checked)
     model = _model_from_struct(bounds.model_class, n, tuple(struct), tuple(vmasks), bounds.atoms)
     _revalidate(bounds, model, world, gamma, f)

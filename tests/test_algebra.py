@@ -368,6 +368,20 @@ class TestAgreement:
         assert not by_formula["p0 -> nabla p0"]["constrained_exhausted_valid"]
         assert report["agreements"] + report["disagreements"] == len(formulas)
 
+    @pytest.mark.parametrize("max_base", [1, 2, 3])
+    def test_one_scan_per_base_agrees_with_each_algebra(self, monkeypatch, max_base):
+        from plausible import algebra as alg
+
+        texts = load_regenerate().AGREEMENT_FORMULAS
+        compiled, original = [], alg._compile
+        monkeypatch.setattr(alg, "_compile", lambda boxed, atoms: compiled.append(boxed) or original(boxed, atoms))
+        report = agreement_report([parse(text) for text in texts], max_base=max_base, max_worlds=1)
+        assert len(compiled) == len(texts)  # once per formula, not per algebra
+        algebras = [a for k in range(1, max_base + 1) for a in iter_valid_algebras(k)]
+        assert report["algebras"] == len(algebras)
+        for text, row in zip(texts, report["formulas"]):
+            assert row["algebra_valid"] == all(alg_validates(a, parse(text)) for a in algebras), text
+
     def test_experiments_check_each_algebra_once(self, monkeypatch, tmp_path, capsys, axiom_checks):
         regenerate = load_regenerate()
         monkeypatch.setattr(regenerate, "HERE", tmp_path)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import plausible
 import record_cli
@@ -23,7 +26,7 @@ from plausible.semantics import (
     WorldRangeError,
     model_from_data,
 )
-from plausible.syntax import DialectError, Formula, FormulaSyntaxError, UnboundMetavariableError
+from plausible.syntax import DialectError, Formula, FormulaSyntaxError, UnboundMetavariableError, parse
 
 MODELS = FIXTURES / "models"
 PROOFS = FIXTURES / "proofs"
@@ -689,6 +692,98 @@ class TestGoldenOutputs:
             (tmp_path / name).write_text(text, encoding="utf-8")
         for row in self.TABLE:
             assert record_cli.run(row[0], tmp_path) == row
+
+
+def parsed(capsys, fn, argv):
+    """What ``fn(argv)`` returns, or the status it exits with, and what it
+    printed."""
+    try:
+        result = fn(list(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+VALID = ("valid", "p0 -> []p0")
+BOUNDS = ("--class", "constrained", "--max-worlds", "2")
+
+
+class TestParseOnce:
+    """``main`` parses an argv that starts with a subcommand's name with that
+    subcommand's parser alone; every argv gets what the top-level parser
+    gives it."""
+
+    @pytest.mark.parametrize("argv", [
+        (),
+        ("-h",),
+        ("--help", "fmt"),
+        ("nosuch", "p0"),
+        ("--", "fmt", "p0"),
+        ("valid",),
+        ("valid", "-h"),
+        (*VALID,),
+        (*VALID, "--class", "nosuch", "--max-worlds", "2"),
+        (*VALID, "--class", "constrained", "--max-worlds", "two"),
+        (*VALID, *BOUNDS, "extra"),
+        (*VALID, *BOUNDS, "--", "extra"),
+        (*VALID, *BOUNDS, "--bogus"),
+        (*VALID, "--s", "1", *BOUNDS),  # --sample or --seed
+        ("fmt", "p0", "--pretty=yes"),
+    ], ids=repr)
+    def test_usage_errors_and_help_match_the_top_level_parser(self, capsys, argv):
+        expected = parsed(capsys, build_parser().parse_args, argv)
+        assert expected[0][0] == "exit"
+        assert parsed(capsys, main, argv) == expected
+
+    @pytest.mark.parametrize("argv", [
+        *EVERY_SUBCOMMAND,
+        (*VALID, "--cl", "constrained", "--max-w", "2"),  # abbreviated long options
+        (*VALID, "--class=constrained", "--max-worlds=2", "--atoms=0,1"),
+        ("valid", "--class", "constrained", "--max-worlds", "2", "--", "-p0"),
+        ("consequence", "p0", "--gamma", "p1", "--gamma=p2", *BOUNDS, "--pretty"),
+        ("fmt", "-1"),
+    ], ids=repr)
+    def test_namespaces_match_the_top_level_parser(self, capsys, argv):
+        expected = parsed(capsys, build_parser().parse_args, argv)
+        assert isinstance(expected[0], argparse.Namespace) and expected[0].command == argv[0]
+        assert parsed(capsys, cli._parse_args, argv) == expected
+
+
+# JSON values as the documents hold them, tuples among them
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=-(1 << 100), max_value=1 << 100) | st.text(),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+class TestCanonicalJson:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    @example("\x00\x1f\x7f\\\"/ é \u2028 \U0001d11e")
+    @example([[], {}, (), [[{}]], {"": ()}])
+    @example({"n": -(1 << 70), "m": 1 << 64, "t": True, "f": False, "z": None, "zero": 0})
+    @example((("nested", ("tuple",)),))
+    def test_same_text_as_json_dumps(self, value):
+        assert cli.canonical_json(value) == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        {1, 2}, [{"a": frozenset()}], {"a": 1.5}, {1: "int key"}, object(), {"formula": parse("[]p0")},
+    ], ids=repr)
+    def test_other_values_are_refused(self, value):
+        with pytest.raises(TypeError):
+            cli.canonical_json(value)
+
+    def test_a_document_holding_another_value_is_internal_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "render", lambda f: {"a set"})
+        code, out, err = run(capsys, "fmt", "p0")
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: TypeError")
 
 
 class TestAnswerOnce:

@@ -416,6 +416,13 @@ class TestUniversalWorldBound:
         assert scanned == [min(max_worlds, 3)]
         assert (out.verdict, out.models_checked) == (Verdict.EXHAUSTED_VALID, oracle.model_count("universal", max_worlds, 2))
 
+    @pytest.mark.parametrize("max_worlds", [3, 4, 6])
+    def test_kernel_counts_the_worlds_past_the_cut(self, max_worlds):
+        # the tracer reads models_checked off run_search's own result
+        programs = [search.compile_program(parse("[]p0 -> []p0 & <>p1 | ~<>p1"), {0: 0, 1: 1})]
+        found, checked, *_ = _kernel_py.run_search(_kernel_py.CLASS_UNIVERSAL, 3, 2, programs, max_worlds)
+        assert not found and checked == oracle.model_count("universal", max_worlds, 2)
+
     @pytest.mark.parametrize("gamma,text", [
         ((), "<>p0 -> p0"),
         (("<>p1", "~(p0 & p1)"), "<>p0 -> p0 | p1"),
