@@ -7,7 +7,8 @@ exhausted on each search class, ``--sample`` refuted and inconclusive,
 ``consequence`` with and without ``--gamma``, accepted and rejected proofs,
 formula and proof translations in both directions, the algebra checks, and
 inputs that exit 2; then an algebra failing every axiom, a model failing
-every condition, and ``--sample`` refuting on the universal class.
+every condition, and ``--sample`` refuting on the universal and both
+Kripke classes.
 ``test_cli.TestGoldenOutputs`` requires the CLI to reproduce every row byte
 for byte.  Run from the repository root:
 
@@ -94,6 +95,8 @@ CASES = [
     ["algebra", "INPUT/failing_algebra.json"],
     ["supplement", "INPUT/failing_conditions.json"],
     _search("valid", "p0 -> []p0", "universal", 3, "--sample", "10", "--seed", "2"),
+    _search("valid", "[]p0 -> p0", "kripke-all", 3, "--sample", "10", "--seed", "3"),
+    _search("valid", "p0 -> []p0", "kripke-equiv", 4, "--sample", "10", "--seed", "4"),
 ]
 
 
