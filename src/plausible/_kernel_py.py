@@ -12,7 +12,9 @@ ascending, then per-world structures in ascending bitmask order (world 0
 most significant), then valuations in ascending bitmask order (first atom
 most significant).  Neighborhood families are compared as family bitmasks
 (one bit per member set), which for the core-generated constrained class
-orders each world's candidate cores by the family they generate.
+orders each world's candidate cores by the family they generate.  A
+universal model is the Kripke frame whose relation is full: every row
+holds every world, so each world count has one universal structure.
 
 Valuations are evaluated broadword (Knuth, TAOCP 4A §7.1.3): for one
 structure, a formula's value at world ``w`` is a Python int whose bit
@@ -139,25 +141,25 @@ def _place(w: int, n: int, blocks: list[int], out: list) -> None:
 def world_choices(class_id: int, n: int) -> list:
     """Each world's entries in order, for the classes whose structures are
     all their combinations: candidate cores (constrained), family bitmasks
-    (raw) or successor rows (Kripke)."""
+    (raw), successor rows (kripke-all) or the one full row (universal)."""
     if class_id == CLASS_CONSTRAINED:
         return constrained_candidates(n)
     if class_id == CLASS_RAW:
         return [range(1 << (1 << n))] * n
+    if class_id == CLASS_UNIVERSAL:
+        return [[(1 << n) - 1]] * n
     return [range(1 << n)] * n
 
 
 def structures(class_id: int, n: int):
     """Yield per-world structure tuples for one world count, in order."""
-    if class_id in (CLASS_CONSTRAINED, CLASS_RAW, CLASS_KRIPKE_ALL):
-        yield from product(*world_choices(class_id, n))
-    elif class_id == CLASS_KRIPKE_EQUIV:
+    if class_id == CLASS_KRIPKE_EQUIV:
         # Sorted rows tuples are the product order of the relations.
         for rows in sorted(partition_rows(n)):
             if is_equivalence(rows, n):
                 yield rows
     else:
-        yield ()
+        yield from product(*world_choices(class_id, n))
 
 
 # (class id, worlds) -> ranks of the orbit-minimal structures, decoded
@@ -182,8 +184,8 @@ def orbit_minima(class_id: int, n: int):
     """``(count, minima)``: how many structures there are on ``n`` worlds,
     and the orbit-minimal ones as ``(rank, structure)`` in order, decoded
     as they are iterated."""
-    if class_id == CLASS_UNIVERSAL:
-        return 1, [(0, ())]
+    if class_id == CLASS_UNIVERSAL:  # its one structure, left out of _orbits
+        return 1, [(0, ((1 << n) - 1,) * n)]
     ranks = orbit_ranks(class_id, n)
     if class_id == CLASS_KRIPKE_EQUIV:
         every = list(structures(class_id, n))
@@ -229,8 +231,8 @@ def eval_program(prog, atoms, ones, n, class_id, frame) -> list[int]:
 
     ``atoms[i][w]`` is atom ``i``'s value at world ``w`` and ``ones`` has a
     bit for every valuation of the chunk.  ``frame[w]`` lists world ``w``'s
-    successors (Kripke), core members (constrained) or family members as
-    world sets (raw).  Returns the formula's value at each world.
+    successors (Kripke and universal), core members (constrained) or family
+    members as world sets (raw).  Returns the formula's value at each world.
     """
     stack: list = []
     for i in range(0, len(prog), 2):
@@ -257,9 +259,7 @@ def eval_program(prog, atoms, ones, n, class_id, frame) -> list[int]:
             stack[-1] = [x ^ y ^ ones for x, y in zip(stack[-1], b)]
         elif op == OP_BOX:
             a = stack[-1]
-            if class_id == CLASS_UNIVERSAL:
-                stack[-1] = [_and_all(a, ones)] * n
-            elif class_id == CLASS_RAW:
+            if class_id == CLASS_RAW:
                 # exact[X]: the truth set is exactly the world set X
                 exact = [ones]
                 for x in a:
@@ -275,16 +275,13 @@ def eval_program(prog, atoms, ones, n, class_id, frame) -> list[int]:
                 stack[-1] = r
         else:  # OP_DIA
             a = stack[-1]
-            if class_id in (CLASS_KRIPKE_ALL, CLASS_KRIPKE_EQUIV):
-                r = []
-                for members in frame:
-                    x = 0
-                    for z in members:
-                        x |= a[z]
-                    r.append(x)
-                stack[-1] = r
-            else:
-                stack[-1] = [_or_all(a)] * n
+            r = []
+            for members in frame:
+                x = 0
+                for z in members:
+                    x |= a[z]
+                r.append(x)
+            stack[-1] = r
     return stack[-1]
 
 

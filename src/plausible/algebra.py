@@ -317,14 +317,15 @@ def _all_validate(algebras: list[FinitePlausibilityAlgebra], natoms: int, progra
 def iter_sharp_maps(base_size: int):
     """Candidate operators on the 2^base_size carrier: the Kripke box of
     each reflexive relation R on the generators, #X = {w : R(w) ⊆ X}, in
-    the order of the relations; 2^(k(k-1)) candidates instead of all
-    (2^k)^(2^k) image tables.  perfbench counts the yields of this
-    generator as ``algebra.candidates``.
+    the kernel's order of constrained structures; 2^(k(k-1)) candidates
+    instead of all (2^k)^(2^k) image tables.  perfbench counts the yields
+    of this generator as ``algebra.candidates``.
     """
+    from . import _kernel_py  # loaded lazily, as in _compile
+
     size = 1 << base_size
-    # row w of a reflexive relation: w itself and any other generators
-    row_choices = [[r for r in range(size) if (r >> w) & 1] for w in range(base_size)]
-    for rows in product(*row_choices):
+    # row w of a reflexive relation holds w: the cores containing w
+    for rows in product(*_kernel_py.constrained_candidates(base_size)):
         frame = KripkeModel(base_size, rows)
         yield FinitePlausibilityAlgebra(base_size, tuple(frame.box(x) for x in range(size)))
 

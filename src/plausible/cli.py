@@ -149,9 +149,6 @@ def _eval_view(data: dict) -> list[str]:
     return [f"{data['formula']} at world {data['world']}: {'true' if data['value'] else 'false'}"]
 
 
-_SEARCH_CLASSES = {c.value: c for c in srch.ModelClass}
-
-
 def _parse_atoms(text: str | None, fallback) -> tuple[int, ...]:
     if text is None:
         return tuple(sorted(fallback))
@@ -180,7 +177,7 @@ def _search_view(report: dict) -> list[str]:
 
 def _bounds_from_args(args, atom_fallback) -> srch.SearchBounds:
     return srch.SearchBounds(
-        _SEARCH_CLASSES[args.model_class],
+        srch.ModelClass(args.model_class),
         args.max_worlds,
         _parse_atoms(args.atoms, atom_fallback),
     )
@@ -338,13 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--class", dest="model_class", choices=sorted(_EVAL_CLASSES))
 
+    classes = sorted(c.value for c in srch.ModelClass)
     for name, func, help_text in (
         ("valid", cmd_valid, "bounded validity check with countermodel search"),
         ("consequence", cmd_consequence, "bounded global-consequence check"),
     ):
         p = add(name, func, _search_view, help_text)
         p.add_argument("formula")
-        p.add_argument("--class", dest="model_class", required=True, choices=sorted(_SEARCH_CLASSES))
+        p.add_argument("--class", dest="model_class", required=True, choices=classes)
         p.add_argument("--max-worlds", type=int, required=True)
         p.add_argument("--atoms", help="comma-separated atom indices (default: atoms of the input)")
         p.add_argument("--out", help="also write the report to a file")

@@ -64,38 +64,92 @@ class SearchInternalError(RuntimeError):
     """A kernel result failed re-validation; indicates a kernel defect."""
 
 
+def _families(n: int, struct, valuation) -> Model:
+    # a raw world's structure is its family, a bitmask over world sets
+    families = tuple(tuple(x for x in range(1 << n) if (fam >> x) & 1) for fam in struct)
+    return NeighborhoodModel(n, families, valuation)
+
+
+def _cores(n: int, struct, valuation) -> Model:
+    # a constrained world's structure is the core its family is generated by
+    return _families(n, tuple(_kernel_py.family_key(core, n) for core in struct), valuation)
+
+
+def _check_conditions(model: Model) -> None:
+    if not nm_check_conditions(model).all_hold:
+        raise SearchInternalError("countermodel violates the (c)(h)(t)(n) conditions")
+
+
+def _check_equivalence(model: Model) -> None:
+    if not relation_properties(model).equivalence:
+        raise SearchInternalError("countermodel relation is not an equivalence")
+
+
+def _draw_partition(rng: random.Random, n: int) -> tuple[int, ...]:
+    blocks = [rng.randrange(n) for _ in range(n)]
+    return tuple(sum(1 << z for z in range(n) if blocks[z] == blocks[w]) for w in range(n))
+
+
+def universal_world_bound(formulas) -> int:
+    """Worlds enough for the first universal countermodel: m + 1, where m
+    counts the distinct modal subformulas of ``formulas``.
+
+    Take a universal countermodel: the premises hold at every world and the
+    target fails at world w.  Keep w and, for each modal subformula, one
+    witness if there is one: a world where A fails for ``[]A``, where A
+    holds for ``<>A`` (S5 selection; Blackburn, de Rijke & Venema, *Modal
+    Logic*, 2001, ch. 6).  By induction on subformulas, each of them has the
+    same truth value at a kept world in the submodel as in the model: a
+    modal one is true everywhere or nowhere, and its witness stayed.  So the
+    kept worlds, at most m + 1, are a countermodel too, and the smallest
+    world count with a countermodel is at most m + 1.
+    """
+    modal = {g for f in formulas for g in subformulas(f) if isinstance(g, (Box, Diamond))}
+    return len(modal) + 1
+
+
 class ModelClass(Enum):
-    RAW_NEIGHBORHOOD = "raw"
-    CONSTRAINED_NEIGHBORHOOD = "constrained"
-    KRIPKE_EQUIVALENCE = "kripke-equiv"
-    KRIPKE_ALL = "kripke-all"
-    UNIVERSAL = "universal"
+    """The searchable model classes, each defined once, on its member.
 
+    ``.value`` is the class's name on the command line.  The member's other
+    fields, in the order its value lists them: ``kernel_id``, its class in
+    ``_kernel_py``; ``cap``, the most worlds a search enumerates;
+    ``dialect``: neighborhood models interpret box only, Kripke and
+    universal models box and diamond; ``model(n, struct, valuation)``, the
+    model a kernel structure on n worlds stands for; ``draw(rng, n)``, a
+    random such structure; ``check(model)``, which raises
+    ``SearchInternalError`` for a model outside the class; and
+    ``world_bound(formulas)``, worlds enough for the first countermodel.
+    The last two are None where a class has none.
+    """
 
-# Raw neighborhood structures grow as 2^(2^n) per world, so exhaustive raw
-# search is capped hard; the constrained class grows as n·2^n and reaches
-# further.  Kripke and universal caps keep suites interactive.
-WORLD_CAPS: dict[ModelClass, int] = {
-    ModelClass.RAW_NEIGHBORHOOD: 2,
-    ModelClass.CONSTRAINED_NEIGHBORHOOD: 4,
-    ModelClass.KRIPKE_EQUIVALENCE: 4,
-    ModelClass.KRIPKE_ALL: 4,
-    ModelClass.UNIVERSAL: 10,
-}
+    def __new__(cls, value, kernel_id, cap, dialect, model, draw, check=None, world_bound=None):
+        member = object.__new__(cls)
+        member._value_, member.kernel_id, member.cap, member.dialect = value, kernel_id, cap, dialect
+        member.model, member.draw, member.check, member.world_bound = model, draw, check, world_bound
+        return member
+
+    # Raw neighborhood structures grow as 2^(2^n) per world, so exhaustive raw
+    # search is capped hard; the constrained class grows as n·2^n and reaches
+    # further.  Kripke and universal caps keep suites interactive.
+    RAW_NEIGHBORHOOD = ("raw", _kernel_py.CLASS_RAW, 2, Dialect.BOX, _families,
+                        lambda rng, n: tuple(rng.randrange(1 << (1 << n)) for _ in range(n)))
+    CONSTRAINED_NEIGHBORHOOD = ("constrained", _kernel_py.CLASS_CONSTRAINED, 4, Dialect.BOX, _cores,
+                                lambda rng, n: tuple(rng.randrange(1 << n) | (1 << w) for w in range(n)),
+                                _check_conditions)
+    KRIPKE_EQUIVALENCE = ("kripke-equiv", _kernel_py.CLASS_KRIPKE_EQUIV, 4, Dialect.S5, KripkeModel,
+                          _draw_partition, _check_equivalence)
+    KRIPKE_ALL = ("kripke-all", _kernel_py.CLASS_KRIPKE_ALL, 4, Dialect.S5, KripkeModel,
+                  lambda rng, n: tuple(rng.randrange(1 << n) for _ in range(n)))
+    # the Kripke frames whose every row is full
+    UNIVERSAL = ("universal", _kernel_py.CLASS_UNIVERSAL, 10, Dialect.S5,
+                 lambda n, struct, valuation: UniversalModel(n, valuation),
+                 lambda rng, n: ((1 << n) - 1,) * n, None, universal_world_bound)
+
 
 # Random search draws at most this many samples: each costs tens of
 # microseconds, so the bound is a few seconds of work.
 MAX_SAMPLES = 100_000
-
-_CLASS_ID: dict[ModelClass, int] = {
-    ModelClass.CONSTRAINED_NEIGHBORHOOD: _kernel_py.CLASS_CONSTRAINED,
-    ModelClass.RAW_NEIGHBORHOOD: _kernel_py.CLASS_RAW,
-    ModelClass.KRIPKE_ALL: _kernel_py.CLASS_KRIPKE_ALL,
-    ModelClass.KRIPKE_EQUIVALENCE: _kernel_py.CLASS_KRIPKE_EQUIV,
-    ModelClass.UNIVERSAL: _kernel_py.CLASS_UNIVERSAL,
-}
-
-_NEIGHBORHOOD = (ModelClass.RAW_NEIGHBORHOOD, ModelClass.CONSTRAINED_NEIGHBORHOOD)
 
 
 @dataclass(frozen=True)
@@ -107,10 +161,9 @@ class SearchBounds:
     def __post_init__(self):
         if self.max_worlds < 1:
             raise BoundsExceededError("max_worlds must be at least 1")
-        cap = WORLD_CAPS[self.model_class]
-        if self.max_worlds > cap:
+        if self.max_worlds > self.model_class.cap:
             raise BoundsExceededError(
-                f"{self.model_class.value} enumeration is capped at {cap} worlds"
+                f"{self.model_class.value} enumeration is capped at {self.model_class.cap} worlds"
             )
         object.__setattr__(self, "atoms", tuple(sorted(set(self.atoms))))
         if self.atoms and self.atoms[0] < 0:
@@ -136,14 +189,6 @@ class SearchOutcome:
 
 # ---------------------------------------------------------------------------
 # Formula compilation
-
-
-def _require_class_dialect(formulas, model_class: ModelClass) -> None:
-    # Neighborhood models interpret box only; Kripke and universal models
-    # box and diamond.  No class interprets nabla.
-    dialect = Dialect.BOX if model_class in _NEIGHBORHOOD else Dialect.S5
-    for g in formulas:
-        require_dialect(g, dialect)
 
 
 # An atom is looked up here only when it has no slot: it denotes the empty set.
@@ -193,25 +238,15 @@ def _compile(f: Formula, atom_slots: dict[int, int], prog: list[int]) -> None:
 
 
 def _model_from_struct(mc: ModelClass, n: int, struct, vmasks, atoms) -> Model:
-    valuation = tuple(zip(atoms, vmasks))
-    if mc is ModelClass.UNIVERSAL:
-        return UniversalModel(n, valuation)
-    if mc not in _NEIGHBORHOOD:
-        return KripkeModel(n, struct, valuation)
-    if mc is ModelClass.CONSTRAINED_NEIGHBORHOOD:
-        # a constrained world's structure is the core its family is generated by
-        struct = tuple(_kernel_py.family_key(core, n) for core in struct)
-    families = tuple(tuple(x for x in range(1 << n) if (fam >> x) & 1) for fam in struct)
-    return NeighborhoodModel(n, families, valuation)
+    return mc.model(n, struct, tuple(zip(atoms, vmasks)))
 
 
 def enumerate_models(bounds: SearchBounds):
     """Yield every model of the class up to the bounds, without duplicates,
     in the kernel's deterministic order."""
-    class_id = _CLASS_ID[bounds.model_class]
     for n in range(1, bounds.max_worlds + 1):
         vrange = range(1 << n)
-        for struct in _kernel_py.structures(class_id, n):
+        for struct in _kernel_py.structures(bounds.model_class.kernel_id, n):
             for vmasks in product(vrange, repeat=len(bounds.atoms)):
                 yield _model_from_struct(bounds.model_class, n, struct, vmasks, bounds.atoms)
 
@@ -223,12 +258,8 @@ def enumerate_models(bounds: SearchBounds):
 def _revalidate(
     bounds: SearchBounds, model: Model, world: int, gamma: tuple[Formula, ...], f: Formula
 ) -> None:
-    if bounds.model_class is ModelClass.CONSTRAINED_NEIGHBORHOOD:
-        if not nm_check_conditions(model).all_hold:
-            raise SearchInternalError("countermodel violates the (c)(h)(t)(n) conditions")
-    elif bounds.model_class is ModelClass.KRIPKE_EQUIVALENCE:
-        if not relation_properties(model).equivalence:
-            raise SearchInternalError("countermodel relation is not an equivalence")
+    if bounds.model_class.check:
+        bounds.model_class.check(model)
     for g in gamma:
         if not is_valid_in(model, g):
             raise SearchInternalError("countermodel does not globally validate the premises")
@@ -236,39 +267,23 @@ def _revalidate(
         raise SearchInternalError("countermodel fails to falsify the formula")
 
 
-def universal_world_bound(formulas) -> int:
-    """Worlds enough for the first universal countermodel: m + 1, where m
-    counts the distinct modal subformulas of ``formulas``.
-
-    Take a universal countermodel: the premises hold at every world and the
-    target fails at world w.  Keep w and, for each modal subformula, one
-    witness if there is one: a world where A fails for ``[]A``, where A
-    holds for ``<>A`` (S5 selection; Blackburn, de Rijke & Venema, *Modal
-    Logic*, 2001, ch. 6).  By induction on subformulas, each of them has the
-    same truth value at a kept world in the submodel as in the model: a
-    modal one is true everywhere or nowhere, and its witness stayed.  So the
-    kept worlds, at most m + 1, are a countermodel too, and the smallest
-    world count with a countermodel is at most m + 1.
-    """
-    modal = {g for f in formulas for g in subformulas(f) if isinstance(g, (Box, Diamond))}
-    return len(modal) + 1
-
-
 def _search(gamma: tuple[Formula, ...], f: Formula, bounds: SearchBounds) -> SearchOutcome:
-    _require_class_dialect((*gamma, f), bounds.model_class)
+    mc = bounds.model_class
+    for g in (*gamma, f):
+        require_dialect(g, mc.dialect)
     slots = {atom: i for i, atom in enumerate(bounds.atoms)}
     programs = [compile_program(g, slots) for g in (*gamma, f)]
-    # A universal search stops at the bound above: the first countermodel
-    # lies within it, and without one the kernel counts the models past it.
+    # A search stops at its class's world bound: the first countermodel lies
+    # within it, and without one the kernel counts the models past it.
     scanned = bounds.max_worlds
-    if bounds.model_class is ModelClass.UNIVERSAL:
-        scanned = min(scanned, universal_world_bound((*gamma, f)))
+    if mc.world_bound:
+        scanned = min(scanned, mc.world_bound((*gamma, f)))
     found, checked, n, struct, vmasks, world = _ACTIVE.run_search(
-        _CLASS_ID[bounds.model_class], scanned, len(bounds.atoms), programs, bounds.max_worlds
+        mc.kernel_id, scanned, len(bounds.atoms), programs, bounds.max_worlds
     )
     if not found:
         return SearchOutcome(Verdict.EXHAUSTED_VALID, checked)
-    model = _model_from_struct(bounds.model_class, n, tuple(struct), tuple(vmasks), bounds.atoms)
+    model = _model_from_struct(mc, n, tuple(struct), tuple(vmasks), bounds.atoms)
     _revalidate(bounds, model, world, gamma, f)
     return SearchOutcome(Verdict.COUNTERMODEL_FOUND, checked, model, world)
 
@@ -307,33 +322,20 @@ def run_k_experiment(bounds: SearchBounds) -> SearchOutcome:
 def sample_countermodel(
     f: Formula, bounds: SearchBounds, samples: int, seed: int
 ) -> SearchOutcome:
-    """Seeded random search within ``bounds`` (so ``WORLD_CAPS`` applies).
+    """Seeded random search within ``bounds`` (so the class's cap applies).
     Returns the first falsifying sample or ``Inconclusive`` after ``samples``
     draws, of which there are at most ``MAX_SAMPLES``."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if samples > MAX_SAMPLES:
         raise BoundsExceededError(f"samples are capped at {MAX_SAMPLES}, got {samples}")
-    _require_class_dialect((f,), bounds.model_class)
-    rng = random.Random(seed)
     mc = bounds.model_class
+    require_dialect(f, mc.dialect)
+    rng = random.Random(seed)
     for i in range(1, samples + 1):
         n = rng.randint(1, bounds.max_worlds)
         vmasks = tuple(rng.randrange(1 << n) for _ in bounds.atoms)
-        if mc is ModelClass.CONSTRAINED_NEIGHBORHOOD:
-            struct = tuple(rng.randrange(1 << n) | (1 << w) for w in range(n))
-        elif mc is ModelClass.RAW_NEIGHBORHOOD:
-            struct = tuple(rng.randrange(1 << (1 << n)) for _ in range(n))
-        elif mc is ModelClass.KRIPKE_ALL:
-            struct = tuple(rng.randrange(1 << n) for _ in range(n))
-        elif mc is ModelClass.KRIPKE_EQUIVALENCE:
-            blocks = [rng.randrange(n) for _ in range(n)]
-            struct = tuple(
-                sum(1 << z for z in range(n) if blocks[z] == blocks[w]) for w in range(n)
-            )
-        else:
-            struct = ()
-        model = _model_from_struct(mc, n, struct, vmasks, bounds.atoms)
+        model = _model_from_struct(mc, n, mc.draw(rng, n), vmasks, bounds.atoms)
         falsified = model.full_mask & ~truth_mask(model, f)
         if falsified:
             lowest = (falsified & -falsified).bit_length() - 1

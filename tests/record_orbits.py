@@ -2,9 +2,10 @@
 
 Writes ``src/plausible/_orbits.py``.  For each class of the search kernel
 but universal (one structure per world count) and each world count up to
-the class's cap in ``search.WORLD_CAPS``, it lists the structures that no
-relabelling of the worlds maps to an earlier one in the kernel's order,
-by their rank: their position in ``_kernel_py.structures``.
+the ``cap`` of the class's ``search.ModelClass`` member, it lists the
+structures that no relabelling of the worlds maps to an earlier one in
+the kernel's order, by their rank: their position in
+``_kernel_py.structures``.
 ``_kernel_py.run_search`` scans only those.  The ranks of one (class,
 world count) are one string of fixed-width hex numbers, which the kernel
 decodes on first use.  ``test_search.TestOrbitTable`` checks the table
@@ -22,7 +23,7 @@ from itertools import permutations
 from pathlib import Path
 
 from plausible import _kernel_py
-from plausible.search import _CLASS_ID, WORLD_CAPS
+from plausible.search import ModelClass
 
 OUT = Path(__file__).parent.parent / "src" / "plausible" / "_orbits.py"
 HEX_PER_LINE = 96
@@ -72,10 +73,10 @@ def table() -> list[tuple[str, int, int, int, list[int]]]:
     """``(class name, class id, worlds, count, ranks)`` per table entry,
     by class id and then world count."""
     rows = []
-    for mc, class_id in sorted(_CLASS_ID.items(), key=lambda item: item[1]):
-        if class_id != _kernel_py.CLASS_UNIVERSAL:
-            for n in range(1, WORLD_CAPS[mc] + 1):
-                rows.append((mc.value, class_id, n, *minimal_ranks(class_id, n)))
+    for mc in sorted(ModelClass, key=lambda mc: mc.kernel_id):
+        if mc is not ModelClass.UNIVERSAL:
+            for n in range(1, mc.cap + 1):
+                rows.append((mc.value, mc.kernel_id, n, *minimal_ranks(mc.kernel_id, n)))
     return rows
 
 

@@ -1,5 +1,7 @@
 import gc
 import itertools
+import random
+import re
 import tracemalloc
 
 import pytest
@@ -9,9 +11,7 @@ from hypothesis import strategies as st
 from conftest import chunk_log2, formulas, oracle
 from plausible import _kernel_py, _orbits, search
 from plausible.search import (
-    _CLASS_ID,
     MAX_SAMPLES,
-    WORLD_CAPS,
     BoundsExceededError,
     K_FORMULA,
     ModelClass,
@@ -30,6 +30,7 @@ from plausible.search import (
     universal_world_bound,
 )
 from plausible.semantics import (
+    KripkeModel,
     NeighborhoodModel,
     eval_model,
     is_valid_in,
@@ -160,7 +161,18 @@ class TestFindCountermodel:
         assert find_countermodel(f, b) == find_countermodel(f, b)
 
 
-_MODEL_CLASS = {class_id: mc for mc, class_id in _CLASS_ID.items()}
+CAPS = {"raw": 2, "constrained": 4, "kripke-equiv": 4, "kripke-all": 4, "universal": 10}
+
+
+@pytest.mark.parametrize("mc", list(ModelClass), ids=lambda mc: mc.value)
+def test_world_cap(mc):
+    assert mc.cap == CAPS[mc.value]
+    assert SearchBounds(mc, mc.cap).max_worlds == mc.cap
+    with pytest.raises(BoundsExceededError, match=f"{mc.value} enumeration is capped at {mc.cap} worlds"):
+        SearchBounds(mc, mc.cap + 1)
+
+
+_MODEL_CLASS = {mc.kernel_id: mc for mc in ModelClass}
 
 
 def assert_oracle_parity(gamma, target, class_id, worlds, natoms, log2s):
@@ -285,15 +297,31 @@ class TestKernel:
 
     @pytest.mark.parametrize("model_class", list(ModelClass), ids=lambda mc: mc.value)
     def test_structures_are_the_oracle_frames(self, model_class):
-        for n in range(1, WORLD_CAPS[model_class] + 1):
-            got = list(_kernel_py.structures(_CLASS_ID[model_class], n))
+        for n in range(1, model_class.cap + 1):
+            got = list(_kernel_py.structures(model_class.kernel_id, n))
             expected = oracle.frames(model_class.value, n)
             if model_class is ModelClass.CONSTRAINED_NEIGHBORHOOD:
                 # a constrained world's structure is the core of its family
                 got = [tuple(_kernel_py.family_key(core, n) for core in s) for s in got]
             if oracle.model_kind(model_class.value) == "nbhd":
                 expected = [tuple(map(oracle.family_key, frame)) for frame in expected]
+            if model_class is ModelClass.UNIVERSAL:
+                # the oracle's one universal frame holds no relation; the
+                # kernel's is the full relation
+                assert expected == [()]
+                expected = [((1 << n) - 1,) * n]
             assert got == expected, n
+
+    @pytest.mark.parametrize("model_class", list(ModelClass), ids=lambda mc: mc.value)
+    def test_draws_are_enumerated_structures(self, model_class):
+        rng = random.Random(2027)
+        for n in range(1, min(model_class.cap, 3) + 1):
+            every = set(_kernel_py.structures(model_class.kernel_id, n))
+            state = rng.getstate()
+            draws = [model_class.draw(rng, n) for _ in range(200)]
+            assert set(draws) <= every, n
+            if model_class is ModelClass.UNIVERSAL:
+                assert rng.getstate() == state  # its one structure takes no randomness
 
     def test_equivalence_search_leaves_no_reference_cycle(self):
         # A self-referring closure in the partition walk would leave a cycle
@@ -369,8 +397,8 @@ class TestOrbitTable:
 
     def test_table_covers_every_searchable_world_count(self):
         assert self.ENTRIES == sorted(
-            (class_id, n) for mc, class_id in _CLASS_ID.items() if mc is not ModelClass.UNIVERSAL
-            for n in range(1, WORLD_CAPS[mc] + 1)
+            (mc.kernel_id, n) for mc in ModelClass if mc is not ModelClass.UNIVERSAL
+            for n in range(1, mc.cap + 1)
         )
 
     # kripke-all/4, 65,536 frames, is left to CI's rebuild of the table
@@ -533,6 +561,19 @@ class TestSampling:
         b = bounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 1, (0,))
         with pytest.raises(SearchInternalError, match="conditions"):
             sample_countermodel(parse("[]p0 -> p0"), b, 1, seed=1)
+
+    @pytest.mark.parametrize("mc,broken,message", [
+        # the empty set neighbours world 0, against (t)
+        (ModelClass.CONSTRAINED_NEIGHBORHOOD, NeighborhoodModel(1, ((0, 1),), ((0, 0),)),
+         "countermodel violates the (c)(h)(t)(n) conditions"),
+        # world 0 does not see itself
+        (ModelClass.KRIPKE_EQUIVALENCE, KripkeModel(1, (0,), ((0, 0),)),
+         "countermodel relation is not an equivalence"),
+    ], ids=["constrained", "kripke-equiv"])
+    def test_class_check_messages(self, monkeypatch, mc, broken, message):
+        monkeypatch.setattr(search, "_model_from_struct", lambda *args: broken)
+        with pytest.raises(SearchInternalError, match=f"^{re.escape(message)}$"):
+            sample_countermodel(parse("p0"), bounds(mc, 1, (0,)), 1, seed=1)
 
     def test_equivalence_samples_are_equivalences(self):
         out = sample_countermodel(
