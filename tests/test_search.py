@@ -1,7 +1,6 @@
 import gc
 import itertools
 import random
-import re
 import tracemalloc
 
 import pytest
@@ -559,21 +558,16 @@ class TestSampling:
         broken = NeighborhoodModel(1, ((0, 1),), ((0, 0),))
         monkeypatch.setattr(search, "_model_from_struct", lambda *args: broken)
         b = bounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 1, (0,))
-        with pytest.raises(SearchInternalError, match="conditions"):
+        with pytest.raises(SearchInternalError, match=r"^countermodel violates the \(c\)\(h\)\(t\)\(n\) conditions$"):
             sample_countermodel(parse("[]p0 -> p0"), b, 1, seed=1)
 
-    @pytest.mark.parametrize("mc,broken,message", [
-        # the empty set neighbours world 0, against (t)
-        (ModelClass.CONSTRAINED_NEIGHBORHOOD, NeighborhoodModel(1, ((0, 1),), ((0, 0),)),
-         "countermodel violates the (c)(h)(t)(n) conditions"),
-        # world 0 does not see itself
-        (ModelClass.KRIPKE_EQUIVALENCE, KripkeModel(1, (0,), ((0, 0),)),
-         "countermodel relation is not an equivalence"),
-    ], ids=["constrained", "kripke-equiv"])
-    def test_class_check_messages(self, monkeypatch, mc, broken, message):
+    def test_sampled_non_equivalence_is_refused(self, monkeypatch):
+        # world 0 does not see itself, so p0 fails there
+        broken = KripkeModel(1, (0,), ((0, 0),))
         monkeypatch.setattr(search, "_model_from_struct", lambda *args: broken)
-        with pytest.raises(SearchInternalError, match=f"^{re.escape(message)}$"):
-            sample_countermodel(parse("p0"), bounds(mc, 1, (0,)), 1, seed=1)
+        b = bounds(ModelClass.KRIPKE_EQUIVALENCE, 1, (0,))
+        with pytest.raises(SearchInternalError, match="^countermodel relation is not an equivalence$"):
+            sample_countermodel(parse("p0"), b, 1, seed=1)
 
     def test_equivalence_samples_are_equivalences(self):
         out = sample_countermodel(
