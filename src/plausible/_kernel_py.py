@@ -16,20 +16,39 @@ orders each world's candidate cores by the family they generate.  A
 universal model is the Kripke frame whose relation is full: every row
 holds every world, so each world count has one universal structure.
 
-Valuations are evaluated broadword (Knuth, TAOCP 4A §7.1.3): for one
-structure, a formula's value at world ``w`` is a Python int whose bit
-``u`` is its truth at ``w`` under the ``u``-th valuation.  Atoms become
-fixed bit patterns, connectives become ``& | ^``, a box is an AND (a
-diamond an OR) over a world's successors or core members, and a raw box is
-an OR over the family's members of exact-truth-set indicators.  So each
-formula is evaluated once per structure and chunk, not once per model,
-and the lowest set bit of ``premises_ok & ~target`` is the first
-countermodel in the order above.
+Models are evaluated broadword (Knuth, TAOCP 4A §7.1.3): a formula's
+value at world ``w`` is a Python int with one bit, a lane, per model of a
+chunk.  Atoms become fixed bit patterns, connectives become ``& | ^``, a
+box is an AND (a diamond an OR) over a world's successors or core members,
+and a raw box is an OR over the family's members of exact-truth-set
+indicators.  So each formula is evaluated once per chunk, not once per
+model.
 
-Valuations are streamed in chunks of at most ``2**CHUNK_LOG2`` consecutive
-indices, cut at whole atoms: the low atoms vary inside a chunk, the high
-atoms are constant across it.  Memory therefore stays bounded whatever
-the atom count.
+A chunk holds at most ``2**CHUNK_LOG2`` models.  If a structure has more
+valuations than that, its chunks are cut at whole atoms and streamed: the
+low atoms vary inside a chunk, the high atoms are constant across it, and
+a chunk holds one structure.  Otherwise a chunk holds a group of g
+structures side by side, as many as fit: lane ``u·g + j`` is valuation
+``u`` of the group's structure ``j`` (valuation-major).  Atoms are then
+the bit patterns of one structure with each bit widened to g lanes, and
+an entry z of world w's row, core or family counts for structure j only
+where its membership vector, bit ``u·g + j`` set iff structure j has z at
+w, is set: ``a[z] | ~M`` under a box, ``a[z] & M`` under a diamond,
+``exact[X] & M`` under a raw box.  An entry every structure of the group
+has needs no vector, so a group of one needs none at all: g = 1 is the
+layout of a chunk of one structure.
+
+The first countermodel is still the first in the order above: of the
+lanes where the premises hold and the target fails, it takes the lowest
+structure j that has one, found by folding the valuation blocks onto one,
+then that structure's lowest valuation u.  Scanning the group's
+structures in parallel changes what is evaluated at once, not which model
+is reported, so ``models_checked`` is unchanged too.
+
+Memory stays bounded whatever the atom count: the ints of one chunk have
+at most ``2**CHUNK_LOG2`` bits, and besides the evaluation stack and the
+atom patterns a chunk keeps at most one membership vector per world and
+entry, n·n of them (n·2^n for raw).
 
 Only one structure per isomorphism class is scanned.  Relabelling the
 worlds by a permutation π maps a structure S to π(S) and each valuation to
@@ -52,7 +71,7 @@ the searches they save, so their ranks are committed in
 on first use.
 """
 
-from itertools import product
+from itertools import islice, product
 
 (
     OP_ATOM,
@@ -75,8 +94,8 @@ from itertools import product
     CLASS_UNIVERSAL,
 ) = range(5)
 
-# log2 of the valuations evaluated at once: each per-world int holds at
-# most this many bits' worth of valuations (2**12 bits = 512 bytes).
+# log2 of the models evaluated at once: each per-world int holds at most
+# this many bits' worth of models (2**12 bits = 512 bytes).
 CHUNK_LOG2 = 12
 
 
@@ -200,16 +219,20 @@ def orbit_minima(class_id: int, n: int):
     return 1 << (bits * n), minima
 
 
-def bit_patterns(nbits: int) -> list[int]:
-    """``patterns[b]`` has bit ``u`` set iff bit ``b`` of ``u`` is set, for
-    every ``u < 2**nbits``."""
-    width = 1 << nbits
-    ones = (1 << width) - 1
+def bit_patterns(nbits: int, unit: int) -> list[int]:
+    """``patterns[b]`` has bit ``u·unit + j`` set iff bit ``b`` of ``u`` is
+    set, for every ``u < 2**nbits`` and ``j < unit``.
+
+    The top pattern is the upper half of the lanes, and each pattern below
+    is the one above XOR itself shifted down by its own half period: adding
+    ``2**(b-1)`` to ``u`` flips bit ``b`` of ``u`` iff bit ``b-1`` is set.
+    """
+    p = (1 << (unit << nbits)) - 1
     out = []
-    for b in range(nbits):
-        half = 1 << b
-        out.append(ones // ((1 << (2 * half)) - 1) * (((1 << half) - 1) << half))
-    return out
+    for b in reversed(range(nbits)):
+        p ^= p >> (unit << b)
+        out.append(p)
+    return out[::-1]
 
 
 def _and_all(values, ones: int) -> int:
@@ -219,20 +242,16 @@ def _and_all(values, ones: int) -> int:
     return r
 
 
-def _or_all(values) -> int:
-    r = 0
-    for x in values:
-        r |= x
-    return r
-
-
 def eval_program(prog, atoms, ones, n, class_id, frame) -> list[int]:
-    """Evaluate a postfix program over one chunk of valuations.
+    """Evaluate a postfix program over one chunk of lanes.
 
     ``atoms[i][w]`` is atom ``i``'s value at world ``w`` and ``ones`` has a
-    bit for every valuation of the chunk.  ``frame[w]`` lists world ``w``'s
-    successors (Kripke and universal), core members (constrained) or family
-    members as world sets (raw).  Returns the formula's value at each world.
+    bit for every lane of the chunk.  ``frame[w]`` is a pair ``(full,
+    part)`` of world ``w``'s entries: its successors (Kripke and universal),
+    core members (constrained) or family members as world sets (raw).
+    ``full`` lists those every structure of the chunk has, and ``part``
+    pairs each other one with the lanes of the structures that have it.
+    Returns the formula's value at each world.
     """
     stack: list = []
     for i in range(0, len(prog), 2):
@@ -257,38 +276,82 @@ def eval_program(prog, atoms, ones, n, class_id, frame) -> list[int]:
         elif op == OP_IFF:
             b = stack.pop()
             stack[-1] = [x ^ y ^ ones for x, y in zip(stack[-1], b)]
+        elif op == OP_BOX and class_id == CLASS_RAW:
+            # exact[X]: the truth set is exactly the world set X
+            exact = [ones]
+            for x in stack[-1]:
+                exact = [e & (x ^ ones) for e in exact] + [e & x for e in exact]
+            r = []
+            for full, part in frame:
+                x = 0
+                for s in full:
+                    x |= exact[s]
+                for s, m in part:
+                    x |= exact[s] & m
+                r.append(x)
+            stack[-1] = r
         elif op == OP_BOX:
             a = stack[-1]
-            if class_id == CLASS_RAW:
-                # exact[X]: the truth set is exactly the world set X
-                exact = [ones]
-                for x in a:
-                    exact = [e & (x ^ ones) for e in exact] + [e & x for e in exact]
-                stack[-1] = [_or_all(exact[s] for s in members) for members in frame]
-            else:
-                r = []
-                for members in frame:
-                    x = ones
-                    for z in members:
-                        x &= a[z]
-                    r.append(x)
-                stack[-1] = r
+            r = []
+            for full, part in frame:
+                x = ones
+                for z in full:
+                    x &= a[z]
+                for z, m in part:
+                    x &= a[z] | (m ^ ones)
+                r.append(x)
+            stack[-1] = r
         else:  # OP_DIA
             a = stack[-1]
             r = []
-            for members in frame:
+            for full, part in frame:
                 x = 0
-                for z in members:
+                for z in full:
                     x |= a[z]
+                for z, m in part:
+                    x |= a[z] & m
                 r.append(x)
             stack[-1] = r
     return stack[-1]
 
 
+def _group_frame(group, width: int, repunit: int) -> list:
+    """The ``frame`` argument of ``eval_program`` for the structures of
+    ``group`` side by side, structure ``j`` in the lanes ``u·g + j``.
+
+    A structure's entry at a world is a bitmask over ``width`` entries.  The
+    entries of every structure, the last structure first, are packed into
+    one int and read as one string of binary digits: entry ``z`` at world
+    ``w`` takes one digit per structure from it, at a stride of one
+    structure, and the membership vector they spell is spread over every
+    valuation block by ``repunit``.
+    """
+    n = len(group[0][1])
+    stride = n * width
+    packed = 1  # above the digits, so that bin() keeps their leading zeros
+    for _, struct in reversed(group):
+        for row in struct:
+            packed = packed << width | row
+    digits = bin(packed)[3:]
+    every = (1 << len(group)) - 1
+    frame = []
+    for w in range(n):
+        full, part = [], []
+        for z in range(width):
+            members = int(digits[(w + 1) * width - 1 - z::stride], 2)
+            if members == every:
+                full.append(z)
+            elif members:
+                part.append((z, members * repunit))
+        frame.append((full, part))
+    return frame
+
+
 def first_countermodel(gamma, target, n, natoms, class_id, minima):
-    """Scan structures on ``n`` worlds, each valuation by valuation a chunk
-    at a time, for the first model that globally validates every program of
-    ``gamma`` while falsifying ``target``.
+    """Scan structures on ``n`` worlds a chunk at a time, for the first
+    model that globally validates every program of ``gamma`` while
+    falsifying ``target``.  A chunk holds all valuations of as many
+    structures as fit, or part of one structure's valuations.
 
     ``minima`` lists ``(rank, structure)`` pairs in scan order, as
     ``orbit_minima`` does.  Returns ``(rank, structure, v, world)``: the
@@ -297,20 +360,25 @@ def first_countermodel(gamma, target, n, natoms, class_id, minima):
     """
     low = min(natoms, max(1, CHUNK_LOG2 // n))  # atoms varying inside a chunk
     high = natoms - low
-    ones = (1 << (1 << (n * low))) - 1
-    patterns = bit_patterns(n * low)
-    # Valuation v = chunk << (n * low) | u; bit n*(natoms-1-i) + w of v is
-    # atom i's truth at world w.
-    low_atoms = [
-        [patterns[n * (natoms - 1 - i) + w] for w in range(n)]
-        for i in range(high, natoms)
-    ]
-    set_bits = [tuple(z for z in range(n) if (m >> z) & 1) for m in range(1 << n)]
-    for rank, struct in minima:
-        if class_id == CLASS_RAW:
-            frame = [[x for x in range(1 << n) if (fam >> x) & 1] for fam in struct]
-        else:
-            frame = [set_bits[row] for row in struct]
+    vbits = n * low
+    # structures side by side, when all of one's valuations fit in a chunk
+    g = 1 << max(0, CHUNK_LOG2 - vbits) if high == 0 else 1
+    width = 1 << n if class_id == CLASS_RAW else n
+    minima = iter(minima)
+    size = 0
+    while group := list(islice(minima, g)):
+        if len(group) != size:  # the first group, and a shorter last one
+            size = len(group)
+            ones = (1 << (size << vbits)) - 1
+            repunit = ones // ((1 << size) - 1)  # bit u·size set for every valuation u
+            patterns = bit_patterns(vbits, size)
+            # Valuation v = chunk << vbits | u; bit n*(natoms-1-i) + w of v is
+            # atom i's truth at world w.
+            low_atoms = [
+                [patterns[n * (natoms - 1 - i) + w] for w in range(n)]
+                for i in range(high, natoms)
+            ]
+        frame = _group_frame(group, width, repunit)
         for chunk in range(1 << (n * high)):
             atoms = [
                 [ones if (chunk >> (n * (high - 1 - i) + w)) & 1 else 0 for w in range(n)]
@@ -318,8 +386,8 @@ def first_countermodel(gamma, target, n, natoms, class_id, minima):
             ]
             atoms += low_atoms
             ok = ones
-            for g in gamma:
-                ok &= _and_all(eval_program(g, atoms, ones, n, class_id, frame), ones)
+            for p in gamma:
+                ok &= _and_all(eval_program(p, atoms, ones, n, class_id, frame), ones)
                 if not ok:
                     break
             if not ok:
@@ -327,9 +395,21 @@ def first_countermodel(gamma, target, n, natoms, class_id, minima):
             ts = eval_program(target, atoms, ones, n, class_id, frame)
             bad = ok & ~_and_all(ts, ones)
             if bad:
-                u = (bad & -bad).bit_length() - 1
-                world = next(w for w in range(n) if not (ts[w] >> u) & 1)
-                return rank, struct, (chunk << (n * low)) | u, world
+                # the first structure j with a countermodel: fold the
+                # valuation blocks onto block 0 and take its lowest lane
+                j = 0
+                if size > 1:
+                    folded, span = bad, size << vbits
+                    while span > size:
+                        span >>= 1
+                        folded = (folded | folded >> span) & ((1 << span) - 1)
+                    j = (folded & -folded).bit_length() - 1
+                lanes = (bad >> j) & repunit
+                u = ((lanes & -lanes).bit_length() - 1) // size
+                lane = u * size + j
+                world = next(w for w in range(n) if not (ts[w] >> lane) & 1)
+                rank, struct = group[j]
+                return rank, struct, (chunk << vbits) | u, world
     return None
 
 

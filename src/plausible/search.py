@@ -7,8 +7,11 @@ countermodel is re-validated against the object-level evaluator and the
 class constraints before it is returned.
 
 The inner enumeration/evaluation loop runs in ``plausible._kernel_py``,
-which evaluates each formula over all valuations of a structure at once
-(bit-sliced); formulas reach it compiled to postfix programs.
+which evaluates each formula over a chunk of models at once (bit-sliced):
+every valuation of a structure, and as many structures side by side as
+fit in a chunk.  Formulas reach it compiled to postfix programs.
+Universal and kripke-equiv searches stop at the formulas' world bound
+(``universal_world_bound``) and count the models past it in closed form.
 """
 
 from __future__ import annotations
@@ -91,8 +94,8 @@ def _draw_partition(rng: random.Random, n: int) -> tuple[int, ...]:
 
 
 def universal_world_bound(formulas) -> int:
-    """Worlds enough for the first universal countermodel: m + 1, where m
-    counts the distinct modal subformulas of ``formulas``.
+    """Worlds enough for the first universal or kripke-equiv countermodel:
+    m + 1, where m counts the distinct modal subformulas of ``formulas``.
 
     Take a universal countermodel: the premises hold at every world and the
     target fails at world w.  Keep w and, for each modal subformula, one
@@ -103,6 +106,14 @@ def universal_world_bound(formulas) -> int:
     modal one is true everywhere or nowhere, and its witness stayed.  So the
     kept worlds, at most m + 1, are a countermodel too, and the smallest
     world count with a countermodel is at most m + 1.
+
+    A kripke-equiv countermodel reduces to a universal one.  The cluster of
+    w, its equivalence class, is a generated submodel: no world of it sees
+    out of it, so every formula keeps its truth value at its worlds, the
+    premises hold throughout it and the target still fails at w.  Its
+    relation is full, so it is a universal countermodel, and S5 selection
+    on it keeps a universal countermodel of at most m + 1 worlds.  A full
+    relation is an equivalence, so that is a kripke-equiv countermodel too.
     """
     modal = {g for f in formulas for g in subformulas(f) if isinstance(g, (Box, Diamond))}
     return len(modal) + 1
@@ -138,7 +149,7 @@ class ModelClass(Enum):
                                 lambda rng, n: tuple(rng.randrange(1 << n) | (1 << w) for w in range(n)),
                                 _check_conditions)
     KRIPKE_EQUIVALENCE = ("kripke-equiv", _kernel_py.CLASS_KRIPKE_EQUIV, 4, Dialect.S5, KripkeModel,
-                          _draw_partition, _check_equivalence)
+                          _draw_partition, _check_equivalence, universal_world_bound)
     KRIPKE_ALL = ("kripke-all", _kernel_py.CLASS_KRIPKE_ALL, 4, Dialect.S5, KripkeModel,
                   lambda rng, n: tuple(rng.randrange(1 << n) for _ in range(n)))
     # the Kripke frames whose every row is full

@@ -30,6 +30,7 @@ from plausible.syntax import (
     And,
     Atom,
     Bottom,
+    Dialect,
     DialectError,
     Iff,
     Implies,
@@ -39,6 +40,7 @@ from plausible.syntax import (
     Top,
     atoms_of,
     parse,
+    translate,
 )
 
 
@@ -238,6 +240,31 @@ class TestKernelValidation:
         with chunk_log2(log2):
             for a in VALID_K_LE_2 + [base_3]:
                 assert alg_validates(a, f) == validates_by_assignment(a, f), a
+
+    @pytest.mark.parametrize("log2", [1, 2, 6, _kernel_py.CHUNK_LOG2])
+    @pytest.mark.parametrize("text", [
+        "nabla p0 -> p0",
+        "nabla p0 -> nabla nabla p0",
+        "p0 -> nabla ~nabla ~p0",
+        "nabla(nabla p0 -> p0)",
+        "p0 -> nabla p0",
+    ])
+    def test_one_scan_over_frames_in_several_groups(self, text, log2):
+        # With one atom, a base-3 frame has 8 valuations, so 2**6 lanes hold
+        # 8 frames side by side and the 64 valid base-3 algebras span 8
+        # groups.  The algebras refuting the formula go last, so that a
+        # refutation lies in the last group.
+        from plausible import algebra as alg
+
+        f = parse(text)
+        program = alg._compile(translate(f, Dialect.NABLA, Dialect.BOX), [0])
+        validating = [a for a in VALID_K3 if validates_by_assignment(a, f)]
+        refuting = [a for a in VALID_K3 if a not in validating]
+        assert len(VALID_K3) == 64
+        with chunk_log2(log2):
+            assert alg._all_validate(validating, 1, program)
+            if refuting:
+                assert not alg._all_validate(validating + refuting[-1:], 1, program)
 
     def test_refutation_in_the_last_chunk(self):
         # p0 and p1 are the atoms constant across each chunk; with # sending

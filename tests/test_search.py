@@ -284,6 +284,116 @@ class TestReferenceParity:
         assert_oracle_parity(gamma, target, class_id, worlds, natoms, (log2,))
 
 
+def group_size(n: int, natoms: int, log2: int) -> int:
+    """Structures side by side in a chunk of ``2**log2`` lanes: as many as
+    hold all their valuations, or one if a structure's valuations span
+    several chunks."""
+    if natoms > max(1, log2 // n):
+        return 1
+    return 1 << max(0, log2 - n * natoms)
+
+
+def placement(out: SearchOutcome, class_id: int, natoms: int, log2: int) -> tuple[int, int, int]:
+    """``(group, groups, size)``: the index of the group of orbit minima that
+    holds the first countermodel's structure, the number of groups on its
+    world count and the number of structures in its group."""
+    n = out.countermodel.worlds
+    before = sum(_kernel_py.orbit_minima(class_id, m)[0] << (m * natoms) for m in range(1, n))
+    rank = (out.models_checked - before - 1) >> (n * natoms)
+    ranks = _kernel_py.orbit_ranks(class_id, n)
+    g = group_size(n, natoms, log2)
+    group = ranks.index(rank) // g
+    return group, -(-len(ranks) // g), len(ranks[group * g:(group + 1) * g])
+
+
+class TestGroupedChunks:
+    """Chunks that hold several structures side by side, against the oracle
+    at 2, 4 and 64 lanes to a chunk and the default."""
+
+    LOG2S = (1, 2, 6, _kernel_py.CHUNK_LOG2)
+    F4 = TestReferenceParity.F4
+    # (premises, formula, class, worlds, atoms, log2, and where the first
+    # countermodel lies at 2**log2 lanes: (group, groups, size of the group))
+    PLACED = [
+        # the second of 14 groups of 16 constrained structures on 4 worlds
+        (("p1 -> []p1",), F4, _kernel_py.CLASS_CONSTRAINED, 4, 2, _kernel_py.CHUNK_LOG2, (1, 14, 16)),
+        # only families of every world set but the empty one, (14, 14), the
+        # 134th of 136 raw 2-world structures, validate the premise: the
+        # last group, 8 of its 16 structures
+        (("[]p0 & []~p0 & []true & ~[]false",), "p0", _kernel_py.CLASS_RAW, 2, 1, 6, (8, 9, 8)),
+        # only the full relation, the last of 104 kripke-all 3-world frames,
+        # lets each world see three kinds of world: the last group, 40 of 64
+        (("<>p0 & <>(~p0 & p1) & <>(~p0 & ~p1)",), "p1", _kernel_py.CLASS_KRIPKE_ALL, 3, 2,
+         _kernel_py.CHUNK_LOG2, (1, 2, 40)),
+        # the full relation again, the last of 3 kripke-equiv 3-world frames
+        (("<>(p0 & p1) & <>(p0 & ~p1) & <>~p0",), "p1 | []p0", _kernel_py.CLASS_KRIPKE_EQUIV, 4, 2, 6, (2, 3, 1)),
+        (("<>(p0 & p1) & <>(p0 & ~p1) & <>~p0",), "p1 | []p0", _kernel_py.CLASS_KRIPKE_EQUIV, 4, 2,
+         _kernel_py.CHUNK_LOG2, (0, 1, 3)),
+    ]
+
+    @pytest.mark.parametrize("gamma,text,class_id,worlds,natoms,log2,place", PLACED)
+    def test_first_countermodel_in_a_later_group(self, gamma, text, class_id, worlds, natoms, log2, place):
+        premises = [parse(g) for g in gamma]
+        assert_oracle_parity(premises, parse(text), class_id, worlds, natoms, self.LOG2S)
+        with chunk_log2(log2):
+            out = check_global_consequence(premises, parse(text), bounds(_MODEL_CLASS[class_id], worlds, range(natoms)))
+        assert placement(out, class_id, natoms, log2) == place
+
+    # Formulas that a later structure of the group refutes at an earlier
+    # valuation than the group's first structure with a countermodel does:
+    # the lowest lane of the chunk is not the first countermodel.
+    EARLIER_VALUATION = [
+        ("[][]p0 <-> []p0", _kernel_py.CLASS_CONSTRAINED, 3, 1),
+        ("p0 <-> <>true", _kernel_py.CLASS_KRIPKE_ALL, 2, 2),
+        ("[]~p0 <-> true & p0", _kernel_py.CLASS_RAW, 2, 1),
+    ]
+
+    @pytest.mark.parametrize("text,class_id,worlds,natoms", EARLIER_VALUATION)
+    def test_first_structure_of_the_group_comes_first(self, text, class_id, worlds, natoms):
+        assert_oracle_parity((), parse(text), class_id, worlds, natoms, self.LOG2S)
+
+    # (premises, formula, class, worlds, atoms): premises that no model of
+    # some group validates, so the target is not evaluated there
+    REJECTING = [
+        (("~[]p0 & ~[]~p0",), "p1 -> []p1", _kernel_py.CLASS_CONSTRAINED, 3, 2),
+        (("[]p0 & []~p0 & []true & ~[]false",), "p0", _kernel_py.CLASS_RAW, 2, 1),
+        (("<>p0 & <>(~p0 & p1) & <>(~p0 & ~p1)",), "p1", _kernel_py.CLASS_KRIPKE_ALL, 3, 2),
+        (("<>(p0 & p1) & <>(p0 & ~p1) & <>~p0",), "p1 | []p0", _kernel_py.CLASS_KRIPKE_EQUIV, 4, 2),
+        (("<>p0 & <>~p0", "[]p1"), "[]p0 -> p1 & p0", _kernel_py.CLASS_KRIPKE_EQUIV, 4, 2),
+    ]
+
+    @pytest.mark.parametrize("gamma,text,class_id,worlds,natoms", REJECTING)
+    @pytest.mark.parametrize("log2", LOG2S)
+    def test_premises_reject_whole_groups(self, monkeypatch, gamma, text, class_id, worlds, natoms, log2):
+        premises = [parse(g) for g in gamma]
+        assert_oracle_parity(premises, parse(text), class_id, worlds, natoms, (log2,))
+        slots = {i: i for i in range(natoms)}
+        first, target = compile_program(premises[0], slots), compile_program(parse(text), slots)
+        evaluated, evaluate = [], _kernel_py.eval_program
+
+        def recorded(prog, *rest):
+            evaluated.append(prog)
+            return evaluate(prog, *rest)
+
+        monkeypatch.setattr(_kernel_py, "eval_program", recorded)
+        with chunk_log2(log2):
+            check_global_consequence(premises, parse(text), bounds(_MODEL_CLASS[class_id], worlds, range(natoms)))
+        # the first premise is evaluated on every chunk, the target on fewer
+        assert evaluated.count(target) < evaluated.count(first)
+
+    def test_one_evaluation_per_group(self, monkeypatch):
+        # the K schema over 2 atoms on up to 4 constrained worlds: 1, 3, 16
+        # and 218 orbit minima, 1,024, 256, 64 and 16 of them to a chunk
+        minima = {n: len(_kernel_py.orbit_ranks(_kernel_py.CLASS_CONSTRAINED, n)) for n in range(1, 5)}
+        groups = sum(-(-minima[n] // group_size(n, 2, _kernel_py.CHUNK_LOG2)) for n in minima)
+        assert groups == 1 + 1 + 1 + 14
+        calls, evaluate = [], _kernel_py.eval_program
+        monkeypatch.setattr(_kernel_py, "eval_program", lambda *args: calls.append(1) or evaluate(*args))
+        out = run_k_experiment(bounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 4, (0, 1)))
+        assert out.verdict is Verdict.EXHAUSTED_VALID
+        assert len(calls) == groups
+
+
 class TestKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equivalence_frames_match_filtered_relations(self, n):
@@ -341,9 +451,14 @@ class TestKernel:
             gc.enable()
 
     def test_bit_patterns(self):
-        patterns = _kernel_py.bit_patterns(3)
-        for b, pattern in enumerate(patterns):
-            assert all((pattern >> u) & 1 == (u >> b) & 1 for u in range(8))
+        # lane u·unit + j holds valuation u of structure j
+        for unit in (1, 2, 3, 16):
+            patterns = _kernel_py.bit_patterns(3, unit)
+            assert len(patterns) == 3
+            for b, pattern in enumerate(patterns):
+                assert pattern >> (8 * unit) == 0
+                assert all((pattern >> lane) & 1 == (lane // unit >> b) & 1 for lane in range(8 * unit))
+        assert _kernel_py.bit_patterns(0, 5) == []
 
     def test_streamed_chunks_bound_memory(self):
         # 16 + 256 + 4096 + 65536 + 1048576 valuations; at 5 worlds they
@@ -457,6 +572,54 @@ class TestUniversalWorldBound:
     def test_refuted_at_exactly_the_bound(self, gamma, text):
         premises = [parse(g) for g in gamma]
         out = check_global_consequence(premises, parse(text), bounds(ModelClass.UNIVERSAL, 5, (0, 1)))
+        assert out.countermodel.worlds == universal_world_bound([*premises, parse(text)])
+
+
+class TestEquivalenceWorldBound:
+    """kripke-equiv searches stop at m + 1 worlds, as universal ones do."""
+
+    def test_bound_of_the_class(self):
+        assert ModelClass.KRIPKE_EQUIVALENCE.world_bound is universal_world_bound
+
+    @pytest.mark.parametrize("max_worlds", [1, 2, 3, 4])
+    def test_scan_stops_at_the_bound(self, monkeypatch, max_worlds):
+        scanned, run_search = [], _kernel_py.run_search
+
+        def recorded(class_id, worlds, *rest):
+            scanned.append(worlds)
+            return run_search(class_id, worlds, *rest)
+
+        monkeypatch.setattr(_kernel_py, "run_search", recorded)
+        b = bounds(ModelClass.KRIPKE_EQUIVALENCE, max_worlds, (0, 1))
+        out = find_countermodel(parse("[]p0 -> []p0 & <>p1 | ~<>p1"), b)
+        assert scanned == [min(max_worlds, 3)]
+        assert (out.verdict, out.models_checked) == (Verdict.EXHAUSTED_VALID, oracle.model_count("kripke-equiv", max_worlds, 2))
+
+    # (premises, formula): each bound is below the cap of 4 worlds
+    CASES = [
+        ((), "<>p0 -> p0"),
+        ((), "[]p0 -> []p0 & <>p1 | ~<>p1"),
+        (("p0",), "[]p0"),
+        (("p0 -> []p0",), "<>p0 -> p0"),
+        (("<>p0",), "p0 | <>~p0"),
+        (("[]p0 -> p1",), "<>p1 -> p1 & p0"),
+        (("<>p0 & <>~p0",), "p1"),
+        (("<>p1", "~(p0 & p1)"), "<>p0 -> p0 | p1"),
+    ]
+
+    @pytest.mark.parametrize("gamma,text", CASES)
+    def test_oracle_parity_at_the_cap(self, gamma, text):
+        premises = [parse(g) for g in gamma]
+        assert universal_world_bound([*premises, parse(text)]) < 4
+        assert_oracle_parity(premises, parse(text), _kernel_py.CLASS_KRIPKE_EQUIV, 4, 2, (_kernel_py.CHUNK_LOG2, 1))
+
+    @pytest.mark.parametrize("gamma,text", [
+        ((), "<>p0 -> p0"),
+        (("<>p1", "~(p0 & p1)"), "<>p0 -> p0 | p1"),
+    ])
+    def test_refuted_at_exactly_the_bound(self, gamma, text):
+        premises = [parse(g) for g in gamma]
+        out = check_global_consequence(premises, parse(text), bounds(ModelClass.KRIPKE_EQUIVALENCE, 4, (0, 1)))
         assert out.countermodel.worlds == universal_world_bound([*premises, parse(text)])
 
 
