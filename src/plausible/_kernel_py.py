@@ -1,8 +1,8 @@
 """Search kernel: bit-sliced model enumeration and formula evaluation.
 
 It has two callers.  ``search`` scans a model class with ``run_search``;
-``algebra`` hands the neighborhood frames of finite plausibility algebras
-of one base size to ``first_countermodel`` as raw structures, the
+``algebra`` hands the finite plausibility algebras of one base size to
+``first_countermodel`` as the constrained structures of their cores, the
 assignments of elements to atoms being their valuations.  Both go through
 the one chunk loop in ``first_countermodel``.
 
@@ -10,9 +10,9 @@ Formulas arrive compiled to flat postfix programs ``[op0, arg0, op1, arg1,
 ...]``.  Enumeration order is total and deterministic: world count
 ascending, then per-world structures in ascending bitmask order (world 0
 most significant), then valuations in ascending bitmask order (first atom
-most significant).  Neighborhood families are compared as family bitmasks
-(one bit per member set), which for the core-generated constrained class
-orders each world's candidate cores by the family they generate.  A
+most significant).  A raw world's family is a family bitmask (one bit per
+member set); a constrained world's cores come in the order of the
+superset families they generate (``constrained_candidates``).  A
 universal model is the Kripke frame whose relation is full: every row
 holds every world, so each world count has one universal structure.
 
@@ -99,27 +99,20 @@ from itertools import islice, product
 CHUNK_LOG2 = 12
 
 
-def family_key(core: int, n: int) -> int:
-    """Bitmask of the superset family generated by ``core`` (bit X set iff
-    X is a superset of core)."""
-    key = 0
-    for x in range(1 << n):
-        if x & core == core:
-            key |= 1 << x
-    return key
-
-
 def constrained_candidates(n: int) -> list[list[int]]:
-    """Per-world candidate cores, ordered by the family bitmask they generate.
+    """Per-world candidate cores, in ascending order of the family bitmask
+    each generates (bit X set iff X is a superset of the core).
 
-    Only cores containing their world are candidates (condition (t)).
+    Only cores containing their world are candidates (condition (t)).  Let
+    z be the lowest world where cores c and d differ, z in c.  The set of
+    every world but z is a superset of d, not of c, and every set above it
+    in bitmask order holds z and all worlds above z, so is a superset of c
+    iff of d.  So c generates the smaller bitmask: the order is descending
+    lexicographic order of the cores, world 0 first, which is descending
+    order of their n-bit reversal.
     """
-    out = []
-    for w in range(n):
-        cands = [c for c in range(1 << n) if (c >> w) & 1]
-        cands.sort(key=lambda c: family_key(c, n))
-        out.append(cands)
-    return out
+    reversal = [int(format(r, f"0{n}b")[::-1], 2) for r in reversed(range(1 << n))]
+    return [[c for c in reversal if (c >> w) & 1] for w in range(n)]
 
 
 def is_equivalence(rows: tuple[int, ...], n: int) -> bool:
@@ -184,6 +177,8 @@ def structures(class_id: int, n: int):
 # (class id, worlds) -> ranks of the orbit-minimal structures, decoded
 # from ``_orbits.RANKS`` on first use
 _ranks: dict[tuple[int, int], list[int]] = {}
+# (class id, worlds) -> ``orbit_minima`` of a product-of-choices class, decoded on first use
+_minima: dict[tuple[int, int], tuple[int, tuple]] = {}
 
 
 def orbit_ranks(class_id: int, n: int) -> list[int]:
@@ -201,22 +196,23 @@ def orbit_ranks(class_id: int, n: int) -> list[int]:
 
 def orbit_minima(class_id: int, n: int):
     """``(count, minima)``: how many structures there are on ``n`` worlds,
-    and the orbit-minimal ones as ``(rank, structure)`` in order, decoded
-    as they are iterated."""
+    and the orbit-minimal ones as ``(rank, structure)`` in order."""
     if class_id == CLASS_UNIVERSAL:  # its one structure, left out of _orbits
         return 1, [(0, ((1 << n) - 1,) * n)]
-    ranks = orbit_ranks(class_id, n)
     if class_id == CLASS_KRIPKE_EQUIV:
         every = list(structures(class_id, n))
-        return len(every), ((r, every[r]) for r in ranks)
-    # A rank's digits, world 0 the most significant, index the worlds'
-    # choices; every world has the same power-of-two number of them.
-    choices = world_choices(class_id, n)
-    bits = len(choices[0]).bit_length() - 1
-    digit = (1 << bits) - 1
-    shifts = [bits * (n - 1 - w) for w in range(n)]
-    minima = ((r, tuple(c[(r >> s) & digit] for c, s in zip(choices, shifts))) for r in ranks)
-    return 1 << (bits * n), minima
+        return len(every), [(r, every[r]) for r in orbit_ranks(class_id, n)]
+    found = _minima.get((class_id, n))
+    if found is None:
+        # A rank's digits, world 0 the most significant, index the worlds'
+        # choices; every world has the same power-of-two number of them.
+        choices = world_choices(class_id, n)
+        bits = len(choices[0]).bit_length() - 1
+        digit = (1 << bits) - 1
+        shifted = [(c, bits * (n - 1 - w)) for w, c in enumerate(choices)]
+        minima = tuple((r, tuple([c[(r >> s) & digit] for c, s in shifted])) for r in orbit_ranks(class_id, n))
+        found = _minima[class_id, n] = (1 << (bits * n), minima)
+    return found
 
 
 def bit_patterns(nbits: int, unit: int) -> list[int]:

@@ -15,9 +15,10 @@ Formulas are evaluated by reading the algebra as a neighborhood model: its
 worlds are the k generators and N(w) = {X : w ∈ #X}, so box there is
 exactly # and an assignment of elements to atoms is a valuation.
 ``alg_eval`` evaluates one assignment on that model with ``truth_mask``.
-``alg_validates`` hands the same structure to the search kernel as a
-raw-neighborhood frame, which evaluates the formula under every
-assignment at once, one chunk of valuations at a time;
+In a valid algebra N(w) is the supersets of the core R(w) = ⋂{X : w ∈ #X}
+(Jónsson–Tarski), so ``alg_validates`` hands the cores to the search
+kernel as one constrained structure, which evaluates the formula under
+every assignment at once, one chunk of valuations at a time;
 ``agreement_report`` hands it every valid algebra of one base size in
 one scan.
 """
@@ -25,8 +26,9 @@ one scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
+from operator import and_
 
 from .semantics import BoundsExceededError, KripkeModel, NeighborhoodModel, truth_mask
 from .syntax import Dialect, Formula, atoms_of, render, translate
@@ -239,36 +241,36 @@ def check_derived_laws(a: FinitePlausibilityAlgebra) -> DerivedLawsReport:
 # Algebraic evaluation
 
 
-def _families(a: FinitePlausibilityAlgebra) -> tuple[tuple[int, ...], ...]:
-    """N(w) = {X : w ∈ #X} for each generator w: the neighborhood frame on
-    the generators whose box is #."""
+def _cores(a: FinitePlausibilityAlgebra) -> tuple[int, ...]:
+    """R(w) = ⋂{X : w ∈ #X} for each generator w; in a valid algebra N(w)
+    is the supersets of R(w), so # is the Kripke box of R."""
     return tuple(
-        tuple(x for x in range(a.carrier_size) if (a.sharp[x] >> w) & 1)
+        reduce(and_, (x for x, image in enumerate(a.sharp) if (image >> w) & 1))
         for w in range(a.base_size)
     )
 
 
-def _as_model(a: FinitePlausibilityAlgebra, assignment: dict[int, int]) -> NeighborhoodModel:
-    """The neighborhood model on the algebra's frame valuing each atom as
-    its assigned element."""
-    return NeighborhoodModel(a.base_size, _families(a), tuple(assignment.items()))
-
-
 def alg_eval(a: FinitePlausibilityAlgebra, assignment: dict[int, int], f: Formula) -> int:
-    """Homomorphic evaluation of a nabla/classical formula to an element.
+    """Homomorphic evaluation of a nabla/classical formula to an element:
+    ``truth_mask`` on the neighborhood model with N(w) = {X : w ∈ #X},
+    whose box is #, valuing each atom as its assigned element.
 
     Unassigned atoms evaluate to zero.
     """
     _require_valid(a)
-    return truth_mask(_as_model(a, assignment), translate(f, Dialect.NABLA, Dialect.BOX))
+    families = tuple(
+        tuple(x for x in range(a.carrier_size) if (a.sharp[x] >> w) & 1) for w in range(a.base_size)
+    )
+    model = NeighborhoodModel(a.base_size, families, tuple(assignment.items()))
+    return truth_mask(model, translate(f, Dialect.NABLA, Dialect.BOX))
 
 
 def alg_validates(a: FinitePlausibilityAlgebra, f: Formula) -> bool:
     """True iff every assignment of carrier elements to atoms yields the unit.
 
-    The algebra's frame is one raw-neighborhood structure of the search
-    kernel and the assignments are its valuations, so the kernel decides
-    this as a search for a countermodel on that structure alone.
+    The algebra's cores are one constrained structure of the search kernel
+    and the assignments are its valuations, so the kernel decides this as a
+    search for a countermodel on that structure alone.
     """
     atoms = sorted(atoms_of(f))
     return _all_validate([a], len(atoms), _compile(translate(f, Dialect.NABLA, Dialect.BOX), atoms))
@@ -289,7 +291,7 @@ def _all_validate(algebras: list[FinitePlausibilityAlgebra], natoms: int, progra
     """True iff each of ``algebras``, all on one base size, validates the
     formula ``program`` compiles over ``natoms`` atoms.
 
-    One kernel scan decides them all: their frames are its structures, in
+    One kernel scan decides them all: their cores are its structures, in
     the order given, and it stops at the first with a countermodel.
     """
     base = algebras[0].base_size
@@ -301,12 +303,8 @@ def _all_validate(algebras: list[FinitePlausibilityAlgebra], natoms: int, progra
         _require_valid(a)
     from . import _kernel_py
 
-    # each frame as one raw structure: world w's family as a bitmask of its members
-    frames = [
-        (i, tuple(sum(1 << x for x in family) for family in _families(a)))
-        for i, a in enumerate(algebras)
-    ]
-    hit = _kernel_py.first_countermodel((), program, base, natoms, _kernel_py.CLASS_RAW, frames)
+    cores = [(i, _cores(a)) for i, a in enumerate(algebras)]
+    hit = _kernel_py.first_countermodel((), program, base, natoms, _kernel_py.CLASS_CONSTRAINED, cores)
     return hit is None
 
 

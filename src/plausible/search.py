@@ -74,8 +74,9 @@ def _families(n: int, struct, valuation) -> Model:
 
 
 def _cores(n: int, struct, valuation) -> Model:
-    # a constrained world's structure is the core its family is generated by
-    return _families(n, tuple(_kernel_py.family_key(core, n) for core in struct), valuation)
+    # a constrained world's structure is its core; its family is the core's supersets
+    families = tuple(tuple(x for x in range(1 << n) if x & core == core) for core in struct)
+    return NeighborhoodModel(n, families, valuation)
 
 
 def _check_conditions(model: Model) -> None:

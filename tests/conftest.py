@@ -146,6 +146,11 @@ def random_chain_model(rng: random.Random, max_worlds=3, atoms=(0, 1)) -> Neighb
     return NeighborhoodModel(n, tuple(families), valuation)
 
 
+def family_key(core: int, n: int) -> int:
+    """Bitmask of the superset family of ``core`` on ``n`` worlds: bit X set iff X ⊇ core."""
+    return sum(1 << x for x in range(1 << n) if x & core == core)
+
+
 def all_sharp_maps(base_size: int):
     """Every operator table on the 2^base_size carrier, in ascending
     lexicographic order: the brute-force oracle for algebra generation."""

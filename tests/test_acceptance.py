@@ -14,6 +14,7 @@ import pytest
 
 from conftest import (
     all_sharp_maps,
+    family_key,
     load_fixture,
     random_chain_model,
     random_formula,
@@ -36,7 +37,7 @@ from plausible.search import (
     find_countermodel,
     run_k_experiment,
 )
-from plausible._kernel_py import constrained_candidates, family_key
+from plausible._kernel_py import constrained_candidates
 from plausible.semantics import (
     KripkeModel,
     is_valid_in,

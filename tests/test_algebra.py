@@ -23,7 +23,7 @@ from plausible.algebra import (
     iter_valid_algebras,
     plausible_elements,
 )
-from plausible.semantics import BoundsExceededError
+from plausible.semantics import BoundsExceededError, KripkeModel
 from plausible.syntax import (
     BOTTOM,
     TOP,
@@ -265,6 +265,15 @@ class TestKernelValidation:
             assert alg._all_validate(validating, 1, program)
             if refuting:
                 assert not alg._all_validate(validating + refuting[-1:], 1, program)
+
+    def test_cores_rebuild_the_operator(self):
+        # the kernel reads each algebra as the constrained structure of its
+        # cores: their Kripke box must be the algebra's #
+        from plausible import algebra as alg
+
+        for a in VALID_K_LE_2 + VALID_K3:
+            frame = KripkeModel(a.base_size, alg._cores(a))
+            assert tuple(frame.box(x) for x in range(a.carrier_size)) == a.sharp, a
 
     def test_refutation_in_the_last_chunk(self):
         # p0 and p1 are the atoms constant across each chunk; with # sending

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, formulas, load_fixture, oracle
 from plausible import proofs as proofs_module
+from plausible.cli import main
 from plausible.derivations import ProofBuilder, box_k
 from plausible.proofs import (
     _RULE_AVAILABLE,
@@ -206,6 +207,27 @@ class TestCheckProof:
         result = check_proof(broken)
         assert (result.failing_line, result.reason) == (k + 1, "formula outside the BoxSystem dialect")
         assert check_proof(proof_from_data(proof_to_data(broken))) == result
+
+    def test_mp_with_the_implication_reversed_rejected(self, tmp_path, capsys):
+        # p1 and p0 -> p1 do not give p0 (affirming the consequent): MP must
+        # find A -> B on its implication line, not B -> A
+        proof = Proof(
+            SystemId.LPC,
+            (parse("p1"), parse("p0 -> p1")),
+            (
+                ProofLine(parse("p1"), Premise()),
+                ProofLine(parse("p0 -> p1"), Premise()),
+                ProofLine(parse("p0"), MP(1, 2)),
+            ),
+            parse("p0"),
+        )
+        result = check_proof(proof)
+        assert (result.accepted, result.failing_line) == (False, 3)
+        assert result.reason == "line 2 is not (p1) -> (p0)"
+        path = tmp_path / "affirming_the_consequent.json"
+        path.write_text(json.dumps(proof_to_data(proof)))
+        assert main(["checkproof", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["line"] == 3
 
     def test_rule_not_in_system_rejected(self):
         proof = Proof(

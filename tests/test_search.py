@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chunk_log2, formulas, oracle
+from conftest import chunk_log2, family_key, formulas, oracle
 from plausible import _kernel_py, _orbits, search
 from plausible.search import (
     MAX_SAMPLES,
@@ -411,7 +411,7 @@ class TestKernel:
             expected = oracle.frames(model_class.value, n)
             if model_class is ModelClass.CONSTRAINED_NEIGHBORHOOD:
                 # a constrained world's structure is the core of its family
-                got = [tuple(_kernel_py.family_key(core, n) for core in s) for s in got]
+                got = [tuple(family_key(core, n) for core in s) for s in got]
             if oracle.model_kind(model_class.value) == "nbhd":
                 expected = [tuple(map(oracle.family_key, frame)) for frame in expected]
             if model_class is ModelClass.UNIVERSAL:
@@ -420,6 +420,16 @@ class TestKernel:
                 assert expected == [()]
                 expected = [((1 << n) - 1,) * n]
             assert got == expected, n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_constrained_candidates_in_family_order(self, n):
+        # the closed form lists each world's cores as sorting them by the
+        # bitmask of the superset family they generate does
+        expected = [
+            sorted((core for core in range(1 << n) if (core >> w) & 1), key=lambda core: family_key(core, n))
+            for w in range(n)
+        ]
+        assert _kernel_py.constrained_candidates(n) == expected
 
     @pytest.mark.parametrize("model_class", list(ModelClass), ids=lambda mc: mc.value)
     def test_draws_are_enumerated_structures(self, model_class):
@@ -533,6 +543,14 @@ class TestOrbitTable:
         count, minima = _kernel_py.orbit_minima(class_id, n)
         assert count == len(every)
         assert list(minima) == [(r, every[r]) for r in _kernel_py.orbit_ranks(class_id, n)]
+
+    @pytest.mark.parametrize("class_id", [
+        _kernel_py.CLASS_CONSTRAINED, _kernel_py.CLASS_RAW, _kernel_py.CLASS_KRIPKE_ALL,
+    ])
+    def test_product_classes_decode_once(self, monkeypatch, class_id):
+        first = _kernel_py.orbit_minima(class_id, 2)
+        monkeypatch.setattr(_kernel_py, "world_choices", None)  # a second decode would call it
+        assert _kernel_py.orbit_minima(class_id, 2) is first
 
 
 class TestUniversalWorldBound:

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import formulas, load_fixture, random_raw_model
-from plausible._kernel_py import family_key
+from conftest import family_key, formulas, load_fixture, random_raw_model
 from plausible.semantics import (
     MAX_CONDITION_WORLDS,
     BoundsExceededError,
