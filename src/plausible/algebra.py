@@ -25,13 +25,13 @@ one scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import product
 from operator import and_
 
 from .semantics import BoundsExceededError, KripkeModel, NeighborhoodModel, truth_mask
-from .syntax import Dialect, Formula, atoms_of, render, translate
+from .syntax import Dialect, Formula, Record, atoms_of, render, translate
 
 # check_algebra visits all 4^base element pairs: base 9 takes about half a
 # second, and each further generator four times as long.
@@ -51,23 +51,24 @@ class InvalidAlgebraError(ValueError):
     """An operation requiring a valid algebra received one failing a1-a4."""
 
 
-@dataclass(frozen=True)
-class FinitePlausibilityAlgebra:
+class FinitePlausibilityAlgebra(Record, namedtuple("FinitePlausibilityAlgebra", "base_size sharp")):
     """Powerset Boolean algebra on ``base_size`` generators with a total
-    unary operator given as ``sharp[element] = image``."""
+    unary operator given as ``sharp[element] = image``.
 
-    base_size: int
-    sharp: tuple[int, ...]
+    Unlike other records it has an instance dict, which holds ``_report``
+    once it is asked for.
+    """
 
-    def __post_init__(self):
-        if not 1 <= self.base_size <= MAX_BASE:
+    def __new__(cls, base_size: int, sharp: tuple[int, ...]):
+        if not 1 <= base_size <= MAX_BASE:
             raise AlgebraFormatError(f"base_size must be between 1 and {MAX_BASE}")
-        size = 1 << self.base_size
-        if len(self.sharp) != size:
-            raise AlgebraFormatError(f"sharp must list {size} images, got {len(self.sharp)}")
-        for a, img in enumerate(self.sharp):
+        size = 1 << base_size
+        if len(sharp) != size:
+            raise AlgebraFormatError(f"sharp must list {size} images, got {len(sharp)}")
+        for a, img in enumerate(sharp):
             if not 0 <= img < size:
                 raise AlgebraFormatError(f"sharp({a}) = {img} is outside the carrier")
+        return tuple.__new__(cls, (base_size, sharp))
 
     @cached_property
     def _report(self) -> AlgebraReport:
@@ -107,18 +108,13 @@ def _leq(x: int, y: int) -> bool:
     return x & y == x
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
-    """Which of a1-a4 hold, with the first witness pair of each failure."""
+class AlgebraReport(Record, namedtuple("AlgebraReport", "a1_holds a2_holds a3_holds a4_holds "
+                                       "a1_witness a2_witness a3_witness a4_witness", defaults=(None,) * 4)):
+    """Which of a1-a4 hold, with the first witness of each failure: a pair
+    of elements for a1 and a2, an element for a3, and for a4 the offending
+    image of the unit."""
 
-    a1_holds: bool
-    a2_holds: bool
-    a3_holds: bool
-    a4_holds: bool
-    a1_witness: tuple[int, int] | None = None
-    a2_witness: tuple[int, int] | None = None
-    a3_witness: int | None = None
-    a4_witness: int | None = None  # the offending image of the unit
+    __slots__ = ()
 
     @property
     def valid(self) -> bool:
@@ -191,17 +187,14 @@ def plausible_elements(a: FinitePlausibilityAlgebra) -> frozenset[int]:
     return frozenset(x for x in range(1, a.carrier_size) if a.sharp[x] == x)
 
 
-@dataclass(frozen=True)
-class DerivedLawsReport:
+class DerivedLawsReport(Record, namedtuple("DerivedLawsReport", "law_i_holds law_ii_holds law_iii_holds "
+                                           "law_i_witness law_ii_witness law_iii_witness", defaults=(None,) * 3)):
     """The three derived laws, which must hold in every valid algebra; a
-    failure here contradicts the axioms and is flagged as such."""
+    failure here contradicts the axioms and is flagged as such.  Law i is
+    #a ≤ #(a ∨ b), law ii a ≤ b ⇒ #a ≤ #b and law iii #a ∨ #b ≤ #(a ∨ b);
+    each witness is the first failing pair (a, b)."""
 
-    law_i_holds: bool    # #a ≤ #(a ∨ b)
-    law_ii_holds: bool   # a ≤ b  ⇒  #a ≤ #b
-    law_iii_holds: bool  # #a ∨ #b ≤ #(a ∨ b)
-    law_i_witness: tuple[int, int] | None = None
-    law_ii_witness: tuple[int, int] | None = None
-    law_iii_witness: tuple[int, int] | None = None
+    __slots__ = ()
 
     @property
     def contradiction(self) -> bool:

@@ -304,45 +304,37 @@ def cmd_experiment_k(args) -> tuple[int, dict]:
 # Parser wiring
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``plaus`` parser, built on the first call and shared after it.
+# Each subcommand's command, ``--pretty`` view and help, in ``plaus -h`` order.
+_COMMANDS = {
+    "fmt": (cmd_fmt, _fmt_view, "parse a formula and print its canonical rendering"),
+    "eval": (cmd_eval, _eval_view, "evaluate a formula at a world of a model file"),
+    "valid": (cmd_valid, _search_view, "bounded validity check with countermodel search"),
+    "consequence": (cmd_consequence, _search_view, "bounded global-consequence check"),
+    "checkproof": (cmd_checkproof, _checkproof_view, "check a proof file"),
+    "translate": (cmd_translate, _translate_view, "translate a formula or proof between nabla and box"),
+    "supplement": (cmd_supplement, _supplement_view, "close a neighborhood model under supersets"),
+    "algebra": (cmd_algebra, _algebra_view, "check a plausibility algebra file"),
+    "experiment-k": (cmd_experiment_k, _search_view, "exhaustive K-schema experiment on the constrained class"),
+}
 
-    Every ``main`` call in a process parses with this one parser, so the
-    subcommands hold the ``cmd_*`` functions and their views as they were
-    at that first call; one replaced later is not seen.  Its
-    ``subcommands`` attribute maps each subcommand's name to its parser.
-    """
-    parser = argparse.ArgumentParser(
-        prog="plaus",
-        description="Workbench for the propositional logic of the plausible.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommands = {}
 
-    def add(name, func, view, help_text):
-        p = parser.subcommands[name] = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func, view=view, out=None)
-        p.add_argument("--pretty", action="store_true", help="human-oriented output")
-        return p
-
-    p = add("fmt", cmd_fmt, _fmt_view, "parse a formula and print its canonical rendering")
-    p.add_argument("formula")
-
-    p = add("eval", cmd_eval, _eval_view, "evaluate a formula at a world of a model file")
-    p.add_argument("model")
-    p.add_argument("world", type=int)
-    p.add_argument("formula")
-    p.add_argument("--class", dest="model_class", choices=sorted(_EVAL_CLASSES))
-
-    classes = sorted(c.value for c in srch.ModelClass)
-    for name, func, help_text in (
-        ("valid", cmd_valid, "bounded validity check with countermodel search"),
-        ("consequence", cmd_consequence, "bounded global-consequence check"),
-    ):
-        p = add(name, func, _search_view, help_text)
+def _declare(name: str, p: argparse.ArgumentParser) -> None:
+    """Declare subcommand ``name``'s arguments and defaults on ``p``: its
+    own parser and its parser under ``build_parser()`` both come from here."""
+    func, view, _ = _COMMANDS[name]
+    p.set_defaults(func=func, view=view, out=None)
+    p.add_argument("--pretty", action="store_true", help="human-oriented output")
+    if name == "fmt":
         p.add_argument("formula")
-        p.add_argument("--class", dest="model_class", required=True, choices=classes)
+    elif name == "eval":
+        p.add_argument("model")
+        p.add_argument("world", type=int)
+        p.add_argument("formula")
+        p.add_argument("--class", dest="model_class", choices=sorted(_EVAL_CLASSES))
+    elif name in ("valid", "consequence"):
+        p.add_argument("formula")
+        p.add_argument("--class", dest="model_class", required=True,
+                       choices=sorted(c.value for c in srch.ModelClass))
         p.add_argument("--max-worlds", type=int, required=True)
         p.add_argument("--atoms", help="comma-separated atom indices (default: atoms of the input)")
         p.add_argument("--out", help="also write the report to a file")
@@ -351,50 +343,64 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--sample", type=int, help="seeded random sampling instead of exhaustion")
             p.add_argument("--seed", type=int, help="RNG seed, required with --sample")
+    elif name == "checkproof":
+        p.add_argument("proof")
+        p.add_argument("--s5-re", action="store_true", help="admit RE as primitive in S5")
+    elif name == "translate":
+        p.add_argument("target", help="formula text, or path to a proof file")
+        p.add_argument("--to", required=True, choices=("nabla", "box"))
+    elif name == "supplement":
+        p.add_argument("model")
+        p.add_argument("--out", help="write the supplemented model to a file")
+    elif name == "algebra":
+        p.add_argument("algebra")
+        p.add_argument("--formula", help="also test algebraic validity of a formula")
+    else:  # experiment-k
+        p.add_argument("--max-worlds", type=int, default=3)
+        p.add_argument("--out", help="also write the report to a file")
 
-    p = add("checkproof", cmd_checkproof, _checkproof_view, "check a proof file")
-    p.add_argument("proof")
-    p.add_argument("--s5-re", action="store_true", help="admit RE as primitive in S5")
 
-    p = add("translate", cmd_translate, _translate_view, "translate a formula or proof between nabla and box")
-    p.add_argument("target", help="formula text, or path to a proof file")
-    p.add_argument("--to", required=True, choices=("nabla", "box"))
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``plaus`` parser, built on the first call and shared after it."""
+    parser = argparse.ArgumentParser(
+        prog="plaus",
+        description="Workbench for the propositional logic of the plausible.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, _, help_text) in _COMMANDS.items():
+        _declare(name, sub.add_parser(name, help=help_text))
+    return parser
 
-    p = add("supplement", cmd_supplement, _supplement_view, "close a neighborhood model under supersets")
-    p.add_argument("model")
-    p.add_argument("--out", help="write the supplemented model to a file")
 
-    p = add("algebra", cmd_algebra, _algebra_view, "check a plausibility algebra file")
-    p.add_argument("algebra")
-    p.add_argument("--formula", help="also test algebraic validity of a formula")
-
-    p = add("experiment-k", cmd_experiment_k, _search_view,
-            "exhaustive K-schema experiment on the constrained class")
-    p.add_argument("--max-worlds", type=int, default=3)
-    p.add_argument("--out", help="also write the report to a file")
-
+@functools.cache
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand ``name``'s own parser, built on the first call and shared
+    after it.  It parses, prints and fails as its parser under
+    ``build_parser()`` does, which ``add_parser`` names ``plaus <name>``."""
+    parser = argparse.ArgumentParser(prog=f"plaus {name}")
+    _declare(name, parser)
     return parser
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, parsing each argument once.
+    """``build_parser().parse_args(argv)``, building only the parser it needs.
 
     The top-level parser hands every argument after a subcommand's name to
-    that subcommand's parser, which parses them all again.  So an argv that
-    starts with a subcommand's name goes to its parser directly.  Any other,
-    or one that leaves arguments over, goes through the top-level parser,
-    so every usage, help and error message comes from the parser that
-    prints it for ``build_parser().parse_args(argv)``.
+    that subcommand's parser.  So an argv that starts with a subcommand's
+    name goes to that subcommand's own parser, and the nine-subcommand
+    tree is never built.  Any other argv, or one that leaves arguments over,
+    goes through the top-level parser, so every usage, help and error
+    message comes from the parser that prints it for
+    ``build_parser().parse_args(argv)``.
     """
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    subparser = parser.subcommands.get(argv[0]) if argv else None
-    if subparser is not None:
-        args, rest = subparser.parse_known_args(argv[1:])
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
         if not rest:
             args.command = argv[0]
             return args
-    return parser.parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,7 @@ lines, which keeps the checker sound for global consequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .syntax import (
@@ -29,6 +29,7 @@ from .syntax import (
     Iff,
     Implies,
     Nabla,
+    Record,
     Schema,
     fits_dialect,
     match_schema,
@@ -142,47 +143,40 @@ def is_axiom_instance(system: SystemId, f: Formula):
 # Proof objects
 
 
-@dataclass(frozen=True)
-class Premise:
-    pass
+class Premise(Record, namedtuple("Premise", "")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AxiomInstance:
-    schema_id: str
-    binding: tuple[tuple[int, Formula], ...] | None = None
+class AxiomInstance(Record, namedtuple("AxiomInstance", "schema_id binding", defaults=(None,))):
+    """An instance of schema ``schema_id``; ``binding``, if given, is the
+    ``(metavariable, formula)`` pairs the instance must match with."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MP:
+class MP(Record, namedtuple("MP", "antecedent implication")):
     """Modus ponens: ``antecedent`` proves A, ``implication`` proves A -> B."""
 
-    antecedent: int
-    implication: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RE:
-    ref: int
+class RE(Record, namedtuple("RE", "ref")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RNabla:
-    ref: int
+class RNabla(Record, namedtuple("RNabla", "ref")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RN:
-    ref: int
+class RN(Record, namedtuple("RN", "ref")):
+    __slots__ = ()
 
 
 Justification = Premise | AxiomInstance | MP | RE | RNabla | RN
 
 
-@dataclass(frozen=True)
-class ProofLine:
-    formula: Formula
-    justification: Justification
+class ProofLine(Record, namedtuple("ProofLine", "formula justification")):
+    __slots__ = ()
 
     def references(self) -> tuple[int, ...]:
         j = self.justification
@@ -193,28 +187,29 @@ class ProofLine:
         return ()
 
 
-@dataclass(frozen=True)
-class Proof:
-    """A numbered derivation.  Line references are 1-based."""
+class Proof(Record, namedtuple("Proof", "system premises lines conclusion")):
+    """A numbered derivation of ``conclusion`` in ``system``: a tuple of
+    premise formulas and a tuple of ``ProofLine``.  Line references are
+    1-based."""
 
-    system: SystemId
-    premises: tuple[Formula, ...]
-    lines: tuple[ProofLine, ...]
-    conclusion: Formula
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.lines:
+    def __new__(cls, system: SystemId, premises: tuple[Formula, ...],
+                lines: tuple[ProofLine, ...], conclusion: Formula):
+        if not lines:
             raise ProofFormatError("a proof needs at least one line")
-        if self.lines[-1].formula != self.conclusion:
+        if lines[-1].formula != conclusion:
             raise ProofFormatError("last line does not prove the claimed conclusion")
+        return tuple.__new__(cls, (system, premises, lines, conclusion))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    accepted: bool
-    failing_line: int | None = None
-    reason: str | None = None
-    premise_free: tuple[bool, ...] = ()
+class CheckResult(Record, namedtuple("CheckResult", "accepted failing_line reason premise_free",
+                                     defaults=(None, None, ()))):
+    """A checker's verdict; a rejection names its line and the reason.
+    ``premise_free`` tells, for each line accepted before the verdict,
+    whether it depends on no premise."""
+
+    __slots__ = ()
 
     def to_data(self) -> dict:
         data: dict = {"accepted": self.accepted}

@@ -17,7 +17,7 @@ Universal and kripke-equiv searches stop at the formulas' world bound
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import product
 
@@ -47,6 +47,7 @@ from .syntax import (
     Implies,
     Not,
     Or,
+    Record,
     Top,
     parse,
     render,
@@ -164,22 +165,21 @@ class ModelClass(Enum):
 MAX_SAMPLES = 100_000
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    model_class: ModelClass
-    max_worlds: int
-    atoms: tuple[int, ...] = ()
+class SearchBounds(Record, namedtuple("SearchBounds", "model_class max_worlds atoms")):
+    """What a search enumerates: models of ``model_class`` on 1 to
+    ``max_worlds`` worlds, valuations over the ascending ``atoms``."""
 
-    def __post_init__(self):
-        if self.max_worlds < 1:
+    __slots__ = ()
+
+    def __new__(cls, model_class: ModelClass, max_worlds: int, atoms=()):
+        if max_worlds < 1:
             raise BoundsExceededError("max_worlds must be at least 1")
-        if self.max_worlds > self.model_class.cap:
-            raise BoundsExceededError(
-                f"{self.model_class.value} enumeration is capped at {self.model_class.cap} worlds"
-            )
-        object.__setattr__(self, "atoms", tuple(sorted(set(self.atoms))))
-        if self.atoms and self.atoms[0] < 0:
+        if max_worlds > model_class.cap:
+            raise BoundsExceededError(f"{model_class.value} enumeration is capped at {model_class.cap} worlds")
+        atoms = tuple(sorted(set(atoms)))
+        if atoms and atoms[0] < 0:
             raise ValueError("atom indices must be non-negative")
+        return tuple.__new__(cls, (model_class, max_worlds, atoms))
 
     def to_data(self) -> dict:
         return {"max_worlds": self.max_worlds, "atoms": list(self.atoms)}
@@ -191,12 +191,12 @@ class Verdict(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    verdict: Verdict
-    models_checked: int
-    countermodel: Model | None = None
-    world: int | None = None
+class SearchOutcome(Record, namedtuple("SearchOutcome", "verdict models_checked countermodel world",
+                                       defaults=(None, None))):
+    """A search's verdict after ``models_checked`` models; a countermodel
+    comes with the world where the formula fails."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

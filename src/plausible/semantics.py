@@ -13,8 +13,8 @@ formula, so one truth function, ``truth_mask``, serves every model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 
 from .syntax import (
     And,
@@ -28,6 +28,7 @@ from .syntax import (
     Implies,
     Not,
     Or,
+    Record,
     Top,
     render,
 )
@@ -78,6 +79,9 @@ def _check_world(n: int, w: int) -> None:
 
 
 def _normalize_valuation(worlds: int, valuation) -> tuple[tuple[int, int], ...]:
+    """A model's valuation as ascending pairs, once its world count is checked."""
+    if worlds < 1:
+        raise ModelFormatError("a model needs at least one world")
     full = (1 << worlds) - 1
     pairs = sorted(dict(valuation).items())
     for atom, mask in pairs:
@@ -125,14 +129,11 @@ def _valuation_from_data(data) -> dict[int, list[int]]:
     return atoms
 
 
-class _BaseModel:
+class _BaseModel(Record):
     """What every model shares: ``worlds`` dense worlds and a valuation,
     ascending ``(atom, bitmask)`` pairs; atoms not listed are false everywhere."""
 
-    def __post_init__(self):
-        if self.worlds < 1:
-            raise ModelFormatError("a model needs at least one world")
-        object.__setattr__(self, "valuation", _normalize_valuation(self.worlds, self.valuation))
+    __slots__ = ()
 
     @property
     def full_mask(self) -> int:
@@ -145,27 +146,24 @@ class _BaseModel:
         return 0
 
 
-@dataclass(frozen=True)
-class NeighborhoodModel(_BaseModel):
+class NeighborhoodModel(_BaseModel, namedtuple("NeighborhoodModel", "worlds families valuation")):
     """Model ``(worlds, families, valuation)`` where ``families[w]`` is the
     ascending tuple of neighborhood bitmasks of world ``w``."""
 
-    worlds: int
-    families: tuple[tuple[int, ...], ...]
-    valuation: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        super().__post_init__()
-        if len(self.families) != self.worlds:
+    def __new__(cls, worlds: int, families: tuple[tuple[int, ...], ...], valuation=()):
+        valuation = _normalize_valuation(worlds, valuation)
+        if len(families) != worlds:
             raise ModelFormatError("one neighborhood family per world is required")
-        full = self.full_mask
-        families = []
-        for fam in self.families:
+        full = (1 << worlds) - 1
+        checked = []
+        for fam in families:
             fam = tuple(sorted(set(fam)))
             if fam and (fam[0] < 0 or fam[-1] & ~full):
                 raise ModelFormatError("neighborhood outside the world universe")
-            families.append(fam)
-        object.__setattr__(self, "families", tuple(families))
+            checked.append(fam)
+        return tuple.__new__(cls, (worlds, tuple(checked), valuation))
 
     def box(self, ts: int) -> int:
         """Worlds whose neighborhood family contains the truth set ``ts``."""
@@ -214,23 +212,21 @@ class NeighborhoodModel(_BaseModel):
         return cls.from_sets(worlds, families, _valuation_from_data(data.get("V", {})))
 
 
-@dataclass(frozen=True)
-class KripkeModel(_BaseModel):
+class KripkeModel(_BaseModel, namedtuple("KripkeModel", "worlds rows valuation")):
     """Model ``(worlds, rows, valuation)``; ``rows[w]`` is the bitmask of
     worlds accessible from ``w``."""
 
-    worlds: int
-    rows: tuple[int, ...]
-    valuation: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        super().__post_init__()
-        if len(self.rows) != self.worlds:
+    def __new__(cls, worlds: int, rows: tuple[int, ...], valuation=()):
+        valuation = _normalize_valuation(worlds, valuation)
+        if len(rows) != worlds:
             raise ModelFormatError("one accessibility row per world is required")
-        full = self.full_mask
-        for row in self.rows:
+        full = (1 << worlds) - 1
+        for row in rows:
             if row < 0 or row & ~full:
                 raise ModelFormatError("accessibility row outside the world universe")
+        return tuple.__new__(cls, (worlds, rows, valuation))
 
     def box(self, ts: int) -> int:
         """Worlds all of whose successors lie in ``ts``."""
@@ -282,12 +278,13 @@ class KripkeModel(_BaseModel):
         return cls.from_pairs(worlds, r, _valuation_from_data(data.get("V", {})))
 
 
-@dataclass(frozen=True)
-class UniversalModel(_BaseModel):
+class UniversalModel(_BaseModel, namedtuple("UniversalModel", "worlds valuation")):
     """Model where box and diamond quantify over all worlds."""
 
-    worlds: int
-    valuation: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, worlds: int, valuation=()):
+        return tuple.__new__(cls, (worlds, _normalize_valuation(worlds, valuation)))
 
     def box(self, ts: int) -> int:
         full = self.full_mask
@@ -388,16 +385,16 @@ def is_valid_in(m: Model, f: Formula) -> bool:
 # Frame conditions, supplementation, relation properties
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record, namedtuple("ConditionReport", "c_witness h_witness t_witness n_witness",
+                                         defaults=(None,) * 4)):
     """Which of the four neighborhood conditions hold, as the first witness
     of each failure (witness sets are world bitmasks); a condition holds
-    when it has no witness."""
+    when its witness is None.  ``c_witness`` is ``(world, X, Y)`` with X∩Y
+    missing, ``h_witness`` the same with X∪Y missing, ``t_witness``
+    ``(world, X)`` with the world not in X, and ``n_witness`` a world whose
+    family misses W."""
 
-    c_witness: tuple[int, int, int] | None = None  # (world, X, Y), X∩Y missing
-    h_witness: tuple[int, int, int] | None = None  # (world, X, Y), X∪Y missing
-    t_witness: tuple[int, int] | None = None       # (world, X), world not in X
-    n_witness: int | None = None                   # world whose family misses W
+    __slots__ = ()
 
     @property
     def c_holds(self) -> bool:
@@ -525,13 +522,9 @@ def supplement(m: NeighborhoodModel) -> NeighborhoodModel:
     return NeighborhoodModel(m.worlds, tuple(families), m.valuation)
 
 
-@dataclass(frozen=True)
-class RelationProperties:
-    reflexive: bool
-    euclidean: bool
-    symmetric: bool
-    transitive: bool
-    equivalence: bool
+class RelationProperties(Record, namedtuple("RelationProperties",
+                                            "reflexive euclidean symmetric transitive equivalence")):
+    __slots__ = ()
 
 
 def relation_properties(m: KripkeModel) -> RelationProperties:

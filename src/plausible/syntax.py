@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 
@@ -34,6 +33,34 @@ class DialectError(ValueError):
 
 class UnboundMetavariableError(ValueError):
     """A schema instantiation is missing a binding for some metavariable."""
+
+
+class Record(tuple):
+    """Base class of the package's immutable records.
+
+    A record class derives from ``Record`` and a named tuple of its fields,
+    ``class R(Record, namedtuple("R", "a b")): __slots__ = ()``, which give
+    it its constructor, its field accessors and its repr; one that checks or
+    normalizes its fields does so in its own ``__new__``.  A record equals
+    only a record of its own class with equal fields, so no record equals a
+    plain tuple; it hashes as its tuple, and it is true even with no field.
+    The fields refuse assignment; with empty ``__slots__``, so does
+    everything else.  It needs neither ``dataclasses`` nor ``inspect``:
+    importing them and building frozen dataclasses cost every ``plaus``
+    command about 20 ms of start-up.
+    """
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not type(self) or tuple.__ne__(self, other)
+
+    def __bool__(self):
+        return True
 
 
 class Formula(tuple):
@@ -388,11 +415,10 @@ def render(f: Formula, memo: dict | None = None) -> str:
 # Schemas and matching
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(Record, namedtuple("Schema", "pattern")):
     """A formula pattern whose atoms are read as metavariables (A=0, B=1, ...)."""
 
-    pattern: Formula
+    __slots__ = ()
 
     def metavariables(self) -> frozenset[int]:
         return atoms_of(self.pattern)

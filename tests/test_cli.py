@@ -634,11 +634,16 @@ EVERY_SUBCOMMAND = [
 
 
 class TestSharedParser:
-    """Every ``main`` call in a process parses with the same parser."""
+    """Every ``main`` call in a process parses a subcommand's argv with the
+    same parser, that subcommand's own."""
 
     def test_built_once_per_process(self, capsys):
-        for argv in EVERY_SUBCOMMAND:
+        names = [argv[0] for argv in EVERY_SUBCOMMAND]
+        for argv in EVERY_SUBCOMMAND * 2:
             run(capsys, *argv)
+        for name in names:
+            assert cli._subcommand_parser(name) is cli._subcommand_parser(name)
+        assert cli._subcommand_parser.cache_info().misses == len(set(names)) == 9
         assert build_parser() is build_parser()
         assert build_parser.cache_info().misses == 1
 
@@ -901,3 +906,23 @@ def test_fmt_leaves_the_orbit_table_undecoded():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert result.stderr == "False 0\nTrue 2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fmt", "p0"],
+    ["valid", "[]p0 -> p0", "--class", "constrained", "--max-worlds", "2"],
+    ["checkproof", str(PROOFS / "lpbox_c.json")],
+], ids=lambda argv: argv[0])
+def test_a_command_loads_neither_dataclasses_nor_the_top_level_parser(argv):
+    # `-S` keeps site's .pth files from importing modules into the check.
+    script = (
+        f"import sys; from plausible import cli; cli.main({argv!r}); "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), "
+        "cli.build_parser.cache_info().misses, file=sys.stderr)"
+    )
+    src = str(Path(plausible.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stderr == "[] 0\n"

@@ -229,6 +229,22 @@ class TestCheckProof:
         assert main(["checkproof", str(path)]) == 1
         assert json.loads(capsys.readouterr().out)["line"] == 3
 
+    def test_rnabla_with_the_implication_reversed_rejected(self):
+        # p0 & p1 -> p0 gives nabla(p0 & p1) -> nabla p0, never
+        # nabla p0 -> nabla(p0 & p1), which fails where p1 does
+        proof = Proof(
+            SystemId.LNABLA,
+            (),
+            (
+                ProofLine(parse("p0 & p1 -> p0"), AxiomInstance("PL5")),
+                ProofLine(parse("nabla p0 -> nabla(p0 & p1)"), RNabla(1)),
+            ),
+            parse("nabla p0 -> nabla(p0 & p1)"),
+        )
+        result = check_proof(proof)
+        assert (result.accepted, result.failing_line) == (False, 2)
+        assert result.reason == "RNabla expects line 1 to be A -> B and this line nabla A -> nabla B"
+
     def test_rule_not_in_system_rejected(self):
         proof = Proof(
             SystemId.LNABLA,
@@ -494,3 +510,40 @@ class TestSoundnessHooks:
             )
             outcome = find_countermodel(proof.conclusion, bounds)
             assert outcome.verdict is Verdict.EXHAUSTED_VALID, name
+
+    def test_every_line_of_the_translation_table_is_sound(self):
+        """Every line the checker accepts, in every proof of the translation
+        table and every translation in it, holds in every (c)(h)(t)(n)
+        model, an LNabla line through the nabla-to-box translation.  A
+        rejected proof's lines before the rejected one count too.  A
+        premise-free line of at most 3 atoms is valid on constrained/3; a
+        line that depends on premises is their global consequence at 2
+        worlds, the premises being those on the accepted premise lines."""
+        from plausible.search import ModelClass, SearchBounds, Verdict, check_global_consequence
+        from plausible.syntax import Dialect, atoms_of, translate
+
+        proofs = []
+        for case in TestGoldenOutputs.TABLE:
+            proofs.append(proof_from_data(case["proof"]))
+            if case["runs"][0][1] == 0:
+                proofs.append(proof_from_data(json.loads(case["runs"][1][2])))
+        free, dependent = set(), set()
+        for proof in proofs:
+            nabla = proof.system is SystemId.LNABLA
+            box = (lambda f: translate(f, Dialect.NABLA, Dialect.BOX)) if nabla else (lambda f: f)
+            result = check_proof(proof)
+            accepted = proof.lines[:len(proof.lines) if result.accepted else result.failing_line - 1]
+            assert len(result.premise_free) == len(accepted)
+            premises = tuple(box(line.formula) for line in accepted if isinstance(line.justification, Premise))
+            for line, premise_free in zip(accepted, result.premise_free):
+                f = box(line.formula)
+                if not premise_free:
+                    dependent.add((premises, f))
+                elif len(atoms_of(f)) <= 3:
+                    free.add(f)
+        assert (len(proofs), len(free), len(dependent)) == (152, 2879, 12)
+        queries = [((), f, 3) for f in free] + [(gamma, f, 2) for gamma, f in dependent]
+        for gamma, f, worlds in queries:
+            atoms = set(atoms_of(f)).union(*map(atoms_of, gamma))
+            bounds = SearchBounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, worlds, tuple(atoms))
+            assert check_global_consequence(gamma, f, bounds).verdict is Verdict.EXHAUSTED_VALID, (gamma, f)
