@@ -445,8 +445,11 @@ def translate_proof(proof: Proof) -> Proof:
     mapping: dict[int, int] = {}
 
     for number, line in enumerate(proof.lines, start=1):
-        expected = translate(line.formula, source, target, memo)
         j = line.justification
+        # An MP line equals its implication's consequent, which ``check_proof``
+        # accepted and the memo holds already translated.
+        f = proof.lines[j.implication - 1].formula.right if isinstance(j, MP) else line.formula
+        expected = translate(f, source, target, memo)
         if isinstance(j, Premise):
             mapping[number] = b.premise(expected)
         elif isinstance(j, MP):

@@ -90,6 +90,10 @@ class Formula(tuple):
 # fields are a named tuple's field accessors, which read any tuple's item in
 # C and refuse assignment; ``property(itemgetter(k))`` takes about twice as
 # long a read, which the ``match`` in ``truth_mask`` pays at every node.
+# This module's walkers skip even those: they dispatch on ``type(f)``, read
+# ``f[1]`` and ``f[2]``, and build a node as ``tuple.__new__(cls, (cls._tag,
+# ...))``, since a constructor's ``__new__`` costs a Python frame per node.
+# So the node types are final.
 _Fields = namedtuple("_Fields", "tag first second")
 
 
@@ -185,6 +189,8 @@ TOP = Top()
 BOTTOM = Bottom()
 
 _MODAL = (Box, Diamond, Nabla)
+_LEAF_TYPES = frozenset({Atom, Top, Bottom})
+_BINARY_TYPES = frozenset({And, Or, Implies, Iff})
 
 
 class Dialect(Enum):
@@ -236,31 +242,37 @@ def _column(text: str, index: int) -> int:
     return len(text) if m is None else m.start()
 
 
+def _leaf(word: str, metavariables: bool) -> Formula | str:
+    """The node of a lexeme that is neither an operator, ``true`` nor
+    ``false``: an atom ``pN`` or, in a schema, a metavariable ``A``-``Z``;
+    or, as a string, the lexical error it is."""
+    if not (word[0].isalpha() and word.isascii()):  # not a word: one stray character
+        return f"unexpected character {word!r}"
+    if metavariables:
+        if len(word) == 1 and word.isupper():
+            return tuple.__new__(Atom, (Atom._tag, ord(word) - ord("A")))
+    elif word[0] == "p" and word[1:].isdigit():
+        try:
+            return tuple.__new__(Atom, (Atom._tag, int(word[1:])))
+        except ValueError:  # more digits than int() converts
+            return f"atom index of {len(word) - 1} digits is too long"
+    return f"unknown identifier {word!r}"
+
+
 def _lex(text: str, metavariables: bool) -> tuple[list[str], dict[str, Formula]]:
     """Split ``text`` into lexemes followed by ``_END``, and map every word
-    that is a formula to it: ``true``, ``false``, and the atoms ``pN`` or, in
-    a schema, the metavariables ``A``-``Z``.  Raises the first lexical error
-    in the text."""
+    that is a formula to it.  Each distinct word is read once; only when one
+    is a lexical error does a scan in text order find the first, to raise."""
     lexemes = _LEXEME_RE.findall(text)
     leaves: dict[str, Formula] = {"true": TOP, "false": BOTTOM}
-    for i, lx in enumerate(lexemes):
-        if lx in _OPERATORS or lx in leaves:
-            continue
-        if not (lx[0].isalpha() and lx.isascii()):  # not a word: one stray character
-            raise FormulaSyntaxError(f"unexpected character {lx!r}", _column(text, i))
-        if metavariables:
-            if len(lx) == 1 and lx.isupper():
-                leaves[lx] = Atom(ord(lx) - ord("A"))
-                continue
-        elif lx[0] == "p" and lx[1:].isdigit():
-            try:
-                leaves[lx] = Atom(int(lx[1:]))
-            except ValueError:  # more digits than int() converts
-                raise FormulaSyntaxError(
-                    f"atom index of {len(lx) - 1} digits is too long", _column(text, i)
-                ) from None
-            continue
-        raise FormulaSyntaxError(f"unknown identifier {lx!r}", _column(text, i))
+    for word in set(lexemes).difference(_OPERATORS, leaves):
+        leaf = _leaf(word, metavariables)
+        if type(leaf) is str:  # some word is bad: raise for the first in the text
+            for i, lx in enumerate(lexemes):
+                error = lx not in _OPERATORS and lx not in leaves and _leaf(lx, metavariables)
+                if type(error) is str:
+                    raise FormulaSyntaxError(error, _column(text, i))
+        leaves[word] = leaf
     lexemes.append(_END)
     return lexemes, leaves
 
@@ -315,7 +327,8 @@ class _Parser:
                 raise self.error(f"formula nests deeper than {MAX_DEPTH} levels")
             open_levels += 1
             self.i += 1
-            left = op(left, self.binary(at if right_assoc else at + 1, open_levels, nesting))
+            right = self.binary(at if right_assoc else at + 1, open_levels, nesting)
+            left = tuple.__new__(op, (op._tag, left, right))
         return left
 
     def operand(self, depth: int, nesting: int) -> Formula:
@@ -337,7 +350,7 @@ class _Parser:
             raise self.error(f"formula nests deeper than {MAX_DEPTH} levels")
         self.i += 1
         if op is not None:
-            return op(self.operand(depth + 1, nesting + 1))
+            return tuple.__new__(op, (op._tag, self.operand(depth + 1, nesting + 1)))
         inner = self.binary(1, depth + 1, nesting + 1)
         if self.lexemes[self.i] != ")":
             raise self.error(f"expected ')', found {self.found()!r}")
@@ -358,20 +371,17 @@ _BINDING = {op: (sigil, level, assoc) for sigil, (op, level, assoc) in _INFIX.it
 
 
 def _render(f: Formula, atom_name, memo: dict) -> str:
-    if isinstance(f, Atom):
-        return atom_name(f.index)
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bottom):
-        return "false"
+    t = type(f)
+    if t in _LEAF_TYPES:
+        return atom_name(f[1]) if t is Atom else "true" if t is Top else "false"
     hit = memo.get(id(f))
     if hit is not None:
         return hit[1]
-    binding = _BINDING.get(type(f))
+    binding = _BINDING.get(t)
     if binding is None:
-        sigil = _SIGIL[type(f)]
-        text = _render(f.operand, atom_name, memo)
-        if type(f.operand) in _BINDING:
+        sigil = _SIGIL[t]
+        text = _render(f[1], atom_name, memo)
+        if type(f[1]) in _BINDING:
             text = f"({text})"
         elif sigil.isalpha():
             # a word needs a separator unless parentheses follow
@@ -382,12 +392,12 @@ def _render(f: Formula, atom_name, memo: dict) -> str:
         # the operator's own level needs parentheses on the side it does
         # not associate to.
         sigil, level, right_assoc = binding
-        left = _render(f.left, atom_name, memo)
-        inner = _BINDING.get(type(f.left))
+        left = _render(f[1], atom_name, memo)
+        inner = _BINDING.get(type(f[1]))
         if inner is not None and inner[1] < level + right_assoc:
             left = f"({left})"
-        right = _render(f.right, atom_name, memo)
-        inner = _BINDING.get(type(f.right))
+        right = _render(f[2], atom_name, memo)
+        inner = _BINDING.get(type(f[2]))
         if inner is not None and inner[1] < level + (not right_assoc):
             right = f"({right})"
         text = f"{left} {sigil} {right}"
@@ -452,19 +462,18 @@ def match_schema(s: Schema, f: Formula) -> MetaBinding | None:
 
 
 def _match(pat: Formula, tgt: Formula, binding: MetaBinding) -> bool:
-    if isinstance(pat, Atom):
-        bound = binding.get(pat.index)
+    t = type(pat)
+    if t is Atom:
+        bound = binding.get(pat[1])
         if bound is None:
-            binding[pat.index] = tgt
+            binding[pat[1]] = tgt
             return True
         return bound == tgt
-    if type(pat) is not type(tgt):
+    if t is not type(tgt):
         return False
-    if isinstance(pat, _Nullary):
-        return True
-    if isinstance(pat, _Unary):
-        return _match(pat.operand, tgt.operand, binding)
-    return _match(pat.left, tgt.left, binding) and _match(pat.right, tgt.right, binding)
+    if t in _BINARY_TYPES:
+        return _match(pat[1], tgt[1], binding) and _match(pat[2], tgt[2], binding)
+    return t in _LEAF_TYPES or _match(pat[1], tgt[1], binding)
 
 
 def instantiate(s: Schema, binding: MetaBinding) -> Formula:
@@ -473,17 +482,18 @@ def instantiate(s: Schema, binding: MetaBinding) -> Formula:
 
 
 def _instantiate(pat: Formula, binding: MetaBinding) -> Formula:
-    if isinstance(pat, Atom):
+    t = type(pat)
+    if t is Atom:
         try:
-            return binding[pat.index]
+            return binding[pat[1]]
         except KeyError:
-            name = _metavariable_name(pat.index)
+            name = _metavariable_name(pat[1])
             raise UnboundMetavariableError(f"metavariable {name} is unbound") from None
-    if isinstance(pat, _Nullary):
+    if t in _BINARY_TYPES:
+        return tuple.__new__(t, (pat[0], _instantiate(pat[1], binding), _instantiate(pat[2], binding)))
+    if t in _LEAF_TYPES:
         return pat
-    if isinstance(pat, _Unary):
-        return type(pat)(_instantiate(pat.operand, binding))
-    return type(pat)(_instantiate(pat.left, binding), _instantiate(pat.right, binding))
+    return tuple.__new__(t, (pat[0], _instantiate(pat[1], binding)))
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +563,13 @@ def _collect_modal(f: Formula, ops: set[type]) -> None:
 
 
 def _fits(f: Formula, allowed: frozenset[type], memo: dict) -> bool:
-    if isinstance(f, (Atom, Top, Bottom)) or id(f) in memo:
+    t = type(f)
+    if t in _LEAF_TYPES or id(f) in memo:
         return True
-    if isinstance(f, _Binary):
-        fits = _fits(f.left, allowed, memo) and _fits(f.right, allowed, memo)
+    if t in _BINARY_TYPES:
+        fits = _fits(f[1], allowed, memo) and _fits(f[2], allowed, memo)
     else:
-        fits = (isinstance(f, Not) or type(f) in allowed) and _fits(f.operand, allowed, memo)
+        fits = (t is Not or t in allowed) and _fits(f[1], allowed, memo)
     if fits:
         # Recorded only once every operand fits; the entry keeps ``f``
         # alive, so its id is not reused while the memo is.
@@ -610,8 +621,6 @@ _SWAPS: dict[Dialect, dict[type, type]] = {
     Dialect.NABLA: {Not: Not, Nabla: Box},
     Dialect.BOX: {Not: Not, Box: Nabla},
 }
-_LEAF_TYPES = frozenset({Atom, Top, Bottom})
-_BINARY_TYPES = frozenset({And, Or, Implies, Iff})
 
 
 def _swap(f: Formula, swap: dict, memo: dict) -> Formula:
@@ -622,12 +631,12 @@ def _swap(f: Formula, swap: dict, memo: dict) -> Formula:
     if hit is not None:
         return hit[1]
     if t in _BINARY_TYPES:
-        out = t(_swap(f.left, swap, memo), _swap(f.right, swap, memo))
+        out = tuple.__new__(t, (f[0], _swap(f[1], swap, memo), _swap(f[2], swap, memo)))
     else:
         op = swap.get(t)
         if op is None:
             raise _ForeignOperator
-        out = op(_swap(f.operand, swap, memo))
+        out = tuple.__new__(op, (op._tag, _swap(f[1], swap, memo)))
     # Recorded only once the whole subtree translated; the entry keeps
     # ``f`` alive, so its id is not reused while the memo is.
     memo[id(f)] = (f, out)

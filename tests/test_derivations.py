@@ -24,6 +24,7 @@ from plausible.derivations import (
 from plausible.proofs import (
     MP,
     AxiomInstance,
+    Premise,
     Proof,
     ProofLine,
     SystemId,
@@ -315,6 +316,20 @@ class TestTranslateProof:
         assert out.lines[last.justification.antecedent - 1].formula == goal
         assert out.lines[last.justification.implication - 1].formula == Implies(goal, goal)
         assert translate_proof(out).conclusion == proof.conclusion
+
+    def test_bridge_check_compares_every_mp_line(self, monkeypatch):
+        # An MP line's expected formula comes from its implication's
+        # consequent; the builder's line is still compared with it.
+        def wrong_mp(b, antecedent, implication):
+            return b._append(b.formula(implication).left, MP(antecedent, implication), False)
+
+        monkeypatch.setattr(ProofBuilder, "mp", wrong_mp)
+        premises = (parse("p0"), parse("p0 -> nabla p1"))
+        lines = (ProofLine(premises[0], Premise()), ProofLine(premises[1], Premise()),
+                 ProofLine(parse("nabla p1"), MP(1, 2)))
+        proof = Proof(SystemId.LNABLA, premises, lines, parse("nabla p1"))
+        with pytest.raises(DerivationError, match=r"^line 3: bridge produced p0, expected \[\]p1$"):
+            translate_proof(proof)
 
     def test_rejected_input_refused(self):
         proof = proof_from_data(load_fixture("proofs", "broken_rnabla_premise.json"))

@@ -518,30 +518,65 @@ class TestSoundnessHooks:
         rejected proof's lines before the rejected one count too.  A
         premise-free line of at most 3 atoms is valid on constrained/3; a
         line that depends on premises is their global consequence at 2
-        worlds, the premises being those on the accepted premise lines."""
+        worlds, the premises being those on the accepted premise lines.
+
+        Seeded lines reverse a rule, so that a checker which also accepts a
+        rule backwards meets lines that need not hold.  After a line A -> B
+        that an RNabla line cites comes nabla B -> nabla A by ``rnabla``.
+        After an implication line k = X -> Y whose consequent Y is proven at
+        line i comes X by ``mp [i, k]``, for a seeded sample of three such
+        lines a proof.  (X by ``mp [k, j]`` after an MP line k citing
+        j = X -> Y would hold whenever a checker accepts it: line k's own
+        antecedent proves X.)  Each seeded line is checked after the lines
+        it cites; one the checker accepts must hold like the others."""
         from plausible.search import ModelClass, SearchBounds, Verdict, check_global_consequence
-        from plausible.syntax import Dialect, atoms_of, translate
+        from plausible.syntax import Dialect, Implies, atoms_of, translate
+
+        def as_box(proof, lines, premise_free):
+            # each line through the box translation, with the premises it may depend on
+            nabla = proof.system is SystemId.LNABLA
+            box = (lambda f: translate(f, Dialect.NABLA, Dialect.BOX)) if nabla else (lambda f: f)
+            premises = tuple(box(line.formula) for line in lines if isinstance(line.justification, Premise))
+            return [(premises, box(line.formula), free) for line, free in zip(lines, premise_free)]
 
         proofs = []
         for case in TestGoldenOutputs.TABLE:
             proofs.append(proof_from_data(case["proof"]))
             if case["runs"][0][1] == 0:
                 proofs.append(proof_from_data(json.loads(case["runs"][1][2])))
-        free, dependent = set(), set()
+        rng = random.Random(2027)
+        free, dependent, seeded = set(), set(), []
         for proof in proofs:
-            nabla = proof.system is SystemId.LNABLA
-            box = (lambda f: translate(f, Dialect.NABLA, Dialect.BOX)) if nabla else (lambda f: f)
             result = check_proof(proof)
             accepted = proof.lines[:len(proof.lines) if result.accepted else result.failing_line - 1]
             assert len(result.premise_free) == len(accepted)
-            premises = tuple(box(line.formula) for line in accepted if isinstance(line.justification, Premise))
-            for line, premise_free in zip(accepted, result.premise_free):
-                f = box(line.formula)
+            for premises, f, premise_free in as_box(proof, accepted, result.premise_free):
                 if not premise_free:
                     dependent.add((premises, f))
                 elif len(atoms_of(f)) <= 3:
                     free.add(f)
-        assert (len(proofs), len(free), len(dependent)) == (152, 2879, 12)
+            for k in sorted({line.justification.ref for line in accepted if isinstance(line.justification, RNabla)}):
+                f = accepted[k - 1].formula
+                seeded.append((proof, k, ProofLine(Implies(Nabla(f.right), Nabla(f.left)), RNabla(k))))
+            proven = {}
+            for i, line in enumerate(accepted, start=1):
+                proven.setdefault(line.formula, i)
+            reversed_mp = [
+                (proof, max(i, k), ProofLine(line.formula.left, MP(i, k)))
+                for k, line in enumerate(accepted, start=1)
+                if type(line.formula) is Implies and (i := proven.get(line.formula.right)) is not None
+            ]
+            seeded += rng.sample(reversed_mp, min(3, len(reversed_mp)))
+        assert (len(proofs), len(free), len(dependent), len(seeded)) == (152, 2879, 12, 553)
+        for proof, cited, line in seeded:
+            head = proof.lines[:cited] + (line,)
+            result = check_proof(Proof(proof.system, proof.premises, head, line.formula))
+            if result.accepted:
+                premises, f, premise_free = as_box(proof, head, result.premise_free)[-1]
+                if premise_free:
+                    free.add(f)
+                else:
+                    dependent.add((premises, f))
         queries = [((), f, 3) for f in free] + [(gamma, f, 2) for gamma, f in dependent]
         for gamma, f, worlds in queries:
             atoms = set(atoms_of(f)).union(*map(atoms_of, gamma))

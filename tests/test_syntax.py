@@ -10,12 +10,13 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, formulas, oracle, shared_formulas
 import plausible
-from plausible.proofs import SCHEMAS
+from plausible.derivations import ProofBuilder, box_k, nabla_h, nabla_top, translate_proof
+from plausible.proofs import SCHEMAS, SystemId
 from plausible.search import compile_program
 from plausible.syntax import (
     BOTTOM,
@@ -243,6 +244,55 @@ class TestParse:
         assert exc.value.position == 7
 
 
+# Texts with two or more distinct bad words, whether a schema, and the
+# first lexical error in text order.
+FIRST_LEXICAL_ERRORS = [
+    ("q1 & $", False, "unknown identifier 'q1'", 0),
+    ("$ & q1", False, "unexpected character '$'", 0),
+    ("p0 & zz & yy", False, "unknown identifier 'zz'", 5),
+    ("p0 & ff & ee & dd & cc & bb & aa", False, "unknown identifier 'ff'", 5),
+    ("p" + "9" * 5000 + " & $", False, "atom index of 5000 digits is too long", 0),
+    ("true -> $ | p" + "9" * 5000, False, "unexpected character '$'", 8),
+    ("p1 -> $", True, "unknown identifier 'p1'", 0),
+    ("A & $ -> p1", True, "unexpected character '$'", 4),
+]
+
+
+class TestLexicalErrorOrder:
+    """The lexer reads each distinct word once, from a set; a text with
+    several bad words still names the first of them in the text."""
+
+    @pytest.mark.parametrize(
+        "text, schema, message, column", FIRST_LEXICAL_ERRORS, ids=[t[:16] for t, *_ in FIRST_LEXICAL_ERRORS]
+    )
+    def test_first_error_in_text_order(self, text, schema, message, column):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            (parse_schema if schema else parse)(text)
+        assert str(exc.value) == f"{message} (at column {column})" and exc.value.position == column
+
+    def test_hash_seed_does_not_choose_the_error(self):
+        script = (
+            "import json, sys\n"
+            "from plausible.syntax import FormulaSyntaxError, parse, parse_schema\n"
+            "for text, schema in json.load(sys.stdin):\n"
+            "    try:\n"
+            "        (parse_schema if schema else parse)(text)\n"
+            "    except FormulaSyntaxError as exc:\n"
+            "        print(exc)\n"
+        )
+        cases = json.dumps([[text, schema] for text, schema, _, _ in FIRST_LEXICAL_ERRORS])
+        src = str(Path(plausible.__file__).resolve().parent.parent)
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script], input=cases,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("0", "1", "2", "3")
+        }
+        assert outputs == {"".join(f"{m} (at column {c})\n" for _, _, m, c in FIRST_LEXICAL_ERRORS)}
+
+
 # The lexical grammar, stated independently of the parser: an operator, a
 # word, or any other character that is not blank.
 LEXEME = re.compile(r"<->|<>|\[\]|->|[~&|()]|[A-Za-z][A-Za-z0-9]*|[^ \t\r\n]")
@@ -307,6 +357,65 @@ class TestRender:
     @given(formulas(modal=("box", "diamond", "nabla")))
     def test_round_trip(self, f):
         assert parse(render(f)) == f
+
+
+def rebuilt(f):
+    """``f`` built again through the public constructors."""
+    return Atom(f.index) if type(f) is Atom else type(f)(*map(rebuilt, f[1:]))
+
+
+def assert_well_built(f):
+    """Every node of ``f`` holds its own type's tag, and ``f`` equals the
+    tree the public constructors build and survives a copy and a pickle."""
+    todo = [f]
+    while todo:
+        node = todo.pop()
+        assert node[0] == type(node)._tag
+        if type(node) is not Atom:
+            todo.extend(node[1:])
+    assert f == rebuilt(f)
+    for back in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert back == f and type(back) is type(f)
+
+
+class TestBuiltNodes:
+    """The walkers build nodes with ``tuple.__new__``, past the public
+    constructors; each node they build is the one the constructors build."""
+
+    @given(formulas(modal=("box", "diamond", "nabla")))
+    def test_parse_and_parse_schema(self, f):
+        assert_well_built(parse(render(f)))
+        assert_well_built(parse_schema(render_schema(Schema(f))).pattern)
+
+    @given(shared_formulas(modal=("nabla",)))
+    def test_translate_both_ways(self, pool):
+        to_box, to_nabla = {}, {}
+        for f in pool:
+            for boxed in (translate(f, Dialect.NABLA, Dialect.BOX), translate(f, Dialect.NABLA, Dialect.BOX, to_box)):
+                assert_well_built(boxed)
+                for back in (translate(boxed, Dialect.BOX, Dialect.NABLA),
+                             translate(boxed, Dialect.BOX, Dialect.NABLA, to_nabla)):
+                    assert_well_built(back)
+                    assert back == f
+
+    @given(formulas(modal=("box", "diamond", "nabla"), max_leaves=6), formulas(atoms=(0, 1), max_leaves=4))
+    def test_instantiate(self, f, g):
+        assert_well_built(instantiate(Schema(f), {0: g, 1: TOP, 2: Not(g)}))
+        for schema in SCHEMAS.values():
+            assert_well_built(instantiate(schema, dict.fromkeys(schema.metavariables(), f)))
+
+    @given(formulas(modal=("box",), max_leaves=4), formulas(modal=("box",), max_leaves=4))
+    @settings(max_examples=20, deadline=None)
+    def test_proof_builder(self, x, y):
+        boxes = ProofBuilder(SystemId.LPBOX)
+        box_k(boxes, x, y)
+        nablas = ProofBuilder(SystemId.LNABLA)
+        nabla_h(nablas, translate(x, Dialect.BOX, Dialect.NABLA), translate(y, Dialect.BOX, Dialect.NABLA))
+        nabla_top(nablas)
+        for b in (boxes, nablas):
+            proof = b.build()
+            for line in proof.lines + translate_proof(proof).lines:
+                assert_well_built(line.formula)
 
 
 # The oracle's tag of each node type: parse and render share one operator
