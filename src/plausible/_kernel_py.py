@@ -10,19 +10,21 @@ Formulas arrive compiled to flat postfix programs ``[op0, arg0, op1, arg1,
 ...]``.  Enumeration order is total and deterministic: world count
 ascending, then per-world structures in ascending bitmask order (world 0
 most significant), then valuations in ascending bitmask order (first atom
-most significant).  A raw world's family is a family bitmask (one bit per
-member set); a constrained world's cores come in the order of the
-superset families they generate (``constrained_candidates``).  A
-universal model is the Kripke frame whose relation is full: every row
-holds every world, so each world count has one universal structure.
+most significant).  The structures of every class but kripke-equiv are
+all combinations of per-world entries, listed once in ``_CHOICES``: a raw
+world's family is a family bitmask (one bit per member set); a
+constrained world's cores come in the order of the superset families
+they generate (``constrained_candidates``).  A universal model is the
+Kripke frame whose relation is full: every row holds every world, so
+each world count has one universal structure.
 
 Models are evaluated broadword (Knuth, TAOCP 4A §7.1.3): a formula's
 value at world ``w`` is a Python int with one bit, a lane, per model of a
 chunk.  Atoms become fixed bit patterns, connectives become ``& | ^``, a
 box is an AND (a diamond an OR) over a world's successors or core members,
-and a raw box is an OR over the family's members of exact-truth-set
-indicators.  So each formula is evaluated once per chunk, not once per
-model.
+and a raw box is a diamond over the family's members of exact-truth-set
+indicators ``exact[X]``.  So each formula is evaluated once per chunk,
+not once per model.
 
 A chunk holds at most ``2**CHUNK_LOG2`` models.  If a structure has more
 valuations than that, its chunks are cut at whole atoms and streamed: the
@@ -150,17 +152,15 @@ def _place(w: int, n: int, blocks: list[int], out: list) -> None:
     blocks.pop()
 
 
-def world_choices(class_id: int, n: int) -> list:
-    """Each world's entries in order, for the classes whose structures are
-    all their combinations: candidate cores (constrained), family bitmasks
-    (raw), successor rows (kripke-all) or the one full row (universal)."""
-    if class_id == CLASS_CONSTRAINED:
-        return constrained_candidates(n)
-    if class_id == CLASS_RAW:
-        return [range(1 << (1 << n))] * n
-    if class_id == CLASS_UNIVERSAL:
-        return [[(1 << n) - 1]] * n
-    return [range(1 << n)] * n
+# Each world's entries in order on n worlds, for the classes whose
+# structures are all their combinations: candidate cores (constrained),
+# family bitmasks (raw), successor rows (kripke-all) or the one full row.
+_CHOICES = {
+    CLASS_CONSTRAINED: constrained_candidates,
+    CLASS_RAW: lambda n: [range(1 << (1 << n))] * n,
+    CLASS_KRIPKE_ALL: lambda n: [range(1 << n)] * n,
+    CLASS_UNIVERSAL: lambda n: [[(1 << n) - 1]] * n,
+}
 
 
 def structures(class_id: int, n: int):
@@ -171,13 +171,13 @@ def structures(class_id: int, n: int):
             if is_equivalence(rows, n):
                 yield rows
     else:
-        yield from product(*world_choices(class_id, n))
+        yield from product(*_CHOICES[class_id](n))
 
 
 # (class id, worlds) -> ranks of the orbit-minimal structures, decoded
 # from ``_orbits.RANKS`` on first use
 _ranks: dict[tuple[int, int], list[int]] = {}
-# (class id, worlds) -> ``orbit_minima`` of a product-of-choices class, decoded on first use
+# (class id, worlds) -> ``orbit_minima`` of a ``_CHOICES`` class, decoded on first use
 _minima: dict[tuple[int, int], tuple[int, tuple]] = {}
 
 
@@ -197,8 +197,6 @@ def orbit_ranks(class_id: int, n: int) -> list[int]:
 def orbit_minima(class_id: int, n: int):
     """``(count, minima)``: how many structures there are on ``n`` worlds,
     and the orbit-minimal ones as ``(rank, structure)`` in order."""
-    if class_id == CLASS_UNIVERSAL:  # its one structure, left out of _orbits
-        return 1, [(0, ((1 << n) - 1,) * n)]
     if class_id == CLASS_KRIPKE_EQUIV:
         every = list(structures(class_id, n))
         return len(every), [(r, every[r]) for r in orbit_ranks(class_id, n)]
@@ -206,11 +204,13 @@ def orbit_minima(class_id: int, n: int):
     if found is None:
         # A rank's digits, world 0 the most significant, index the worlds'
         # choices; every world has the same power-of-two number of them.
-        choices = world_choices(class_id, n)
+        # Universal's one structure is left out of _orbits: its rank is 0.
+        choices = _CHOICES[class_id](n)
         bits = len(choices[0]).bit_length() - 1
         digit = (1 << bits) - 1
         shifted = [(c, bits * (n - 1 - w)) for w, c in enumerate(choices)]
-        minima = tuple((r, tuple([c[(r >> s) & digit] for c, s in shifted])) for r in orbit_ranks(class_id, n))
+        ranks = [0] if class_id == CLASS_UNIVERSAL else orbit_ranks(class_id, n)
+        minima = tuple((r, tuple([c[(r >> s) & digit] for c, s in shifted])) for r in ranks)
         found = _minima[class_id, n] = (1 << (bits * n), minima)
     return found
 
@@ -247,7 +247,8 @@ def eval_program(prog, atoms, ones, n, class_id, frame) -> list[int]:
     core members (constrained) or family members as world sets (raw).
     ``full`` lists those every structure of the chunk has, and ``part``
     pairs each other one with the lanes of the structures that have it.
-    Returns the formula's value at each world.
+    A raw box is a diamond over ``exact[X]``: the lanes where the operand's
+    truth set is exactly ``X``.  Returns the formula's value at each world.
     """
     stack: list = []
     for i in range(0, len(prog), 2):
@@ -272,21 +273,7 @@ def eval_program(prog, atoms, ones, n, class_id, frame) -> list[int]:
         elif op == OP_IFF:
             b = stack.pop()
             stack[-1] = [x ^ y ^ ones for x, y in zip(stack[-1], b)]
-        elif op == OP_BOX and class_id == CLASS_RAW:
-            # exact[X]: the truth set is exactly the world set X
-            exact = [ones]
-            for x in stack[-1]:
-                exact = [e & (x ^ ones) for e in exact] + [e & x for e in exact]
-            r = []
-            for full, part in frame:
-                x = 0
-                for s in full:
-                    x |= exact[s]
-                for s, m in part:
-                    x |= exact[s] & m
-                r.append(x)
-            stack[-1] = r
-        elif op == OP_BOX:
+        elif op == OP_BOX and class_id != CLASS_RAW:
             a = stack[-1]
             r = []
             for full, part in frame:
@@ -297,8 +284,14 @@ def eval_program(prog, atoms, ones, n, class_id, frame) -> list[int]:
                     x &= a[z] | (m ^ ones)
                 r.append(x)
             stack[-1] = r
-        else:  # OP_DIA
+        else:  # OP_DIA, or a raw box
             a = stack[-1]
+            if op == OP_BOX:
+                # exact[X]: the truth set is exactly the world set X
+                exact = [ones]
+                for x in a:
+                    exact = [e & (x ^ ones) for e in exact] + [e & x for e in exact]
+                a = exact
             r = []
             for full, part in frame:
                 x = 0

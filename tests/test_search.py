@@ -545,11 +545,11 @@ class TestOrbitTable:
         assert list(minima) == [(r, every[r]) for r in _kernel_py.orbit_ranks(class_id, n)]
 
     @pytest.mark.parametrize("class_id", [
-        _kernel_py.CLASS_CONSTRAINED, _kernel_py.CLASS_RAW, _kernel_py.CLASS_KRIPKE_ALL,
+        _kernel_py.CLASS_CONSTRAINED, _kernel_py.CLASS_RAW, _kernel_py.CLASS_KRIPKE_ALL, _kernel_py.CLASS_UNIVERSAL,
     ])
     def test_product_classes_decode_once(self, monkeypatch, class_id):
         first = _kernel_py.orbit_minima(class_id, 2)
-        monkeypatch.setattr(_kernel_py, "world_choices", None)  # a second decode would call it
+        monkeypatch.setattr(_kernel_py, "_CHOICES", None)  # a second decode would read it
         assert _kernel_py.orbit_minima(class_id, 2) is first
 
 
