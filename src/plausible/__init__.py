@@ -21,8 +21,6 @@ from .proofs import (
     ProofLine,
     SystemId,
     check_proof,
-    is_axiom_instance,
-    list_axiom_schemas,
     proof_from_data,
     proof_to_data,
 )

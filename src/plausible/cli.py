@@ -21,7 +21,7 @@ from pathlib import Path
 from . import algebra as alg
 from . import search as srch
 from .derivations import TranslationError, translate_proof
-from .proofs import SYSTEM_DIALECT, check_proof, proof_from_data, proof_to_data
+from .proofs import check_proof, proof_from_data, proof_to_data
 from .semantics import (
     KripkeModel,
     ModelFormatError,
@@ -226,7 +226,7 @@ def cmd_translate(args) -> tuple[int, dict]:
         is_file = False
     if is_file:
         proof = proof_from_data(_load_json(args.target))
-        if SYSTEM_DIALECT[proof.system] is target:  # LNabla or LPBox, already on the --to side
+        if proof.system.dialect is target:  # LNabla or LPBox, already on the --to side
             raise TranslationError(f"proof translates away from --to {args.to}")
         return 0, proof_to_data(translate_proof(proof))
     return 0, {"formula": render(translate(parse(args.target), source, target))}

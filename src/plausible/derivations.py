@@ -22,8 +22,8 @@ raises :class:`DerivationError`, a ``RuntimeError`` (exit 3 from ``plaus``).
 from __future__ import annotations
 
 from .proofs import (
+    RULE_SHAPES,
     SCHEMAS,
-    SYSTEM_DIALECT,
     AxiomInstance,
     Justification,
     MP,
@@ -41,7 +41,6 @@ from .syntax import (
     And,
     Box,
     Formula,
-    Iff,
     Implies,
     MetaBinding,
     Nabla,
@@ -64,8 +63,12 @@ class DerivationError(RuntimeError):
 
 
 class ProofBuilder:
-    """Accumulates proof lines, each with the formula its rule concludes;
-    whether the rule applies is left to ``check_proof``, run by ``build``.
+    """Accumulates proof lines, each with the formula its rule concludes:
+    MP's is the consequent of its implication, and RE's, RNabla's and RN's
+    are read from ``proofs.RULE_SHAPES``, as the checker reads them.  A rule
+    is refused only when it cannot compute its conclusion, for a missing
+    line or one not of the kind it needs; whether the rule applies is left
+    to ``check_proof``, run by ``build``.
 
     Line indices are 1-based, as in serialized proofs.  Premise-free lines
     are memoized by formula, so repeated sub-derivations are shared.
@@ -126,16 +129,18 @@ class ProofBuilder:
         free = self._free[self._index(antecedent)] and self._free[implication - 1]
         return self._append(imp.right, MP(antecedent, implication), free)
 
+    def _rule(self, cls: type, ref: int) -> int:
+        kind, conclude, _ = RULE_SHAPES[cls]
+        return self._append(conclude(self._operand(ref, kind, cls.__name__)), cls(ref), True)
+
     def re(self, ref: int) -> int:
-        src = self._operand(ref, Iff, "RE")
-        return self._append(Iff(Box(src.left), Box(src.right)), RE(ref), True)
+        return self._rule(RE, ref)
 
     def rnabla(self, ref: int) -> int:
-        src = self._operand(ref, Implies, "RNabla")
-        return self._append(Implies(Nabla(src.left), Nabla(src.right)), RNabla(ref), True)
+        return self._rule(RNabla, ref)
 
     def rn(self, ref: int) -> int:
-        return self._append(Box(self.formula(ref)), RN(ref), True)
+        return self._rule(RN, ref)
 
     def build(self, conclusion: int | None = None) -> Proof:
         """Freeze into a checked Proof concluding at line ``conclusion`` (default: last).
@@ -434,9 +439,9 @@ def translate_proof(proof: Proof) -> Proof:
         raise TranslationError(
             f"translation requires an accepted proof (line {result.failing_line}: {result.reason})"
         )
-    source = SYSTEM_DIALECT[proof.system]
+    source = proof.system.dialect
     target_system = SystemId.LPBOX if proof.system is SystemId.LNABLA else SystemId.LNABLA
-    target = SYSTEM_DIALECT[target_system]
+    target = target_system.dialect
 
     # One memo for the whole proof: the bindings of an axiom line are
     # subtrees of its formula, translated just before them.

@@ -1,17 +1,20 @@
 """Hilbert-style proof objects and the per-line proof checker.
 
-Four deductive systems are supported, all sharing a fixed classical base
-(PL1-PL14) and differing in their modal axioms and rules:
+Four deductive systems are supported, each defined once, on its
+``SystemId`` member, all sharing a fixed classical base (PL1-PL14) and
+differing in their dialect, modal axioms and rules:
 
-=========  =======================  ==========================
-system     modal axioms             rules
-=========  =======================  ==========================
-LPC        (none)                   MP
-S5         T, 5, K, DfDia           MP, RN
-LNabla     Ax1, Ax2, Ax3            MP, RNabla
-LPBox      C, H, T, N               MP, RE
-=========  =======================  ==========================
+=========  =========  =======================  ==========================
+system     dialect    modal axioms             rules
+=========  =========  =======================  ==========================
+LPC        classical  (none)                   MP
+S5         S5         T, 5, K, DfDia           MP, RN
+LNabla     nabla      Ax1, Ax2, Ax3            MP, RNabla
+LPBox      box        C, H, T, N               MP, RE
+=========  =========  =======================  ==========================
 
+``RULE_SHAPES`` states once what RE, RNabla and RN conclude from the line
+they cite, for this checker and for ``derivations.ProofBuilder``.
 Necessitation-style rules (RN, RE, RNabla) only apply to premise-free
 lines, which keeps the checker sound for global consequence.
 """
@@ -42,21 +45,6 @@ from .syntax import (
 class ProofFormatError(ValueError):
     """Structurally malformed proof data (dangling references, unknown rule
     or schema names, missing fields); distinct from a checker rejection."""
-
-
-class SystemId(Enum):
-    LPC = "LPC"
-    S5 = "S5"
-    LNABLA = "LNabla"
-    LPBOX = "LPBox"
-
-
-SYSTEM_DIALECT: dict[SystemId, Dialect] = {
-    SystemId.LPC: Dialect.CLASSICAL,
-    SystemId.S5: Dialect.S5,
-    SystemId.LNABLA: Dialect.NABLA,
-    SystemId.LPBOX: Dialect.BOX,
-}
 
 
 # The classical base: implication/negation axioms plus introduction and
@@ -111,33 +99,6 @@ SCHEMAS: dict[str, Schema] = {
 
 _PL_IDS = tuple(name for name, _ in _PL_BASE)
 
-SYSTEM_AXIOMS: dict[SystemId, tuple[str, ...]] = {
-    SystemId.LPC: _PL_IDS,
-    SystemId.S5: _PL_IDS + ("T", "5", "K", "DfDia"),
-    SystemId.LNABLA: _PL_IDS + ("Ax1", "Ax2", "Ax3"),
-    SystemId.LPBOX: _PL_IDS + ("C", "H", "T", "N"),
-}
-
-
-def list_axiom_schemas(system: SystemId) -> list[tuple[str, Schema]]:
-    """The documented, ordered axiom schema list of a system."""
-    return [(name, SCHEMAS[name]) for name in SYSTEM_AXIOMS[system]]
-
-
-def is_axiom_instance(system: SystemId, f: Formula):
-    """First schema of the system matching ``f``, with its binding.
-
-    Returns ``None`` when no schema matches, in particular when ``f`` falls
-    outside the system's dialect.
-    """
-    if not fits_dialect(f, SYSTEM_DIALECT[system]):
-        return None
-    for name in SYSTEM_AXIOMS[system]:
-        binding = match_schema(SCHEMAS[name], f)
-        if binding is not None:
-            return name, binding
-    return None
-
 
 # ---------------------------------------------------------------------------
 # Proof objects
@@ -174,17 +135,46 @@ class RN(Record, namedtuple("RN", "ref")):
 
 Justification = Premise | AxiomInstance | MP | RE | RNabla | RN
 
+# What RE, RNabla and RN conclude from the line they cite: the kind of
+# formula that line must be, the conclusion built from it, and the reason
+# the checker gives a line that claims the rule but does not conclude that.
+RULE_SHAPES = {
+    RE: (Iff, lambda src: Iff(Box(src.left), Box(src.right)),
+         "RE expects line {} to be A <-> B and this line []A <-> []B"),
+    RNabla: (Implies, lambda src: Implies(Nabla(src.left), Nabla(src.right)),
+             "RNabla expects line {} to be A -> B and this line nabla A -> nabla B"),
+    RN: (Formula, Box, "RN expects this line to be [] of line {}"),
+}
+
+
+class SystemId(Enum):
+    """The deductive systems, each defined once, on its member.
+
+    ``.value`` is the system's name in proof files.  The member's other
+    fields: ``dialect``, the one its formulas lie in; ``axioms``, its
+    schema names in documented order, the classical base first; and
+    ``rules``, the justification classes its lines may use.
+    """
+
+    def __new__(cls, value, dialect, axioms, rules):
+        member = object.__new__(cls)
+        member._value_, member.dialect, member.axioms, member.rules = value, dialect, axioms, rules
+        return member
+
+    LPC = ("LPC", Dialect.CLASSICAL, _PL_IDS, (Premise, AxiomInstance, MP))
+    S5 = ("S5", Dialect.S5, _PL_IDS + ("T", "5", "K", "DfDia"), (Premise, AxiomInstance, MP, RN))
+    LNABLA = ("LNabla", Dialect.NABLA, _PL_IDS + ("Ax1", "Ax2", "Ax3"),
+              (Premise, AxiomInstance, MP, RNabla))
+    LPBOX = ("LPBox", Dialect.BOX, _PL_IDS + ("C", "H", "T", "N"), (Premise, AxiomInstance, MP, RE))
+
 
 class ProofLine(Record, namedtuple("ProofLine", "formula justification")):
     __slots__ = ()
 
     def references(self) -> tuple[int, ...]:
+        # every field of a rule other than an axiom is a line reference
         j = self.justification
-        if isinstance(j, MP):
-            return (j.antecedent, j.implication)
-        if isinstance(j, (RE, RNabla, RN)):
-            return (j.ref,)
-        return ()
+        return () if isinstance(j, AxiomInstance) else tuple(j)
 
 
 class Proof(Record, namedtuple("Proof", "system premises lines conclusion")):
@@ -219,14 +209,6 @@ class CheckResult(Record, namedtuple("CheckResult", "accepted failing_line reaso
         return data
 
 
-_RULE_AVAILABLE: dict[SystemId, tuple[type, ...]] = {
-    SystemId.LPC: (Premise, AxiomInstance, MP),
-    SystemId.S5: (Premise, AxiomInstance, MP, RN),
-    SystemId.LNABLA: (Premise, AxiomInstance, MP, RNabla),
-    SystemId.LPBOX: (Premise, AxiomInstance, MP, RE),
-}
-
-
 def check_proof(proof: Proof, *, s5_re: bool = False) -> CheckResult:
     """Check every line of ``proof``; accept iff all lines are justified.
 
@@ -246,8 +228,8 @@ def check_proof(proof: Proof, *, s5_re: bool = False) -> CheckResult:
     Raises ProofFormatError for structural defects (dangling references,
     unknown schema names); returns a rejection verdict for semantic ones.
     """
-    dialect = SYSTEM_DIALECT[proof.system]
-    allowed = _RULE_AVAILABLE[proof.system]
+    dialect = proof.system.dialect
+    allowed = proof.system.rules
     if s5_re and proof.system is SystemId.S5:
         allowed = allowed + (RE,)
     premises = set(proof.premises)
@@ -303,7 +285,7 @@ def _judge(
             return "formula is not among the premises", ()
         return None, (f,)
     if isinstance(j, AxiomInstance):
-        if j.schema_id not in SYSTEM_AXIOMS[proof.system]:
+        if j.schema_id not in proof.system.axioms:
             return f"schema {j.schema_id} is not an axiom of {proof.system.value}", ()
         binding = match_schema(SCHEMAS[j.schema_id], f)
         if binding is None:
@@ -321,28 +303,17 @@ def _judge(
     src = proof.lines[ref - 1].formula
     if not premise_free[ref - 1]:
         return f"{type(j).__name__} applied to premise-dependent line {ref}", ()
-    if isinstance(j, RE):
-        if not (isinstance(src, Iff) and f == Iff(Box(src.left), Box(src.right))):
-            return f"RE expects line {ref} to be A <-> B and this line []A <-> []B", ()
-    elif isinstance(j, RNabla):
-        if not (isinstance(src, Implies) and f == Implies(Nabla(src.left), Nabla(src.right))):
-            return f"RNabla expects line {ref} to be A -> B and this line nabla A -> nabla B", ()
-    elif f != Box(src):  # RN
-        return f"RN expects this line to be [] of line {ref}", ()
+    kind, conclude, reason = RULE_SHAPES[type(j)]
+    if not (isinstance(src, kind) and f == conclude(src)):
+        return reason.format(ref), ()
     return None, ()
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
-_RULE_NAMES = {
-    Premise: "premise",
-    AxiomInstance: "axiom",
-    MP: "mp",
-    RE: "re",
-    RNabla: "rnabla",
-    RN: "rn",
-}
+_RULES = {"premise": Premise, "axiom": AxiomInstance, "mp": MP, "re": RE, "rnabla": RNabla, "rn": RN}
+_RULE_NAMES = {cls: name for name, cls in _RULES.items()}
 
 
 def proof_to_data(proof: Proof) -> dict:
@@ -414,26 +385,25 @@ def proof_from_data(data: dict) -> Proof:
         if not (isinstance(refs, list)
                 and all(isinstance(r, int) and not isinstance(r, bool) for r in refs)):
             raise ProofFormatError(f'line {i}: "refs" must be an array of integers')
-        if rule == "premise":
-            justification: Justification = Premise()
-        elif rule == "axiom":
+        # a rule that is not a string, such as ["mp"], cannot be a key
+        cls = _RULES.get(rule) if isinstance(rule, str) else None
+        if cls is None:
+            raise ProofFormatError(f"line {i}: unknown rule {rule!r}")
+        if cls is AxiomInstance:
             schema = entry.get("schema")
             if not isinstance(schema, str):
                 raise ProofFormatError(f'line {i}: axiom lines need a "schema" name')
-            justification = AxiomInstance(schema)
-        elif rule == "mp":
-            if len(refs) != 2:
-                raise ProofFormatError(f"line {i}: mp needs exactly two refs")
-            justification = MP(refs[0], refs[1])
-        elif rule in ("re", "rnabla", "rn"):
-            if len(refs) != 1:
-                raise ProofFormatError(f"line {i}: {rule} needs exactly one ref")
-            justification = {"re": RE, "rnabla": RNabla, "rn": RN}[rule](refs[0])
+            justification: Justification = AxiomInstance(schema)
+        elif cls is Premise:
+            justification = Premise()
+        elif len(refs) != len(cls._fields):
+            count = "two refs" if cls is MP else "one ref"
+            raise ProofFormatError(f"line {i}: {rule} needs exactly {count}")
         else:
-            raise ProofFormatError(f"line {i}: unknown rule {rule!r}")
-        if "refs" in entry and rule in ("premise", "axiom"):
+            justification = cls(*refs)
+        if "refs" in entry and cls in (Premise, AxiomInstance):
             raise ProofFormatError(f'line {i}: {rule} lines take no "refs"')
-        if "schema" in entry and rule != "axiom":
+        if "schema" in entry and cls is not AxiomInstance:
             raise ProofFormatError(f'line {i}: only axiom lines name a "schema"')
         lines.append(ProofLine(formula, justification))
     if "conclusion" not in data:

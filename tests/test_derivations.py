@@ -220,8 +220,13 @@ class TestBuilder:
     def test_rule_needs_its_operand_shape(self, rule, refs):
         b = ProofBuilder(SystemId.LPC)
         b.axiom("PL13")
-        with pytest.raises(DerivationError):
+        with pytest.raises(DerivationError) as exc:
             getattr(b, rule)(*refs)
+        assert str(exc.value) == {
+            "mp": "MP needs an Implies at line 1",
+            "re": "RE needs an Iff at line 1",
+            "rnabla": "RNabla needs an Implies at line 1",
+        }[rule]
 
 
 def one_liner(system, schema, formula):

@@ -10,13 +10,10 @@ from plausible import proofs as proofs_module
 from plausible.cli import main
 from plausible.derivations import ProofBuilder, box_k
 from plausible.proofs import (
-    _RULE_AVAILABLE,
     MP,
     RE,
     RN,
     SCHEMAS,
-    SYSTEM_AXIOMS,
-    SYSTEM_DIALECT,
     AxiomInstance,
     Premise,
     Proof,
@@ -25,8 +22,6 @@ from plausible.proofs import (
     RNabla,
     SystemId,
     check_proof,
-    is_axiom_instance,
-    list_axiom_schemas,
     proof_from_data,
     proof_to_data,
 )
@@ -61,6 +56,10 @@ CORPUS = [
     ("broken_axiom_binding.json", False, 1),
     ("broken_mp_shape.json", False, 2),
 ]
+
+
+# Marks a key that a malformed-data case removes.
+DELETE = object()
 
 
 def load_proof(name):
@@ -111,39 +110,22 @@ class TestAxiomTables:
         assert {name: render_schema(s) for name, s in SCHEMAS.items()} == SCHEMA_TEXTS
 
     def test_lpbox_axioms(self):
-        names = [name for name, _ in list_axiom_schemas(SystemId.LPBOX)]
+        names = list(SystemId.LPBOX.axioms)
         assert names[:14] == [f"PL{i}" for i in range(1, 15)]
         assert names[14:] == ["C", "H", "T", "N"]
 
     def test_lnabla_axioms(self):
-        names = [name for name, _ in list_axiom_schemas(SystemId.LNABLA)]
+        names = list(SystemId.LNABLA.axioms)
         assert names[14:] == ["Ax1", "Ax2", "Ax3"]
 
     def test_s5_axioms(self):
-        names = [name for name, _ in list_axiom_schemas(SystemId.S5)]
+        names = list(SystemId.S5.axioms)
         assert names[14:] == ["T", "5", "K", "DfDia"]
 
     def test_lpc_base_in_every_system(self):
         for system in SystemId:
-            names = set(SYSTEM_AXIOMS[system])
+            names = set(system.axioms)
             assert {f"PL{i}" for i in range(1, 15)} <= names
-
-
-class TestIsAxiomInstance:
-    def test_n_instance(self):
-        assert is_axiom_instance(SystemId.LPBOX, parse("[]true")) == ("N", {})
-
-    def test_ax2_instance(self):
-        name, binding = is_axiom_instance(SystemId.LNABLA, parse("nabla(p2 | ~p2)"))
-        assert name == "Ax2" and binding == {0: parse("p2")}
-
-    def test_dialect_violation_gives_absent(self):
-        assert is_axiom_instance(SystemId.LPC, parse("[]p0 -> p0")) is None
-
-    def test_first_match_in_documented_order(self):
-        # an implication weakening instance matches PL1 before any modal axiom
-        f = parse("[]p0 -> (p1 -> []p0)")
-        assert is_axiom_instance(SystemId.LPBOX, f)[0] == "PL1"
 
 
 class TestCheckProof:
@@ -192,6 +174,15 @@ class TestCheckProof:
         result = check_proof(proof)
         assert not result.accepted and result.failing_line == 1
         assert "dialect" in result.reason
+
+    def test_each_system_admits_the_operators_of_its_dialect(self):
+        admitted = {SystemId.LPC: (), SystemId.S5: ("[]", "<>"),
+                    SystemId.LNABLA: ("nabla",), SystemId.LPBOX: ("[]",)}
+        for system, ops in admitted.items():
+            for op in ("[]", "<>", "nabla"):
+                f = parse(f"{op} p0 -> (p1 -> {op} p0)")
+                proof = Proof(system, (), (ProofLine(f, AxiomInstance("PL1")),), f)
+                assert check_proof(proof).accepted is (op in ops), (system, op)
 
     @settings(max_examples=40, deadline=None)
     @given(formulas(modal=("box",), max_leaves=5), formulas(modal=("box",), max_leaves=5), st.data())
@@ -320,9 +311,13 @@ class TestSerialization:
     def test_unknown_rule(self):
         data = load_fixture("proofs", "lpbox_t.json")
         data["lines"][0]["rule"] = "gen"
-        with pytest.raises(ProofFormatError):
+        with pytest.raises(ProofFormatError) as exc:
             proof_from_data(data)
+        assert str(exc.value) == "line 1: unknown rule 'gen'"
 
+    # The reader's refusals other than a malformed formula: keys the format
+    # lacks, then missing or ill-typed fields.  An empty path replaces the
+    # whole file; the value DELETE removes the key.
     @pytest.mark.parametrize(
         "path, value, message",
         [
@@ -333,15 +328,42 @@ class TestSerialization:
             (("lines", 1, "refs"), [1], 'line 2: premise lines take no "refs"'),
             (("lines", 1, "schema"), "5", 'line 2: only axiom lines name a "schema"'),
             (("lines", 2, "schema"), "5", 'line 3: only axiom lines name a "schema"'),
+            ((), ["S5"], "proof file must contain a JSON object"),
+            (("system",), DELETE, "unknown system None"),
+            (("system",), ["LPC"], "unknown system ['LPC']"),
+            (("premises",), "<>p0", '"premises" must be an array of formula strings'),
+            (("lines",), [], '"lines" must be a non-empty array'),
+            (("lines",), {"1": {}}, '"lines" must be a non-empty array'),
+            (("lines", 0, "formula"), DELETE, 'line 1 must carry "formula" and "rule"'),
+            (("lines", 1, "rule"), DELETE, 'line 2 must carry "formula" and "rule"'),
+            (("lines", 2), "[]<>p0", 'line 3 must carry "formula" and "rule"'),
+            (("lines", 0, "rule"), ["mp"], "line 1: unknown rule ['mp']"),
+            (("lines", 0, "rule"), {"a": 1}, "line 1: unknown rule {'a': 1}"),
+            (("lines", 0, "rule"), 3, "line 1: unknown rule 3"),
+            (("lines", 0, "schema"), DELETE, 'line 1: axiom lines need a "schema" name'),
+            (("lines", 0, "schema"), 5, 'line 1: axiom lines need a "schema" name'),
+            (("lines", 2, "refs"), [2], "line 3: mp needs exactly two refs"),
+            (("lines", 2, "refs"), [2, 1, 1], "line 3: mp needs exactly two refs"),
+            (("lines", 2, "rule"), "re", "line 3: re needs exactly one ref"),
+            (("lines", 2, "rule"), "rnabla", "line 3: rnabla needs exactly one ref"),
+            (("lines", 2, "rule"), "rn", "line 3: rn needs exactly one ref"),
+            (("lines", 2, "refs"), [2, True], 'line 3: "refs" must be an array of integers'),
+            (("conclusion",), DELETE, 'proof file needs a "conclusion"'),
         ],
     )
     def test_keys_outside_the_format_rejected(self, path, value, message):
         data = load_fixture("proofs", "s5_mp_chain.json")
-        *parents, last = path
-        target = data
-        for key in parents:
-            target = target[key]
-        target[last] = value
+        if not path:
+            data = value
+        else:
+            *parents, last = path
+            target = data
+            for key in parents:
+                target = target[key]
+            if value is DELETE:
+                del target[last]
+            else:
+                target[last] = value
         with pytest.raises(ProofFormatError) as exc:
             proof_from_data(data)
         assert str(exc.value) == message
@@ -385,16 +407,16 @@ class TestDialectByRule:
 
     def test_schemas_lie_in_their_systems_dialect(self):
         for system in SystemId:
-            for name in SYSTEM_AXIOMS[system]:
-                assert fits_dialect(SCHEMAS[name].pattern, SYSTEM_DIALECT[system]), (system, name)
+            for name in system.axioms:
+                assert fits_dialect(SCHEMAS[name].pattern, system.dialect), (system, name)
 
     @pytest.mark.parametrize("s5_re", [False, True])
     def test_rules_add_only_operators_of_the_dialect(self, s5_re):
         for system in SystemId:
-            rules = _RULE_AVAILABLE[system] + ((RE,) if s5_re and system is SystemId.S5 else ())
+            rules = system.rules + ((RE,) if s5_re and system is SystemId.S5 else ())
             for rule in set(rules) - {Premise, AxiomInstance}:
                 for op in self.RULE_ADDS[rule]:
-                    assert fits_dialect(op(Atom(0)), SYSTEM_DIALECT[system]), (system, rule)
+                    assert fits_dialect(op(Atom(0)), system.dialect), (system, rule)
 
     def test_rule_lines_add_only_their_rules_operator(self):
         seen = set()

@@ -760,21 +760,21 @@ class TestSampling:
 
 class TestAxiomTablesExhaustedValid:
     def test_every_lpbox_axiom_schema_at_two_atoms(self):
-        from plausible.proofs import SCHEMAS, SYSTEM_AXIOMS, SystemId
+        from plausible.proofs import SCHEMAS, SystemId
         from plausible.syntax import Atom, instantiate
 
         fill = {0: Atom(0), 1: Atom(1), 2: Atom(0)}
-        for name in SYSTEM_AXIOMS[SystemId.LPBOX]:
+        for name in SystemId.LPBOX.axioms:
             schema = SCHEMAS[name]
             instance = instantiate(schema, {m: fill[m] for m in schema.metavariables()})
             out = find_countermodel(instance, bounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 3, (0, 1)))
             assert out.verdict is Verdict.EXHAUSTED_VALID, name
 
     def test_every_s5_axiom_schema_at_one_atom(self):
-        from plausible.proofs import SCHEMAS, SYSTEM_AXIOMS, SystemId
+        from plausible.proofs import SCHEMAS, SystemId
         from plausible.syntax import Atom, instantiate
 
-        for name in SYSTEM_AXIOMS[SystemId.S5]:
+        for name in SystemId.S5.axioms:
             schema = SCHEMAS[name]
             instance = instantiate(schema, {m: Atom(0) for m in schema.metavariables()})
             out = find_countermodel(instance, bounds(ModelClass.KRIPKE_EQUIVALENCE, 3, (0,)))
