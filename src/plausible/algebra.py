@@ -30,7 +30,7 @@ from functools import cached_property, reduce
 from itertools import product
 from operator import and_
 
-from .semantics import BoundsExceededError, KripkeModel, NeighborhoodModel, truth_mask
+from .semantics import BoundsExceededError, KripkeModel, NeighborhoodModel, Witnesses, truth_mask
 from .syntax import Dialect, Formula, Record, atoms_of, render, translate
 
 # check_algebra visits all 4^base element pairs: base 9 takes about half a
@@ -108,17 +108,14 @@ def _leq(x: int, y: int) -> bool:
     return x & y == x
 
 
-class AlgebraReport(Record, namedtuple("AlgebraReport", "a1_holds a2_holds a3_holds a4_holds "
-                                       "a1_witness a2_witness a3_witness a4_witness", defaults=(None,) * 4)):
-    """Which of a1-a4 hold, with the first witness of each failure: a pair
-    of elements for a1 and a2, an element for a3, and for a4 the offending
-    image of the unit."""
+class AlgebraReport(Witnesses, namedtuple("AlgebraReport", "a1_witness a2_witness a3_witness a4_witness",
+                                          defaults=(None,) * 4)):
+    """Axioms a1-a4, each by its first witness: a pair of elements for a1
+    and a2, an element for a3, and for a4 the offending image of the unit.
+    On the neighborhood frame N(w) = {X : w ∈ #X} they are the conditions
+    (c), (h), (t) and (n) of a ``ConditionReport``, in that order."""
 
     __slots__ = ()
-
-    @property
-    def valid(self) -> bool:
-        return self.a1_holds and self.a2_holds and self.a3_holds and self.a4_holds
 
     def to_data(self) -> dict:
         failures: dict = {}
@@ -130,18 +127,13 @@ class AlgebraReport(Record, namedtuple("AlgebraReport", "a1_holds a2_holds a3_ho
             failures["a3"] = {"a": self.a3_witness}
         if self.a4_witness is not None:
             failures["a4"] = {"sharp_unit": self.a4_witness}
-        return {
-            "a1": self.a1_holds,
-            "a2": self.a2_holds,
-            "a3": self.a3_holds,
-            "a4": self.a4_holds,
-            "failures": failures,
-        }
+        return {**self.holds(), "failures": failures}
 
 
 def check_algebra(a: FinitePlausibilityAlgebra) -> AlgebraReport:
-    """Exhaustively check a1-a4 over all element pairs; the report is
-    computed once per algebra object and shared by later calls."""
+    """Exhaustively check a1-a4 over all element pairs; each witness is the
+    first in pair order (a, b).  The report is computed once per algebra
+    object and shared by later calls."""
     return a._report
 
 
@@ -159,24 +151,13 @@ def _check_axioms(a: FinitePlausibilityAlgebra) -> AlgebraReport:
             break
     if s[a.unit] != a.unit:
         a4 = s[a.unit]
-    return AlgebraReport(
-        a1_holds=a1 is None,
-        a2_holds=a2 is None,
-        a3_holds=a3 is None,
-        a4_holds=a4 is None,
-        a1_witness=a1,
-        a2_witness=a2,
-        a3_witness=a3,
-        a4_witness=a4,
-    )
+    return AlgebraReport(a1, a2, a3, a4)
 
 
 def _require_valid(a: FinitePlausibilityAlgebra) -> None:
     report = check_algebra(a)
-    if not report.valid:
-        failed = [name for name, ok in
-                  (("a1", report.a1_holds), ("a2", report.a2_holds),
-                   ("a3", report.a3_holds), ("a4", report.a4_holds)) if not ok]
+    if not report.all_hold:
+        failed = [law for law, holds in report.holds().items() if not holds]
         raise InvalidAlgebraError(f"algebra violates {', '.join(failed)}")
 
 
@@ -187,29 +168,23 @@ def plausible_elements(a: FinitePlausibilityAlgebra) -> frozenset[int]:
     return frozenset(x for x in range(1, a.carrier_size) if a.sharp[x] == x)
 
 
-class DerivedLawsReport(Record, namedtuple("DerivedLawsReport", "law_i_holds law_ii_holds law_iii_holds "
-                                           "law_i_witness law_ii_witness law_iii_witness", defaults=(None,) * 3)):
-    """The three derived laws, which must hold in every valid algebra; a
-    failure here contradicts the axioms and is flagged as such.  Law i is
-    #a ≤ #(a ∨ b), law ii a ≤ b ⇒ #a ≤ #b and law iii #a ∨ #b ≤ #(a ∨ b);
-    each witness is the first failing pair (a, b)."""
+class DerivedLawsReport(Witnesses, namedtuple("DerivedLawsReport", "i_witness ii_witness iii_witness",
+                                               defaults=(None,) * 3)):
+    """The three derived laws, each by its first failing pair (a, b).  Law
+    i is #a ≤ #(a ∨ b), law ii a ≤ b ⇒ #a ≤ #b and law iii #a ∨ #b ≤
+    #(a ∨ b); they hold in every valid algebra, so a witness to any of them
+    contradicts the axioms and is flagged as such."""
 
     __slots__ = ()
 
-    @property
-    def contradiction(self) -> bool:
-        return not (self.law_i_holds and self.law_ii_holds and self.law_iii_holds)
-
     def to_data(self) -> dict:
-        return {
-            "i": self.law_i_holds,
-            "ii": self.law_ii_holds,
-            "iii": self.law_iii_holds,
-            "contradiction": self.contradiction,
-        }
+        return {**self.holds(), "contradiction": not self.all_hold}
 
 
 def check_derived_laws(a: FinitePlausibilityAlgebra) -> DerivedLawsReport:
+    """Check laws i-iii of a valid algebra over all element pairs; each
+    witness is the first in pair order.  An invalid algebra raises
+    ``InvalidAlgebraError``."""
     _require_valid(a)
     s = a.sharp
     w1 = w2 = w3 = None
@@ -220,14 +195,7 @@ def check_derived_laws(a: FinitePlausibilityAlgebra) -> DerivedLawsReport:
             w2 = (x, y)
         if w3 is None and not _leq(s[x] | s[y], s[x | y]):
             w3 = (x, y)
-    return DerivedLawsReport(
-        law_i_holds=w1 is None,
-        law_ii_holds=w2 is None,
-        law_iii_holds=w3 is None,
-        law_i_witness=w1,
-        law_ii_witness=w2,
-        law_iii_witness=w3,
-    )
+    return DerivedLawsReport(w1, w2, w3)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +297,7 @@ def iter_valid_algebras(base_size: int):
     frames (Jónsson–Tarski 1951), so the reflexive candidates suffice; each
     still has to pass ``check_algebra``.
     """
-    found = [a for a in iter_sharp_maps(base_size) if check_algebra(a).valid]
+    found = [a for a in iter_sharp_maps(base_size) if check_algebra(a).all_hold]
     yield from sorted(found, key=lambda a: a.sharp)
 
 

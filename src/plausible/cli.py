@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
-from pathlib import Path
 
 from . import algebra as alg
 from . import search as srch
@@ -152,10 +152,22 @@ def _eval_view(data: dict) -> list[str]:
 def _parse_atoms(text: str | None, fallback) -> tuple[int, ...]:
     if text is None:
         return tuple(sorted(fallback))
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return ()
-    return tuple(int(part) for part in text.split(","))
+    atoms = []
+    for item in text.split(","):
+        item = item.strip()
+        # ASCII digits only, as in formula text: int() also reads "+3",
+        # "1_0" and other scripts' digits
+        if not (item.isdigit() and item.isascii()):
+            raise ValueError(f"bad --atoms item {item!r}: expected an atom index")
+        try:
+            atoms.append(int(item))
+        except ValueError:  # more digits than int() converts
+            raise ValueError(
+                f"bad --atoms item: atom index of {len(item)} digits is too long"
+            ) from None
+    return tuple(atoms)
 
 
 def _search_report(args, f, bounds, outcome, extra: dict | None = None) -> tuple[int, dict]:
@@ -163,7 +175,8 @@ def _search_report(args, f, bounds, outcome, extra: dict | None = None) -> tuple
     if extra:
         report = {**extra, **report}
     if args.out:
-        Path(args.out).write_text(canonical_json(report), encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.write(canonical_json(report))
     return 1 if outcome.verdict is srch.Verdict.COUNTERMODEL_FOUND else 0, report
 
 
@@ -220,11 +233,8 @@ def _checkproof_view(data: dict) -> list[str]:
 def cmd_translate(args) -> tuple[int, dict]:
     target = Dialect.NABLA if args.to == "nabla" else Dialect.BOX
     source = Dialect.BOX if target is Dialect.NABLA else Dialect.NABLA
-    try:
-        is_file = Path(args.target).is_file()
-    except OSError:  # e.g. formula text longer than a file name may be
-        is_file = False
-    if is_file:
+    # False, not an error, for formula text too long to be a file name
+    if os.path.isfile(args.target):
         proof = proof_from_data(_load_json(args.target))
         if proof.system.dialect is target:  # LNabla or LPBox, already on the --to side
             raise TranslationError(f"proof translates away from --to {args.to}")
@@ -250,7 +260,8 @@ def cmd_supplement(args) -> tuple[int, dict]:
         "conditions_after": nm_check_conditions(supplemented).to_data(),
     }
     if args.out:
-        Path(args.out).write_text(canonical_json(data["model"]), encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.write(canonical_json(data["model"]))
     return 0, data
 
 
@@ -273,7 +284,7 @@ def cmd_algebra(args) -> tuple[int, dict]:
         require_dialect(f, Dialect.NABLA)
     report = alg.check_algebra(a)
     data: dict = {"axioms": report.to_data()}
-    if not report.valid:
+    if not report.all_hold:
         return 1, data
     data["plausible"] = sorted(alg.plausible_elements(a))
     data["derived_laws"] = alg.check_derived_laws(a).to_data()

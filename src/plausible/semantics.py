@@ -385,11 +385,29 @@ def is_valid_in(m: Model, f: Formula) -> bool:
 # Frame conditions, supplementation, relation properties
 
 
-class ConditionReport(Record, namedtuple("ConditionReport", "c_witness h_witness t_witness n_witness",
-                                         defaults=(None,) * 4)):
-    """Which of the four neighborhood conditions hold, as the first witness
-    of each failure (witness sets are world bitmasks); a condition holds
-    when its witness is None.  ``c_witness`` is ``(world, X, Y)`` with X∩Y
+class Witnesses(Record):
+    """Base of the reports of checked laws: each field, named
+    ``<law>_witness``, is the first witness found against that law, and the
+    law holds iff its witness is None.  One record thus cannot claim a law
+    and a counterexample to it at once.  A witness may be 0, a world or an
+    element, so only ``is None`` reads it."""
+
+    __slots__ = ()
+
+    @property
+    def all_hold(self) -> bool:
+        return self.count(None) == len(self)
+
+    def holds(self) -> dict[str, bool]:
+        """Each law's name mapped to whether it holds, in field order:
+        ``c_witness`` gives ``"c"``."""
+        return {name.removesuffix("_witness"): w is None for name, w in zip(self._fields, self)}
+
+
+class ConditionReport(Witnesses, namedtuple("ConditionReport", "c_witness h_witness t_witness n_witness",
+                                            defaults=(None,) * 4)):
+    """The four neighborhood conditions, each by its first witness (witness
+    sets are world bitmasks).  ``c_witness`` is ``(world, X, Y)`` with X∩Y
     missing, ``h_witness`` the same with X∪Y missing, ``t_witness``
     ``(world, X)`` with the world not in X, and ``n_witness`` a world whose
     family misses W."""
@@ -397,28 +415,10 @@ class ConditionReport(Record, namedtuple("ConditionReport", "c_witness h_witness
     __slots__ = ()
 
     @property
-    def c_holds(self) -> bool:
-        return self.c_witness is None
-
-    @property
-    def h_holds(self) -> bool:
-        return self.h_witness is None
-
-    @property
-    def t_holds(self) -> bool:
-        return self.t_witness is None
-
-    @property
-    def n_holds(self) -> bool:
-        return self.n_witness is None
-
-    @property
-    def all_hold(self) -> bool:
-        return self.c_holds and self.h_holds and self.t_holds and self.n_holds
-
-    @property
     def chn_hold(self) -> bool:
-        return self.c_holds and self.h_holds and self.n_holds
+        """(c), (h) and (n): on finitely many worlds, each family is a
+        principal filter."""
+        return self.c_witness is None and self.h_witness is None and self.n_witness is None
 
     def to_data(self) -> dict:
         failures: dict = {}
@@ -433,13 +433,7 @@ class ConditionReport(Record, namedtuple("ConditionReport", "c_witness h_witness
             failures["t"] = {"world": w, "X": list(worlds_of(x))}
         if self.n_witness is not None:
             failures["n"] = {"world": self.n_witness}
-        return {
-            "c": self.c_holds,
-            "h": self.h_holds,
-            "t": self.t_holds,
-            "n": self.n_holds,
-            "failures": failures,
-        }
+        return {**self.holds(), "failures": failures}
 
 
 def _require_condition_bound(worlds: int) -> None:
@@ -502,8 +496,7 @@ def nm_check_conditions(m: NeighborhoodModel) -> ConditionReport:
     :func:`world_conditions`); each witness is the first over the worlds."""
     found = [None] * 4
     for w, family in enumerate(m.families):
-        report = world_conditions(family, w, m.worlds)
-        at_w = (report.c_witness, report.h_witness, report.t_witness, report.n_witness)
+        at_w = world_conditions(family, w, m.worlds)
         found = [x if x is not None else y for x, y in zip(found, at_w)]
     return ConditionReport(*found)
 

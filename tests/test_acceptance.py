@@ -150,7 +150,7 @@ def test_c05_supplementation_lemma():
             for x in closed:
                 assert all(y in closed for y in range(full + 1) if y & x == x)
         before = nm_check_conditions(m)
-        if before.c_holds and before.t_holds and before.n_holds:
+        if before.c_witness is None and before.t_witness is None and before.n_witness is None:
             chtn_inputs += 1
             assert nm_check_conditions(sup).all_hold
     assert chtn_inputs >= 100  # the implication premise must actually fire
@@ -249,7 +249,7 @@ def test_c09_deductive_equivalence_translation():
 def test_c10_algebra_suite():
     candidates = list(all_sharp_maps(2))
     assert len(candidates) == 256
-    valid = [a for a in candidates if check_algebra(a).valid]
+    valid = [a for a in candidates if check_algebra(a).all_hold]
     assert {a.sharp for a in valid} == {
         (0, 0, 0, 3),
         (0, 1, 0, 3),
@@ -262,11 +262,11 @@ def test_c10_algebra_suite():
         parse("nabla p0 -> p0"),
     ]
     for a in valid:
-        assert not check_derived_laws(a).contradiction
+        assert check_derived_laws(a).all_hold
         for f in axioms:
             assert alg_validates(a, f)
     zero = check_algebra(next(a for a in candidates if set(a.sharp) == {0}))
-    assert not zero.a4_holds and zero.a4_witness == 0
+    assert zero.a4_witness == 0
     report("C10 algebra suite", f"{len(valid)} valid of 256 candidates")
 
 

@@ -53,7 +53,7 @@ ZERO_K1 = algebra(1, [0, 0])
 # unit maps to unit, everything else collapses to zero
 UNIT_ONLY_K2 = algebra(2, [0, 0, 0, 3])
 IDENTITY_K2 = algebra(2, [0, 1, 2, 3])
-VALID_K_LE_2 = [a for k in (1, 2) for a in all_sharp_maps(k) if check_algebra(a).valid]
+VALID_K_LE_2 = [a for k in (1, 2) for a in all_sharp_maps(k) if check_algebra(a).all_hold]
 VALID_K3 = list(iter_valid_algebras(3))
 EXPERIMENTS = Path(__file__).parent.parent / "experiments"
 
@@ -67,20 +67,19 @@ def load_regenerate():
 
 class TestCheckAlgebra:
     def test_identity_valid(self):
-        assert check_algebra(IDENTITY_K1).valid
+        assert check_algebra(IDENTITY_K1).all_hold
 
     def test_constant_zero_fails_a4(self):
         report = check_algebra(ZERO_K1)
-        assert not report.a4_holds
         assert report.a4_witness == 0
-        assert report.a1_holds and report.a2_holds and report.a3_holds
+        assert report.a1_witness is None and report.a2_witness is None and report.a3_witness is None
 
     def test_unit_only_k2_valid(self):
-        assert check_algebra(UNIT_ONLY_K2).valid
+        assert check_algebra(UNIT_ONLY_K2).all_hold
 
     def test_a3_witness(self):
         report = check_algebra(algebra(1, [1, 1]))
-        assert not report.a3_holds and report.a3_witness == 0
+        assert report.a3_witness == 0
 
     def test_witnesses_revalidate(self):
         for a in all_sharp_maps(2):
@@ -111,9 +110,17 @@ class TestPlausibleElements:
             assert 0 not in plausible_elements(a)
             assert a.sharp[0] == 0  # forced by a3
 
-    def test_invalid_algebra_rejected(self):
-        with pytest.raises(InvalidAlgebraError):
-            plausible_elements(ZERO_K1)
+    @pytest.mark.parametrize(
+        "base, sharp, failed",
+        [
+            (1, (0, 0), "a4"),
+            (1, (1, 1), "a3"),
+            (2, (0, 1, 1, 0), "a1, a2, a3, a4"),
+        ],
+    )
+    def test_invalid_algebra_rejected(self, base, sharp, failed):
+        with pytest.raises(InvalidAlgebraError, match=f"^algebra violates {failed}$"):
+            plausible_elements(algebra(base, sharp))
 
 
 class TestDerivedLaws:
@@ -121,14 +128,14 @@ class TestDerivedLaws:
         for k in (1, 2):
             for a in iter_valid_algebras(k):
                 report = check_derived_laws(a)
-                assert not report.contradiction
+                assert report.all_hold
 
     def test_monotonicity_for_identity(self):
         report = check_derived_laws(IDENTITY_K2)
-        assert report.law_ii_holds
+        assert report.ii_witness is None
 
     def test_unit_only_sixteen_pairs(self):
-        assert check_derived_laws(UNIT_ONLY_K2).law_i_holds
+        assert check_derived_laws(UNIT_ONLY_K2).i_witness is None
 
     def test_invalid_algebra_rejected(self):
         with pytest.raises(InvalidAlgebraError):
@@ -317,7 +324,7 @@ class TestGeneration:
     def test_counts_at_k2(self):
         candidates = list(all_sharp_maps(2))
         assert len(candidates) == 256
-        valid = [a for a in candidates if check_algebra(a).valid]
+        valid = [a for a in candidates if check_algebra(a).all_hold]
         # a3 forces sharp(0)=0, a4 forces sharp(3)=3; sharp(1) and sharp(2)
         # may each keep or drop their point, and a1/a2 then always hold
         assert len(valid) == 4
@@ -335,7 +342,7 @@ class TestGeneration:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_reflexive_frames_equal_brute_force(self, k):
-        brute = [a for a in all_sharp_maps(k) if check_algebra(a).valid]
+        brute = [a for a in all_sharp_maps(k) if check_algebra(a).all_hold]
         assert list(iter_valid_algebras(k)) == brute
 
     @pytest.mark.parametrize("k, count", [(1, 1), (2, 4), (3, 64)])
@@ -352,7 +359,7 @@ class TestGeneration:
         subsets = [[y for y in range(8) if y & x == y] for x in range(8)]
         pruned = {
             sharp for sharp in product(*subsets)
-            if check_algebra(FinitePlausibilityAlgebra(3, sharp)).valid
+            if check_algebra(FinitePlausibilityAlgebra(3, sharp)).all_hold
         }
         generated = [a.sharp for a in iter_valid_algebras(3)]
         assert len(generated) == 64
@@ -366,9 +373,9 @@ class TestSerialization:
 
     def test_fixture_files(self):
         a = FinitePlausibilityAlgebra.from_data(load_fixture("algebras", "identity_k2.json"))
-        assert check_algebra(a).valid
+        assert check_algebra(a).all_hold
         z = FinitePlausibilityAlgebra.from_data(load_fixture("algebras", "zero_k1.json"))
-        assert not check_algebra(z).a4_holds
+        assert check_algebra(z).a4_witness is not None
 
     def test_base_bound(self):
         size = 1 << MAX_BASE

@@ -254,12 +254,32 @@ class TestValid:
         )
         assert code == 1 and data["models_checked"] == 1
 
-    def test_atoms_flag(self, capsys):
+    @pytest.mark.parametrize("atoms, expected", [
+        ("0,1", [0, 1]), (" 1, 2 ", [1, 2]), ("007", [7]), ("", []), (" ", []),
+    ])
+    def test_atoms_flag(self, capsys, atoms, expected):
         code, data, _ = run_json(
             capsys,
-            "valid", "[]true", "--class", "constrained", "--max-worlds", "2", "--atoms", "0,1",
+            "valid", "[]true", "--class", "constrained", "--max-worlds", "2", "--atoms", atoms,
         )
-        assert code == 0 and data["bounds"]["atoms"] == [0, 1]
+        assert code == 0 and data["bounds"]["atoms"] == expected
+
+    # int() reads all of these, or raises a message of its own
+    @pytest.mark.parametrize("atoms, item", [
+        ("1_0", "1_0"), ("٣", "٣"), ("+3", "+3"), ("-1", "-1"), ("1,,2", ""), ("0,", ""),
+        ("x", "x"), ("1.5", "1.5"), ("p0", "p0"),
+    ])
+    def test_atoms_flag_takes_ascii_digits_only(self, capsys, atoms, item):
+        code, out, err = run(
+            capsys, "valid", "[]true", "--class", "constrained", "--max-worlds", "1", "--atoms", atoms,
+        )
+        assert (code, out, err) == (2, "", f"error: bad --atoms item {item!r}: expected an atom index\n")
+
+    def test_atoms_flag_index_too_long(self, capsys):
+        code, out, err = run(
+            capsys, "valid", "[]true", "--class", "constrained", "--max-worlds", "1", "--atoms", "1," + "9" * 5000,
+        )
+        assert (code, out, err) == (2, "", "error: bad --atoms item: atom index of 5000 digits is too long\n")
 
     def test_bounds_exceeded(self, capsys):
         code, _, err = run(capsys, "valid", "p0", "--class", "raw", "--max-worlds", "3")
@@ -399,6 +419,10 @@ class TestTranslate:
         assert len(text.encode()) > 255
         code, data, _ = run_json(capsys, "translate", text, "--to", "box")
         assert code == 0 and data["formula"] == " & ".join(["[]p0"] * 30)
+
+    def test_formula_with_a_nul_is_not_a_file_name(self, capsys):
+        code, out, err = run(capsys, "translate", "nabla p0\0", "--to", "box")
+        assert (code, out, err) == (2, "", "error: unexpected character '\\x00' (at column 8)\n")
 
     def test_proof_file(self, capsys):
         from plausible.proofs import check_proof, proof_from_data

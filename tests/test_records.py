@@ -65,8 +65,9 @@ BUILDERS = {
     "SearchBounds": lambda: SearchBounds(CONSTRAINED, 2, (0,)),
     "SearchOutcome": lambda: SearchOutcome(Verdict.EXHAUSTED_VALID, 4),
     "FinitePlausibilityAlgebra": lambda: FinitePlausibilityAlgebra(1, (0, 1)),
-    "AlgebraReport": lambda: AlgebraReport(True, True, True, True),
-    "DerivedLawsReport": lambda: DerivedLawsReport(True, True, True),
+    "AlgebraReport": lambda: AlgebraReport(),
+    "AlgebraReport failing": lambda: AlgebraReport(None, None, 0, 0),
+    "DerivedLawsReport": lambda: DerivedLawsReport(),
 }
 NAMES = list(BUILDERS)
 

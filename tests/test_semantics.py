@@ -79,8 +79,8 @@ class TestConditions:
     def test_n_and_h_fail(self):
         m = nm(2, {0: [[0]], 1: [[0, 1]]})
         report = nm_check_conditions(m)
-        assert not report.n_holds and report.n_witness == 0
-        assert not report.h_holds
+        assert report.n_witness == 0
+        assert report.h_witness is not None
         w, x, y = report.h_witness
         fam = m.families[w]
         assert (x in fam or y in fam) and (x | y) not in fam
@@ -88,14 +88,13 @@ class TestConditions:
     def test_t_fails_with_witness(self):
         m = nm(2, {0: [[1], [0, 1]], 1: [[0, 1]]})
         report = nm_check_conditions(m)
-        assert not report.t_holds
         assert report.t_witness == (0, 0b10)
 
     def test_empty_family_reports_n_false(self):
         m = nm(1, {0: []})
         report = nm_check_conditions(m)
-        assert not report.n_holds
-        assert report.c_holds and report.t_holds
+        assert report.n_witness is not None
+        assert report.c_witness is None and report.t_witness is None
 
     def test_witnesses_revalidate(self):
         rng = random.Random(7)
@@ -143,7 +142,7 @@ class TestValidity:
     def test_not_box_bottom_on_t_models(self):
         # wherever (t) holds, the empty set is in no family
         m = nm(2, {0: [[0], [0, 1]], 1: [[1]]})
-        assert nm_check_conditions(m).t_holds
+        assert nm_check_conditions(m).t_witness is None
         assert is_valid_in(m, parse("~[]false"))
 
     def test_atom_not_valid(self):
@@ -152,7 +151,7 @@ class TestValidity:
 
     def test_box_top_on_n_models(self):
         m = nm(2, {0: [[0, 1]], 1: [[0, 1], [1]]})
-        assert nm_check_conditions(m).n_holds
+        assert nm_check_conditions(m).n_witness is None
         assert is_valid_in(m, parse("[]true"))
 
 
@@ -325,7 +324,7 @@ class TestFilterCollapse:
                     core &= x
                 if not (core >> w) & 1:
                     t_expected = False
-            assert report.t_holds == t_expected
+            assert (report.t_witness is None) == t_expected
 
 
 class TestMonotonicity:
@@ -336,7 +335,7 @@ class TestMonotonicity:
         checked = 0
         while checked < 100:
             m = random_raw_model(rng)
-            if not nm_check_conditions(m).h_holds:
+            if nm_check_conditions(m).h_witness is not None:
                 continue
             f = random_formula(rng, depth=2)
             g = random_formula(rng, depth=2)
