@@ -6,17 +6,18 @@ It has two callers.  ``search`` scans a model class with ``run_search``;
 assignments of elements to atoms being their valuations.  Both go through
 the one chunk loop in ``first_countermodel``.
 
-Formulas arrive compiled to flat postfix programs ``[op0, arg0, op1, arg1,
-...]``.  Enumeration order is total and deterministic: world count
-ascending, then per-world structures in ascending bitmask order (world 0
-most significant), then valuations in ascending bitmask order (first atom
-most significant).  The structures of every class but kripke-equiv are
-all combinations of per-world entries, listed once in ``_CHOICES``: a raw
-world's family is a family bitmask (one bit per member set); a
-constrained world's cores come in the order of the superset families
-they generate (``constrained_candidates``).  A universal model is the
-Kripke frame whose relation is full: every row holds every world, so
-each world count has one universal structure.
+Formulas arrive compiled to flat postfix programs ``[op0, arg0, op1,
+arg1, ...]``, whose opcodes are the formula nodes' tags.  Enumeration
+order is total and deterministic: world count ascending, then per-world
+structures in ascending bitmask order (world 0 most significant), then
+valuations in ascending bitmask order (first atom most significant).
+The structures of every class but kripke-equiv are all combinations of
+per-world entries, listed once in ``_CHOICES``: a raw world's family is
+a family bitmask (one bit per member set); a constrained world's cores
+come in the order of the superset families they generate
+(``constrained_candidates``).  A universal model is the Kripke frame
+whose relation is full: every row holds every world, so each world count
+has one universal structure.
 
 Models are evaluated broadword (Knuth, TAOCP 4A §7.1.3): a formula's
 value at world ``w`` is a Python int with one bit, a lane, per model of a
@@ -75,18 +76,11 @@ on first use.
 
 from itertools import islice, product
 
-(
-    OP_ATOM,
-    OP_TOP,
-    OP_BOT,
-    OP_NOT,
-    OP_AND,
-    OP_OR,
-    OP_IMP,
-    OP_IFF,
-    OP_BOX,
-    OP_DIA,
-) = range(10)
+from .syntax import And, Atom, Bottom, Box, Diamond, Iff, Implies, Not, Or, Top
+
+# The opcodes are the node tags: ``syntax`` numbers the operators once.
+OP_ATOM, OP_TOP, OP_BOT, OP_NOT, OP_AND = Atom._tag, Top._tag, Bottom._tag, Not._tag, And._tag
+OP_OR, OP_IMP, OP_IFF, OP_BOX, OP_DIA = Or._tag, Implies._tag, Iff._tag, Box._tag, Diamond._tag
 
 (
     CLASS_CONSTRAINED,

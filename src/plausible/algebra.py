@@ -31,7 +31,7 @@ from itertools import product
 from operator import and_
 
 from .semantics import BoundsExceededError, KripkeModel, NeighborhoodModel, Witnesses, truth_mask
-from .syntax import Dialect, Formula, Record, atoms_of, render, translate
+from .syntax import Dialect, Formula, InputError, Record, atoms_of, render, translate
 
 # check_algebra visits all 4^base element pairs: base 9 takes about half a
 # second, and each further generator four times as long.
@@ -43,11 +43,11 @@ MAX_BASE = 9
 MAX_ASSIGNMENTS = 1 << 16
 
 
-class AlgebraFormatError(ValueError):
+class AlgebraFormatError(InputError):
     """Malformed algebra data."""
 
 
-class InvalidAlgebraError(ValueError):
+class InvalidAlgebraError(InputError):
     """An operation requiring a valid algebra received one failing a1-a4."""
 
 

@@ -4,9 +4,10 @@ Each subcommand computes one JSON document; ``main`` writes it to stdout,
 or with ``--pretty`` the subcommand's human view, computed from that
 document alone.  Diagnostics go to stderr.  Exit status: 0 for success, 1
 for a semantically meaningful negative (countermodel found, proof rejected,
-axiom violated, formula false), 2 for usage or input errors, 3 for an
-internal error (a search result or derivation that failed its check, or
-any other uncaught exception: a defect must never read as a negative answer).
+axiom violated, formula false), 2 for usage errors, an ``InputError`` or an
+``OSError``, 3 for an internal error (a search result or derivation that
+failed its check, or any other uncaught exception, a plain ``ValueError``
+included: a defect must never read as a negative answer or a refused input).
 """
 
 from __future__ import annotations
@@ -32,11 +33,7 @@ from .semantics import (
     nm_check_conditions,
     supplement,
 )
-from .syntax import Dialect, atoms_of, dialect_of, parse, render, require_dialect, translate
-
-# Every input-error class of the package is a ValueError, and so is a JSON
-# decoding error; OSError covers unreadable files.
-_INPUT_ERRORS = (ValueError, OSError)
+from .syntax import Dialect, InputError, atoms_of, dialect_of, parse, render, require_dialect, translate
 
 
 def canonical_json(data) -> str:
@@ -101,16 +98,20 @@ def _json_object(pairs: list) -> dict:
     if len(data) < len(pairs):
         keys = [key for key, _ in pairs]
         repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
-        raise ValueError(f"repeated key {repeated!r} in a JSON object")
+        raise InputError(f"repeated key {repeated!r} in a JSON object")
     return data
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    # Undecodable bytes, bad JSON and an integer past the digit limit each
+    # raise a plain ValueError.
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle, object_pairs_hook=_json_object)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nests too deeply") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nests too deeply") from None
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +161,11 @@ def _parse_atoms(text: str | None, fallback) -> tuple[int, ...]:
         # ASCII digits only, as in formula text: int() also reads "+3",
         # "1_0" and other scripts' digits
         if not (item.isdigit() and item.isascii()):
-            raise ValueError(f"bad --atoms item {item!r}: expected an atom index")
+            raise InputError(f"bad --atoms item {item!r}: expected an atom index")
         try:
             atoms.append(int(item))
         except ValueError:  # more digits than int() converts
-            raise ValueError(
+            raise InputError(
                 f"bad --atoms item: atom index of {len(item)} digits is too long"
             ) from None
     return tuple(atoms)
@@ -201,7 +202,7 @@ def cmd_valid(args) -> tuple[int, dict]:
     bounds = _bounds_from_args(args, atoms_of(f))
     if args.sample is not None:
         if args.seed is None:
-            raise ValueError("--sample requires an explicit --seed")
+            raise InputError("--sample requires an explicit --seed")
         outcome = srch.sample_countermodel(f, bounds, args.sample, args.seed)
     else:
         outcome = srch.find_countermodel(f, bounds)
@@ -420,7 +421,7 @@ def main(argv=None) -> int:
         code, document = args.func(args)
         sys.stdout.write("\n".join(args.view(document)) + "\n" if args.pretty else canonical_json(document))
         return code
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -42,6 +42,7 @@ from .syntax import (
     Box,
     Formula,
     Implies,
+    InputError,
     MetaBinding,
     Nabla,
     Not,
@@ -53,13 +54,14 @@ from .syntax import (
 )
 
 
-class TranslationError(ValueError):
+class TranslationError(InputError):
     """A proof that cannot be translated: not LNabla or LPBox, or rejected."""
 
 
 class DerivationError(RuntimeError):
-    """A builder refusal, a built proof that ``check_proof`` rejects, or a
-    bridge that concludes the wrong formula."""
+    """A builder refusal, a built proof that ``check_proof`` rejects, an
+    accepted line with no bridge, or a bridge that concludes the wrong
+    formula."""
 
 
 class ProofBuilder:
@@ -474,7 +476,7 @@ def translate_proof(proof: Proof) -> Proof:
             elif j.schema_id == "H":
                 mapping[number] = nabla_h(b, moved[0], moved[1])
             else:
-                raise TranslationError(
+                raise DerivationError(
                     f"line {number}: no bridge for axiom {j.schema_id} "
                     f"(obligation: derive {render(expected)} in {target_system.value})"
                 )
@@ -483,7 +485,7 @@ def translate_proof(proof: Proof) -> Proof:
         elif isinstance(j, RE):
             mapping[number] = nabla_congruence(b, mapping[j.ref])
         else:
-            raise TranslationError(
+            raise DerivationError(
                 f"line {number}: rule {type(j).__name__} has no counterpart "
                 f"(obligation: re-derive {render(expected)} in {target_system.value})"
             )

@@ -31,6 +31,7 @@ from .syntax import (
     FormulaSyntaxError,
     Iff,
     Implies,
+    InputError,
     Nabla,
     Record,
     Schema,
@@ -42,7 +43,7 @@ from .syntax import (
 )
 
 
-class ProofFormatError(ValueError):
+class ProofFormatError(InputError):
     """Structurally malformed proof data (dangling references, unknown rule
     or schema names, missing fields); distinct from a checker rejection."""
 

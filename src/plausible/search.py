@@ -35,20 +35,13 @@ from .semantics import (
     truth_mask,
 )
 from .syntax import (
-    And,
-    Atom,
-    Bottom,
     Box,
     Dialect,
     Diamond,
     DialectError,
     Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
+    InputError,
     Record,
-    Top,
     parse,
     render,
     require_dialect,
@@ -178,7 +171,7 @@ class SearchBounds(Record, namedtuple("SearchBounds", "model_class max_worlds at
             raise BoundsExceededError(f"{model_class.value} enumeration is capped at {model_class.cap} worlds")
         atoms = tuple(sorted(set(atoms)))
         if atoms and atoms[0] < 0:
-            raise ValueError("atom indices must be non-negative")
+            raise InputError("atom indices must be non-negative")
         return tuple.__new__(cls, (model_class, max_worlds, atoms))
 
     def to_data(self) -> dict:
@@ -203,25 +196,14 @@ class SearchOutcome(Record, namedtuple("SearchOutcome", "verdict models_checked 
 # Formula compilation
 
 
-# An atom is looked up here only when it has no slot: it denotes the empty set.
-_OPCODES: dict[type, int] = {
-    Atom: _kernel_py.OP_BOT,
-    Top: _kernel_py.OP_TOP,
-    Bottom: _kernel_py.OP_BOT,
-    Not: _kernel_py.OP_NOT,
-    Box: _kernel_py.OP_BOX,
-    Diamond: _kernel_py.OP_DIA,
-    And: _kernel_py.OP_AND,
-    Or: _kernel_py.OP_OR,
-    Implies: _kernel_py.OP_IMP,
-    Iff: _kernel_py.OP_IFF,
-}
-
-
 def compile_program(f: Formula, atom_slots: dict[int, int]) -> list[int]:
     """Flatten a formula into the kernel's postfix opcode list.
 
-    Atoms without a slot (outside the search bounds) denote the empty set.
+    Each node's opcode is its tag, and its argument is 0, except an atom's:
+    the atom's slot in ``atom_slots``.  An atom without a slot (outside the
+    search bounds) denotes the empty set, so it compiles to bottom.  A node
+    tagged above ``OP_DIA``, a nabla, raises ``DialectError`` before its
+    operand compiles: the message names the leftmost outermost one.
     """
     prog: list[int] = []
     _compile(f, atom_slots, prog)
@@ -229,20 +211,16 @@ def compile_program(f: Formula, atom_slots: dict[int, int]) -> list[int]:
 
 
 def _compile(f: Formula, atom_slots: dict[int, int], prog: list[int]) -> None:
-    match f:
-        case Atom(i) if i in atom_slots:
-            prog.extend((_kernel_py.OP_ATOM, atom_slots[i]))
-        case Atom() | Top() | Bottom():
-            prog.extend((_OPCODES[type(f)], 0))
-        case Not(x) | Box(x) | Diamond(x):
-            _compile(x, atom_slots, prog)
-            prog.extend((_OPCODES[type(f)], 0))
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            _compile(l, atom_slots, prog)
-            _compile(r, atom_slots, prog)
-            prog.extend((_OPCODES[type(f)], 0))
-        case _:
-            raise DialectError(f"cannot compile {render(f)} for model search")
+    tag = f[0]
+    if tag == _kernel_py.OP_ATOM:
+        slot = atom_slots.get(f[1])
+        prog.extend((_kernel_py.OP_BOT, 0) if slot is None else (tag, slot))
+        return
+    if tag > _kernel_py.OP_DIA:
+        raise DialectError(f"cannot compile {render(f)} for model search")
+    for operand in f[1:]:
+        _compile(operand, atom_slots, prog)
+    prog.extend((tag, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +305,7 @@ def run_k_experiment(bounds: SearchBounds) -> SearchOutcome:
     persist it through :func:`experiment_report`.
     """
     if bounds.model_class is not ModelClass.CONSTRAINED_NEIGHBORHOOD:
-        raise ValueError("the K experiment runs on the constrained neighborhood class")
+        raise InputError("the K experiment runs on the constrained neighborhood class")
     return find_countermodel(K_FORMULA, bounds)
 
 
@@ -338,7 +316,7 @@ def sample_countermodel(
     Returns the first falsifying sample or ``Inconclusive`` after ``samples``
     draws, of which there are at most ``MAX_SAMPLES``."""
     if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+        raise InputError(f"samples must be at least 1, got {samples}")
     if samples > MAX_SAMPLES:
         raise BoundsExceededError(f"samples are capped at {MAX_SAMPLES}, got {samples}")
     mc = bounds.model_class

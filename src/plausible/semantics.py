@@ -26,6 +26,7 @@ from .syntax import (
     Formula,
     Iff,
     Implies,
+    InputError,
     Not,
     Or,
     Record,
@@ -34,15 +35,15 @@ from .syntax import (
 )
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(InputError):
     """Malformed model data (bad JSON shape, out-of-range worlds, ...)."""
 
 
-class WorldRangeError(ValueError):
+class WorldRangeError(InputError):
     """A world index outside ``0..worlds-1`` was used."""
 
 
-class BoundsExceededError(ValueError):
+class BoundsExceededError(InputError):
     """Requested bounds exceed the documented per-class caps."""
 
 

@@ -19,7 +19,13 @@ from enum import Enum
 from itertools import islice
 
 
-class FormulaSyntaxError(ValueError):
+class InputError(ValueError):
+    """Input the package refuses.  ``plaus`` exits 2 for one, and for an
+    ``OSError``; any other exception, a plain ``ValueError`` included, is a
+    defect and exits 3."""
+
+
+class FormulaSyntaxError(InputError):
     """Malformed formula text; carries the offending column."""
 
     def __init__(self, message: str, position: int):
@@ -27,7 +33,7 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-class DialectError(ValueError):
+class DialectError(InputError):
     """A formula uses modal operators outside the admitted dialect."""
 
 
@@ -188,7 +194,7 @@ class Nabla(_Unary):
 TOP = Top()
 BOTTOM = Bottom()
 
-_MODAL = (Box, Diamond, Nabla)
+_MODAL = frozenset({Box, Diamond, Nabla})
 _LEAF_TYPES = frozenset({Atom, Top, Bottom})
 _BINARY_TYPES = frozenset({And, Or, Implies, Iff})
 
@@ -513,18 +519,6 @@ def modal_depth(f: Formula) -> int:
             return max(modal_depth(f.left), modal_depth(f.right))
 
 
-def atoms_of(f: Formula) -> frozenset[int]:
-    match f:
-        case Atom(i):
-            return frozenset({i})
-        case Top() | Bottom():
-            return frozenset()
-        case Not(g) | Box(g) | Diamond(g) | Nabla(g):
-            return atoms_of(g)
-        case _:
-            return atoms_of(f.left) | atoms_of(f.right)
-
-
 def subformulas(f: Formula) -> frozenset[Formula]:
     """The set of subformulas of ``f``, including ``f`` itself.
 
@@ -544,22 +538,14 @@ def subformulas(f: Formula) -> frozenset[Formula]:
     return frozenset(found)
 
 
+def atoms_of(f: Formula) -> frozenset[int]:
+    """The indices of the atoms occurring in ``f``."""
+    return frozenset(g[1] for g in subformulas(f) if type(g) is Atom)
+
+
 def modal_operators(f: Formula) -> frozenset[type]:
     """The set of modal operator classes occurring in ``f``."""
-    ops: set[type] = set()
-    _collect_modal(f, ops)
-    return frozenset(ops)
-
-
-def _collect_modal(f: Formula, ops: set[type]) -> None:
-    if isinstance(f, _MODAL):
-        ops.add(type(f))
-        _collect_modal(f.operand, ops)
-    elif isinstance(f, Not):
-        _collect_modal(f.operand, ops)
-    elif isinstance(f, _Binary):
-        _collect_modal(f.left, ops)
-        _collect_modal(f.right, ops)
+    return frozenset(type(g) for g in subformulas(f) if type(g) in _MODAL)
 
 
 def _fits(f: Formula, allowed: frozenset[type], memo: dict) -> bool:

@@ -26,7 +26,14 @@ from plausible.semantics import (
     WorldRangeError,
     model_from_data,
 )
-from plausible.syntax import DialectError, Formula, FormulaSyntaxError, UnboundMetavariableError, parse
+from plausible.syntax import (
+    DialectError,
+    Formula,
+    FormulaSyntaxError,
+    InputError,
+    UnboundMetavariableError,
+    parse,
+)
 
 MODELS = FIXTURES / "models"
 PROOFS = FIXTURES / "proofs"
@@ -584,6 +591,24 @@ def test_deeply_nested_json_is_input_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "data,message",
+    [
+        (b"\xff\xfe{", "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
+        (b'{"worlds": ' + b"9" * 5000, "error: Exceeds the limit (4300 digits)"),
+        (b'{"worlds": 1', "error: Expecting ',' delimiter: line 1 column 13 (char 12)\n"),
+    ],
+    ids=["not-utf-8", "long-integer", "truncated"],
+)
+def test_undecodable_json_is_input_error(capsys, tmp_path, data, message):
+    path = tmp_path / "model.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "eval", str(path), "0", "p0")
+    assert code == 2 and out == ""
+    # the digit limit's message ends differently across Python versions
+    assert err == message if message.endswith("\n") else err.startswith(message)
+
+
+@pytest.mark.parametrize(
     "argv,text,key",
     [
         (["eval", "FILE", "1", "p0"], '{"worlds": 1, "worlds": 2, "V": {"p0": [1]}}', "worlds"),
@@ -614,6 +639,16 @@ def test_uncaught_exception_is_internal_error(capsys, monkeypatch):
     assert err.startswith("internal error: RuntimeError: boom")
 
 
+def test_value_error_from_a_defect_is_internal_error(capsys, monkeypatch):
+    def defect(*args):
+        raise ValueError("defect inside the kernel")
+
+    monkeypatch.setattr(_kernel_py, "run_search", defect)
+    code, out, err = run(capsys, "valid", "p0", "--class", "constrained", "--max-worlds", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ValueError: defect inside the kernel")
+
+
 INPUT_ERRORS = [
     FormulaSyntaxError,
     DialectError,
@@ -631,6 +666,13 @@ INPUT_ERRORS = [
 @pytest.mark.parametrize("cls", INPUT_ERRORS, ids=lambda cls: cls.__name__)
 def test_input_errors_are_value_errors(cls):
     assert issubclass(cls, ValueError)
+
+
+@pytest.mark.parametrize("cls", INPUT_ERRORS, ids=lambda cls: cls.__name__)
+def test_refused_input_is_an_input_error(cls):
+    # no plaus input reaches schema instantiation: an unbound metavariable
+    # there is a defect
+    assert issubclass(cls, InputError) is (cls is not UnboundMetavariableError)
 
 
 def test_search_defect_is_not_an_input_error():

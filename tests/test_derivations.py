@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 from conftest import formulas, load_fixture
 from record_translations import REDERIVED
+from plausible import derivations
 from plausible.derivations import (
     DerivationError,
     ProofBuilder,
@@ -339,6 +340,14 @@ class TestTranslateProof:
     def test_rejected_input_refused(self):
         proof = proof_from_data(load_fixture("proofs", "broken_rnabla_premise.json"))
         with pytest.raises(TranslationError):
+            translate_proof(proof)
+
+    def test_missing_bridge_is_a_defect(self, monkeypatch):
+        # every axiom of an accepted LNabla proof has a bridge; without one,
+        # the translator is at fault, not its input
+        monkeypatch.setitem(derivations._AXIOM_MAP, SystemId.LNABLA, {})
+        proof = proof_from_data(load_fixture("proofs", "lnabla_ax1.json"))
+        with pytest.raises(DerivationError, match=r"^line \d+: no bridge for axiom Ax1 "):
             translate_proof(proof)
 
     def test_s5_not_translatable(self):

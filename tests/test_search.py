@@ -98,8 +98,12 @@ class TestCompileProgram:
         ]
 
     def test_nabla_not_compiled(self):
-        with pytest.raises(DialectError):
+        with pytest.raises(DialectError, match=r"^cannot compile nabla p0 for model search$"):
             compile_program(parse("p0 -> nabla p0"), {0: 0})
+
+    def test_first_nabla_named(self):
+        with pytest.raises(DialectError, match=r"^cannot compile nabla p0 for model search$"):
+            compile_program(parse("[](nabla p0 & nabla p1)"), {0: 0, 1: 1})
 
 
 class TestFilterCollapseOracle:
