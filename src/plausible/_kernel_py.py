@@ -61,17 +61,10 @@ S orbit-minimal if no π(S) comes earlier in the order above.  The first
 structure with a countermodel is orbit-minimal: an earlier relabelling
 would have one too.  So scanning the orbit-minimal structures in order,
 each in full, finds the same first countermodel as scanning them all, and
-the count the full scan reports is still exact.  With k atoms, S the
-countermodel's structure on n worlds, rank(S) its position among all
-structures on n worlds and v its valuation's index,
-
-    models_checked = Σ_{m<n} |structures(m)|·2^(m·k) + rank(S)·2^(n·k) + v + 1,
-
-and an exhausted search over 1..N worlds reports
-Σ_{n≤N} |structures(n)|·2^(n·k).  Finding the orbit minima costs more than
-the searches they save, so their ranks are committed in
-``plausible._orbits`` (written by ``tests/record_orbits.py``) and decoded
-on first use.
+the count the full scan reports is still exact: ``structure_count`` gives
+it in closed form.  Finding the orbit minima costs more than the searches
+they save, so their ranks are committed in ``plausible._orbits`` (written
+by ``tests/record_orbits.py``) and decoded on first use.
 """
 
 from itertools import islice, product
@@ -172,7 +165,41 @@ def structures(class_id: int, n: int):
 # from ``_orbits.RANKS`` on first use
 _ranks: dict[tuple[int, int], list[int]] = {}
 # (class id, worlds) -> ``orbit_minima`` of a ``_CHOICES`` class, decoded on first use
-_minima: dict[tuple[int, int], tuple[int, tuple]] = {}
+_minima: dict[tuple[int, int], tuple] = {}
+# (class id, worlds) -> ``structure_count``, computed on first use
+_counts: dict[tuple[int, int], int] = {}
+
+
+def structure_count(class_id: int, n: int) -> int:
+    """How many structures ``structures(class_id, n)`` yields, in closed
+    form: for a ``_CHOICES`` class, every world's number of entries to the
+    n-th power; for kripke-equiv, the Bell number of set partitions of n
+    worlds, the last entry of row n of the Bell triangle (Aitken's array).
+
+    A search reports the count of the full scan.  With k atoms, S the first
+    countermodel's structure on n worlds, rank(S) its position in
+    ``structures(class_id, n)`` and v its valuation's index,
+
+        models_checked = Σ_{m<n} structure_count(m)·2^(m·k) + rank(S)·2^(n·k) + v + 1,
+
+    and an exhausted search over 1..N worlds reports
+    Σ_{n≤N} structure_count(n)·2^(n·k), however few of those structures
+    it scanned.
+    """
+    count = _counts.get((class_id, n))
+    if count is None:
+        if class_id == CLASS_KRIPKE_EQUIV:
+            row = [1]
+            for _ in range(n - 1):
+                below = [row[-1]]
+                for x in row:
+                    below.append(below[-1] + x)
+                row = below
+            count = row[-1]
+        else:
+            count = len(_CHOICES[class_id](n)[0]) ** n
+        _counts[class_id, n] = count
+    return count
 
 
 def orbit_ranks(class_id: int, n: int) -> list[int]:
@@ -189,13 +216,13 @@ def orbit_ranks(class_id: int, n: int) -> list[int]:
 
 
 def orbit_minima(class_id: int, n: int):
-    """``(count, minima)``: how many structures there are on ``n`` worlds,
-    and the orbit-minimal ones as ``(rank, structure)`` in order."""
+    """The orbit-minimal structures on ``n`` worlds as ``(rank, structure)``
+    pairs, in order."""
     if class_id == CLASS_KRIPKE_EQUIV:
         every = list(structures(class_id, n))
-        return len(every), [(r, every[r]) for r in orbit_ranks(class_id, n)]
-    found = _minima.get((class_id, n))
-    if found is None:
+        return [(r, every[r]) for r in orbit_ranks(class_id, n)]
+    minima = _minima.get((class_id, n))
+    if minima is None:
         # A rank's digits, world 0 the most significant, index the worlds'
         # choices; every world has the same power-of-two number of them.
         # Universal's one structure is left out of _orbits: its rank is 0.
@@ -204,9 +231,8 @@ def orbit_minima(class_id: int, n: int):
         digit = (1 << bits) - 1
         shifted = [(c, bits * (n - 1 - w)) for w, c in enumerate(choices)]
         ranks = [0] if class_id == CLASS_UNIVERSAL else orbit_ranks(class_id, n)
-        minima = tuple((r, tuple([c[(r >> s) & digit] for c, s in shifted])) for r in ranks)
-        found = _minima[class_id, n] = (1 << (bits * n), minima)
-    return found
+        minima = _minima[class_id, n] = tuple((r, tuple([c[(r >> s) & digit] for c, s in shifted])) for r in ranks)
+    return minima
 
 
 def bit_patterns(nbits: int, unit: int) -> list[int]:
@@ -402,24 +428,22 @@ def run_search(class_id: int, max_worlds: int, natoms: int, programs, full_world
 
     Only orbit-minimal structures are scanned; the result, ``models_checked``
     included, is that of scanning every structure (see the module
-    docstring).  The scan stops at ``max_worlds``, below ``full_worlds``
-    when the caller knows that the first countermodel, if any, lies within
-    it.  Without one, the count still covers every structure on up to
-    ``full_worlds`` worlds.  Returns ``(found, models_checked, worlds,
-    structure, vmasks, world)``.
+    docstring and ``structure_count``).  The scan stops at ``max_worlds``,
+    below ``full_worlds`` when the caller knows that the first
+    countermodel, if any, lies within it.  Without one, the count still
+    covers every structure on up to ``full_worlds`` worlds.  Returns
+    ``(found, models_checked, worlds, structure, vmasks, world)``.
     """
     gamma = programs[:-1]
     target = programs[-1]
     checked = 0
-    for n in range(1, max_worlds + 1):
-        count, minima = orbit_minima(class_id, n)
-        hit = first_countermodel(gamma, target, n, natoms, class_id, minima)
-        if hit:
-            rank, struct, v, world = hit
-            full = (1 << n) - 1
-            vmasks = tuple((v >> (n * (natoms - 1 - i))) & full for i in range(natoms))
-            return (True, checked + (rank << (n * natoms)) + v + 1, n, struct, vmasks, world)
-        checked += count << (n * natoms)
-    for n in range(max_worlds + 1, full_worlds + 1):
-        checked += orbit_minima(class_id, n)[0] << (n * natoms)
+    for n in range(1, full_worlds + 1):
+        if n <= max_worlds:
+            hit = first_countermodel(gamma, target, n, natoms, class_id, orbit_minima(class_id, n))
+            if hit:
+                rank, struct, v, world = hit
+                full = (1 << n) - 1
+                vmasks = tuple((v >> (n * (natoms - 1 - i))) & full for i in range(natoms))
+                return (True, checked + (rank << (n * natoms)) + v + 1, n, struct, vmasks, world)
+        checked += structure_count(class_id, n) << (n * natoms)
     return (False, checked, 0, (), (), -1)

@@ -10,13 +10,49 @@ The inner enumeration/evaluation loop runs in ``plausible._kernel_py``,
 which evaluates each formula over a chunk of models at once (bit-sliced):
 every valuation of a structure, and as many structures side by side as
 fit in a chunk.  Formulas reach it compiled to postfix programs.
-Universal and kripke-equiv searches stop at the formulas' world bound
-(``universal_world_bound``) and count the models past it in closed form.
+
+A search stops at its class's world bound, the ``ModelClass`` member's
+``world_bound(m, d, premises)``: worlds enough for the first countermodel,
+so a scan up to it finds the full scan's first countermodel, and the
+kernel counts the models past it in closed form.  Here m counts the
+distinct box and diamond subformulas of the premises and the target, and
+d is their greatest modal depth; ``compile_program`` records both.
+
+Universal and kripke-equiv: m + 1 worlds, premises allowed.  Take a
+universal countermodel: the premises hold at every world and the target
+fails at world w.  Keep w and, for each modal subformula, one witness if
+there is one: a world where A fails for ``[]A``, where A holds for
+``<>A`` (S5 selection; Blackburn, de Rijke & Venema, *Modal Logic*, 2001,
+ch. 6).  By induction on subformulas, each of them has the same truth
+value at a kept world in the submodel as in the model: a modal one is true
+everywhere or nowhere, and its witness stayed.  So the kept worlds, at
+most m + 1, are a countermodel too.  A kripke-equiv countermodel reduces
+to a universal one: the cluster of w, its equivalence class, is a
+generated submodel, so every formula keeps its truth value at its worlds,
+the premises hold throughout it and the target still fails at w.  Its
+relation is full, so S5 selection on it keeps a universal countermodel of
+at most m + 1 worlds, and a full relation is an equivalence.
+
+Constrained and kripke-all: Σ_{i≤d} mⁱ worlds, and no cut with premises.
+A constrained structure is a reflexive Kripke frame, each world's core
+its successors (C7), so both are classes of all frames of a kind: all
+frames, and all reflexive frames.  Take a countermodel whose target fails
+at w, and unravel it from w into a tree of depth d (Blackburn, de Rijke &
+Venema, ch. 2).  The root copies w.  A node at depth i < d copying u gets,
+for each modal subformula, one child copying a witness among u's
+successors if there is one: a world where A fails for ``[]A``, where A
+holds for ``<>A``.  For reflexive frames every node also gets a loop.  By
+induction on i from d down, a node at depth i agrees with the world it
+copies on every subformula of modal depth at most d − i.  So the tree, of
+at most Σ_{i≤d} mⁱ nodes, is a countermodel in the class.  This fails for
+global consequence: the premises must hold at every node, and a premise
+such as ``p0 -> <>p0`` forces chains longer than d.
+
+Raw: no cut.
 """
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from enum import Enum
 from itertools import product
@@ -35,9 +71,7 @@ from .semantics import (
     truth_mask,
 )
 from .syntax import (
-    Box,
     Dialect,
-    Diamond,
     DialectError,
     Formula,
     InputError,
@@ -45,7 +79,6 @@ from .syntax import (
     parse,
     render,
     require_dialect,
-    subformulas,
 )
 
 # Searches call the kernel through this attribute, so tools can wrap it.
@@ -88,30 +121,14 @@ def _draw_partition(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple(sum(1 << z for z in range(n) if blocks[z] == blocks[w]) for w in range(n))
 
 
-def universal_world_bound(formulas) -> int:
-    """Worlds enough for the first universal or kripke-equiv countermodel:
-    m + 1, where m counts the distinct modal subformulas of ``formulas``.
+def _selection_bound(m: int, d: int, premises: bool) -> int:
+    """S5 selection: one world and a witness per modal subformula."""
+    return m + 1
 
-    Take a universal countermodel: the premises hold at every world and the
-    target fails at world w.  Keep w and, for each modal subformula, one
-    witness if there is one: a world where A fails for ``[]A``, where A
-    holds for ``<>A`` (S5 selection; Blackburn, de Rijke & Venema, *Modal
-    Logic*, 2001, ch. 6).  By induction on subformulas, each of them has the
-    same truth value at a kept world in the submodel as in the model: a
-    modal one is true everywhere or nowhere, and its witness stayed.  So the
-    kept worlds, at most m + 1, are a countermodel too, and the smallest
-    world count with a countermodel is at most m + 1.
 
-    A kripke-equiv countermodel reduces to a universal one.  The cluster of
-    w, its equivalence class, is a generated submodel: no world of it sees
-    out of it, so every formula keeps its truth value at its worlds, the
-    premises hold throughout it and the target still fails at w.  Its
-    relation is full, so it is a universal countermodel, and S5 selection
-    on it keeps a universal countermodel of at most m + 1 worlds.  A full
-    relation is an equivalence, so that is a kripke-equiv countermodel too.
-    """
-    modal = {g for f in formulas for g in subformulas(f) if isinstance(g, (Box, Diamond))}
-    return len(modal) + 1
+def _tree_bound(m: int, d: int, premises: bool) -> int | None:
+    """A tree of depth d and branching m, without premises only."""
+    return None if premises else sum(m ** i for i in range(d + 1))
 
 
 class ModelClass(Enum):
@@ -125,8 +142,15 @@ class ModelClass(Enum):
     model a kernel structure on n worlds stands for; ``draw(rng, n)``, a
     random such structure; ``check(model)``, which raises
     ``SearchInternalError`` for a model outside the class; and
-    ``world_bound(formulas)``, worlds enough for the first countermodel.
-    The last two are None where a class has none.
+    ``world_bound(m, d, premises)``, worlds enough for the first
+    countermodel given m distinct modal subformulas of modal depth at most
+    d, or None for no cut.  The last two are None where a class has none.
+
+    The module docstring gives the world bounds' arguments.  Universal and
+    kripke-equiv are cut at m + 1 worlds by S5 selection, premises or not.
+    Constrained and kripke-all are cut at Σ_{i≤d} mⁱ worlds by the tree
+    model, reflexive loops added for constrained, only without premises.
+    Raw is never cut.
     """
 
     def __new__(cls, value, kernel_id, cap, dialect, model, draw, check=None, world_bound=None):
@@ -142,15 +166,15 @@ class ModelClass(Enum):
                         lambda rng, n: tuple(rng.randrange(1 << (1 << n)) for _ in range(n)))
     CONSTRAINED_NEIGHBORHOOD = ("constrained", _kernel_py.CLASS_CONSTRAINED, 4, Dialect.BOX, _cores,
                                 lambda rng, n: tuple(rng.randrange(1 << n) | (1 << w) for w in range(n)),
-                                _check_conditions)
+                                _check_conditions, _tree_bound)
     KRIPKE_EQUIVALENCE = ("kripke-equiv", _kernel_py.CLASS_KRIPKE_EQUIV, 4, Dialect.S5, KripkeModel,
-                          _draw_partition, _check_equivalence, universal_world_bound)
+                          _draw_partition, _check_equivalence, _selection_bound)
     KRIPKE_ALL = ("kripke-all", _kernel_py.CLASS_KRIPKE_ALL, 4, Dialect.S5, KripkeModel,
-                  lambda rng, n: tuple(rng.randrange(1 << n) for _ in range(n)))
+                  lambda rng, n: tuple(rng.randrange(1 << n) for _ in range(n)), None, _tree_bound)
     # the Kripke frames whose every row is full
     UNIVERSAL = ("universal", _kernel_py.CLASS_UNIVERSAL, 10, Dialect.S5,
                  lambda n, struct, valuation: UniversalModel(n, valuation),
-                 lambda rng, n: ((1 << n) - 1,) * n, None, universal_world_bound)
+                 lambda rng, n: ((1 << n) - 1,) * n, None, _selection_bound)
 
 
 # Random search draws at most this many samples: each costs tens of
@@ -196,31 +220,42 @@ class SearchOutcome(Record, namedtuple("SearchOutcome", "verdict models_checked 
 # Formula compilation
 
 
-def compile_program(f: Formula, atom_slots: dict[int, int]) -> list[int]:
+def compile_program(f: Formula, atom_slots: dict[int, int], modal: dict | None = None) -> list[int]:
     """Flatten a formula into the kernel's postfix opcode list.
 
     Each node's opcode is its tag, and its argument is 0, except an atom's:
     the atom's slot in ``atom_slots``.  An atom without a slot (outside the
     search bounds) denotes the empty set, so it compiles to bottom.  A node
     tagged above ``OP_DIA``, a nabla, raises ``DialectError`` before its
-    operand compiles: the message names the leftmost outermost one.
+    operand compiles: the message names the leftmost outermost one.  Each
+    distinct box or diamond subformula is recorded in ``modal``, if given,
+    with its modal depth.
     """
     prog: list[int] = []
-    _compile(f, atom_slots, prog)
+    _compile(f, atom_slots, prog, modal)
     return prog
 
 
-def _compile(f: Formula, atom_slots: dict[int, int], prog: list[int]) -> None:
+def _compile(f: Formula, atom_slots: dict[int, int], prog: list[int], modal: dict | None) -> int:
+    """Compile ``f`` onto ``prog``; returns its modal depth."""
     tag = f[0]
     if tag == _kernel_py.OP_ATOM:
         slot = atom_slots.get(f[1])
         prog.extend((_kernel_py.OP_BOT, 0) if slot is None else (tag, slot))
-        return
+        return 0
     if tag > _kernel_py.OP_DIA:
         raise DialectError(f"cannot compile {render(f)} for model search")
+    depth = 0
     for operand in f[1:]:
-        _compile(operand, atom_slots, prog)
+        d = _compile(operand, atom_slots, prog, modal)
+        if d > depth:
+            depth = d
     prog.extend((tag, 0))
+    if tag >= _kernel_py.OP_BOX:
+        depth += 1
+        if modal is not None:
+            modal[f] = depth
+    return depth
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +297,15 @@ def _search(gamma: tuple[Formula, ...], f: Formula, bounds: SearchBounds) -> Sea
     for g in (*gamma, f):
         require_dialect(g, mc.dialect)
     slots = {atom: i for i, atom in enumerate(bounds.atoms)}
-    programs = [compile_program(g, slots) for g in (*gamma, f)]
+    modal: dict[Formula, int] = {}
+    programs = [compile_program(g, slots, modal) for g in (*gamma, f)]
     # A search stops at its class's world bound: the first countermodel lies
     # within it, and without one the kernel counts the models past it.
     scanned = bounds.max_worlds
     if mc.world_bound:
-        scanned = min(scanned, mc.world_bound((*gamma, f)))
+        bound = mc.world_bound(len(modal), max(modal.values(), default=0), bool(gamma))
+        if bound is not None:
+            scanned = min(scanned, bound)
     found, checked, n, struct, vmasks, world = _ACTIVE.run_search(
         mc.kernel_id, scanned, len(bounds.atoms), programs, bounds.max_worlds
     )
@@ -321,6 +359,9 @@ def sample_countermodel(
         raise BoundsExceededError(f"samples are capped at {MAX_SAMPLES}, got {samples}")
     mc = bounds.model_class
     require_dialect(f, mc.dialect)
+    # imported here, so that a command that samples nothing never loads it
+    import random
+
     rng = random.Random(seed)
     for i in range(1, samples + 1):
         n = rng.randint(1, bounds.max_worlds)

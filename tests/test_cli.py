@@ -981,9 +981,10 @@ def test_fmt_leaves_the_orbit_table_undecoded():
 ], ids=lambda argv: argv[0])
 def test_a_command_loads_neither_dataclasses_nor_the_top_level_parser(argv):
     # `-S` keeps site's .pth files from importing modules into the check.
+    # Only `--sample` needs `random`.
     script = (
         f"import sys; from plausible import cli; cli.main({argv!r}); "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), "
+        "print(sorted({'dataclasses', 'inspect', 'random'} & set(sys.modules)), "
         "cli.build_parser.cache_info().misses, file=sys.stderr)"
     )
     src = str(Path(plausible.__file__).resolve().parent.parent)

@@ -26,7 +26,6 @@ from plausible.search import (
     kernel_backend,
     run_k_experiment,
     sample_countermodel,
-    universal_world_bound,
 )
 from plausible.semantics import (
     KripkeModel,
@@ -41,6 +40,27 @@ from plausible.syntax import DialectError, parse, render
 
 def bounds(model_class, max_worlds, atoms=()):
     return SearchBounds(model_class, max_worlds, atoms)
+
+
+def world_bound(model_class, gamma, target):
+    """The class's world bound for a search of ``target`` from ``gamma``,
+    read off the modal subformulas that ``compile_program`` records."""
+    modal = {}
+    for g in (*gamma, target):
+        compile_program(g, {}, modal)
+    return model_class.world_bound(len(modal), max(modal.values(), default=0), bool(gamma))
+
+
+def scanned_worlds(monkeypatch):
+    """The world counts that each later search hands the kernel to scan."""
+    scanned, run_search = [], _kernel_py.run_search
+
+    def recorded(class_id, worlds, *rest):
+        scanned.append(worlds)
+        return run_search(class_id, worlds, *rest)
+
+    monkeypatch.setattr(_kernel_py, "run_search", recorded)
+    return scanned
 
 
 class TestEnumerationCounts:
@@ -104,6 +124,14 @@ class TestCompileProgram:
     def test_first_nabla_named(self):
         with pytest.raises(DialectError, match=r"^cannot compile nabla p0 for model search$"):
             compile_program(parse("[](nabla p0 & nabla p1)"), {0: 0, 1: 1})
+
+    def test_records_distinct_modal_subformulas_with_their_depth(self):
+        modal = {}
+        compile_program(parse("<>p0 -> []<>p0 & <>p0"), {0: 0}, modal)
+        assert modal == {parse("<>p0"): 1, parse("[]<>p0"): 2}
+        # the programs of one search share the record
+        compile_program(parse("[][]p0 | <>p0 | p1"), {0: 0}, modal)
+        assert modal == {parse("<>p0"): 1, parse("[]<>p0"): 2, parse("[]p0"): 1, parse("[][]p0"): 2}
 
 
 class TestFilterCollapseOracle:
@@ -236,7 +264,7 @@ class TestReferenceParity:
         # 2,113,664 models, too many for the oracle to scan here; two modal
         # subformulas keep all 3 worlds, the last in 8 chunks, in the scan
         f = parse("p0|~p0|[]p1|<>p2|p3|p4|p5")
-        assert universal_world_bound([f]) == 3
+        assert world_bound(ModelClass.UNIVERSAL, (), f) == 3
         out = find_countermodel(f, bounds(ModelClass.UNIVERSAL, 3, range(7)))
         assert out.verdict is Verdict.EXHAUSTED_VALID
         assert out.models_checked == oracle.model_count("universal", 3, 7)
@@ -302,7 +330,7 @@ def placement(out: SearchOutcome, class_id: int, natoms: int, log2: int) -> tupl
     holds the first countermodel's structure, the number of groups on its
     world count and the number of structures in its group."""
     n = out.countermodel.worlds
-    before = sum(_kernel_py.orbit_minima(class_id, m)[0] << (m * natoms) for m in range(1, n))
+    before = sum(_kernel_py.structure_count(class_id, m) << (m * natoms) for m in range(1, n))
     rank = (out.models_checked - before - 1) >> (n * natoms)
     ranks = _kernel_py.orbit_ranks(class_id, n)
     g = group_size(n, natoms, log2)
@@ -483,7 +511,7 @@ class TestKernel:
         b = bounds(ModelClass.UNIVERSAL, 5, (0, 1, 2, 3))
         # four modal subformulas keep 5 worlds in the scan
         f = parse("[]p0 -> p0 & (p1 | ~p1 | []p2 | <>p3 | []p1)")
-        assert universal_world_bound([f]) == 5
+        assert world_bound(ModelClass.UNIVERSAL, (), f) == 5
         tracemalloc.start()
         try:
             out = find_countermodel(f, b)
@@ -544,17 +572,25 @@ class TestOrbitTable:
     @pytest.mark.parametrize("class_id,n", ENTRIES)
     def test_minima_decode_to_their_structures(self, class_id, n):
         every = list(_kernel_py.structures(class_id, n))
-        count, minima = _kernel_py.orbit_minima(class_id, n)
-        assert count == len(every)
+        assert _kernel_py.structure_count(class_id, n) == len(every)
+        minima = _kernel_py.orbit_minima(class_id, n)
         assert list(minima) == [(r, every[r]) for r in _kernel_py.orbit_ranks(class_id, n)]
 
     @pytest.mark.parametrize("class_id", [
         _kernel_py.CLASS_CONSTRAINED, _kernel_py.CLASS_RAW, _kernel_py.CLASS_KRIPKE_ALL, _kernel_py.CLASS_UNIVERSAL,
     ])
     def test_product_classes_decode_once(self, monkeypatch, class_id):
+        count = _kernel_py.structure_count(class_id, 2)
         first = _kernel_py.orbit_minima(class_id, 2)
-        monkeypatch.setattr(_kernel_py, "_CHOICES", None)  # a second decode would read it
+        monkeypatch.setattr(_kernel_py, "_CHOICES", None)  # a second decode or count would read it
         assert _kernel_py.orbit_minima(class_id, 2) is first
+        assert _kernel_py.structure_count(class_id, 2) == count
+
+    @pytest.mark.parametrize("model_class", list(ModelClass), ids=lambda mc: mc.value)
+    def test_structure_counts_are_the_oracles(self, model_class):
+        assert [_kernel_py.structure_count(model_class.kernel_id, n) for n in range(1, model_class.cap + 1)] == [
+            oracle.structure_count(model_class.value, n) for n in range(1, model_class.cap + 1)
+        ]
 
 
 class TestUniversalWorldBound:
@@ -565,17 +601,12 @@ class TestUniversalWorldBound:
         (["<>p1", "~(p0 & p1)", "<>p0 -> p0 | p1"], 3),
     ])
     def test_counts_distinct_modal_subformulas(self, texts, bound):
-        assert universal_world_bound([parse(t) for t in texts]) == bound
+        *gamma, target = [parse(t) for t in texts]
+        assert world_bound(ModelClass.UNIVERSAL, gamma, target) == bound
 
     @pytest.mark.parametrize("max_worlds", [1, 2, 3, 6])
     def test_scan_stops_at_the_bound(self, monkeypatch, max_worlds):
-        scanned, run_search = [], _kernel_py.run_search
-
-        def recorded(class_id, worlds, *rest):
-            scanned.append(worlds)
-            return run_search(class_id, worlds, *rest)
-
-        monkeypatch.setattr(_kernel_py, "run_search", recorded)
+        scanned = scanned_worlds(monkeypatch)
         out = find_countermodel(parse("[]p0 -> []p0 & <>p1 | ~<>p1"), bounds(ModelClass.UNIVERSAL, max_worlds, (0, 1)))
         assert scanned == [min(max_worlds, 3)]
         assert (out.verdict, out.models_checked) == (Verdict.EXHAUSTED_VALID, oracle.model_count("universal", max_worlds, 2))
@@ -594,24 +625,22 @@ class TestUniversalWorldBound:
     def test_refuted_at_exactly_the_bound(self, gamma, text):
         premises = [parse(g) for g in gamma]
         out = check_global_consequence(premises, parse(text), bounds(ModelClass.UNIVERSAL, 5, (0, 1)))
-        assert out.countermodel.worlds == universal_world_bound([*premises, parse(text)])
+        assert out.countermodel.worlds == world_bound(ModelClass.UNIVERSAL, premises, parse(text))
 
 
 class TestEquivalenceWorldBound:
     """kripke-equiv searches stop at m + 1 worlds, as universal ones do."""
 
-    def test_bound_of_the_class(self):
-        assert ModelClass.KRIPKE_EQUIVALENCE.world_bound is universal_world_bound
+    @pytest.mark.parametrize("m,d", [(0, 0), (1, 1), (2, 1), (2, 2), (3, 1), (4, 3)])
+    @pytest.mark.parametrize("premises", [False, True])
+    def test_bound_of_the_class(self, m, d, premises):
+        # m + 1, as for universal, whatever the depth and the premises
+        bound = ModelClass.KRIPKE_EQUIVALENCE.world_bound(m, d, premises)
+        assert bound == ModelClass.UNIVERSAL.world_bound(m, d, premises) == m + 1
 
     @pytest.mark.parametrize("max_worlds", [1, 2, 3, 4])
     def test_scan_stops_at_the_bound(self, monkeypatch, max_worlds):
-        scanned, run_search = [], _kernel_py.run_search
-
-        def recorded(class_id, worlds, *rest):
-            scanned.append(worlds)
-            return run_search(class_id, worlds, *rest)
-
-        monkeypatch.setattr(_kernel_py, "run_search", recorded)
+        scanned = scanned_worlds(monkeypatch)
         b = bounds(ModelClass.KRIPKE_EQUIVALENCE, max_worlds, (0, 1))
         out = find_countermodel(parse("[]p0 -> []p0 & <>p1 | ~<>p1"), b)
         assert scanned == [min(max_worlds, 3)]
@@ -632,7 +661,7 @@ class TestEquivalenceWorldBound:
     @pytest.mark.parametrize("gamma,text", CASES)
     def test_oracle_parity_at_the_cap(self, gamma, text):
         premises = [parse(g) for g in gamma]
-        assert universal_world_bound([*premises, parse(text)]) < 4
+        assert world_bound(ModelClass.KRIPKE_EQUIVALENCE, premises, parse(text)) < 4
         assert_oracle_parity(premises, parse(text), _kernel_py.CLASS_KRIPKE_EQUIV, 4, 2, (_kernel_py.CHUNK_LOG2, 1))
 
     @pytest.mark.parametrize("gamma,text", [
@@ -642,7 +671,77 @@ class TestEquivalenceWorldBound:
     def test_refuted_at_exactly_the_bound(self, gamma, text):
         premises = [parse(g) for g in gamma]
         out = check_global_consequence(premises, parse(text), bounds(ModelClass.KRIPKE_EQUIVALENCE, 4, (0, 1)))
-        assert out.countermodel.worlds == universal_world_bound([*premises, parse(text)])
+        assert out.countermodel.worlds == world_bound(ModelClass.KRIPKE_EQUIVALENCE, premises, parse(text))
+
+
+class TestTreeWorldBound:
+    """Premise-free constrained and kripke-all searches stop at Σ_{i≤d} mⁱ
+    worlds; with premises they scan every world count, and raw is never
+    cut."""
+
+    TREE_CLASSES = [ModelClass.CONSTRAINED_NEIGHBORHOOD, ModelClass.KRIPKE_ALL]
+
+    @pytest.mark.parametrize("model_class", TREE_CLASSES, ids=lambda mc: mc.value)
+    def test_bound_of_the_class(self, model_class):
+        cases = [(0, 0), (1, 1), (2, 1), (3, 1), (2, 2), (1, 3), (3, 2)]
+        assert [model_class.world_bound(m, d, False) for m, d in cases] == [1, 2, 3, 4, 7, 4, 13]
+        assert [model_class.world_bound(m, d, True) for m, d in cases] == [None] * len(cases)
+
+    def test_raw_has_no_bound(self):
+        assert ModelClass.RAW_NEIGHBORHOOD.world_bound is None
+
+    # (formula, class, worlds, atoms, bound, worlds of the first
+    # countermodel or None): each bound is below the worlds searched, and
+    # the oracle scans all of them
+    CASES = [
+        ("[]p0 -> p0", ModelClass.CONSTRAINED_NEIGHBORHOOD, 4, 1, 2, None),
+        ("[]p0 & p1 -> p0", ModelClass.CONSTRAINED_NEIGHBORHOOD, 3, 2, 2, None),
+        ("[]true & ~[]false", ModelClass.CONSTRAINED_NEIGHBORHOOD, 4, 0, 3, None),
+        ("p0 | ~p0", ModelClass.CONSTRAINED_NEIGHBORHOOD, 4, 1, 1, None),
+        ("<>true | []false", ModelClass.KRIPKE_ALL, 4, 0, 3, None),
+        ("[](p0 | ~p0) | p1", ModelClass.KRIPKE_ALL, 3, 2, 2, None),
+        ("p0 -> []p0", ModelClass.CONSTRAINED_NEIGHBORHOOD, 4, 1, 2, 2),
+        ("p0 -> []p0", ModelClass.CONSTRAINED_NEIGHBORHOOD, 3, 2, 2, 2),
+        ("p0 | [](~p0 | ~p1) | [](~p0 | p1)", ModelClass.CONSTRAINED_NEIGHBORHOOD, 4, 2, 3, 3),
+        ("<>p0 -> p0", ModelClass.KRIPKE_ALL, 4, 1, 2, 2),
+        ("<>p0 -> p0", ModelClass.KRIPKE_ALL, 3, 2, 2, 2),
+        ("p0 | ~(<>(p0 & p1) & <>(p0 & ~p1))", ModelClass.KRIPKE_ALL, 4, 2, 3, 3),
+    ]
+
+    @pytest.mark.parametrize("text,model_class,worlds,natoms,bound,refuted_at", CASES)
+    def test_oracle_parity_past_the_bound(self, monkeypatch, text, model_class, worlds, natoms, bound, refuted_at):
+        f = parse(text)
+        assert world_bound(model_class, (), f) == bound < worlds
+        scanned = scanned_worlds(monkeypatch)
+        assert_oracle_parity((), f, model_class.kernel_id, worlds, natoms, (_kernel_py.CHUNK_LOG2,))
+        assert scanned == [bound]
+        out = find_countermodel(f, bounds(model_class, worlds, range(natoms)))
+        assert (out.countermodel and out.countermodel.worlds) == refuted_at
+
+    # (premises, formula, class): premises leave no cut, though the bound
+    # of the formula alone is below 4 worlds
+    PREMISED = [
+        (("p0 -> <>p0",), "p1", ModelClass.KRIPKE_ALL),
+        (("p0",), "[]p0", ModelClass.CONSTRAINED_NEIGHBORHOOD),
+        (("[]p0 -> p1",), "[]p1 -> p1", ModelClass.CONSTRAINED_NEIGHBORHOOD),
+        (("<>p0",), "<>p0 | []p1", ModelClass.KRIPKE_ALL),
+    ]
+
+    @pytest.mark.parametrize("gamma,text,model_class", PREMISED)
+    def test_premises_scan_every_world_count(self, monkeypatch, gamma, text, model_class):
+        assert world_bound(model_class, (), parse(text)) < 4
+        scanned = scanned_worlds(monkeypatch)
+        check_global_consequence([parse(g) for g in gamma], parse(text), bounds(model_class, 4, (0, 1)))
+        assert scanned == [4]
+
+    @pytest.mark.parametrize("text", ["p0 | ~p0", "[]p0 -> []p0", "[](p0 & p1) -> [](p1 & p0)"])
+    @pytest.mark.parametrize("gamma", [(), ("p1",)])
+    def test_raw_scans_every_world_count(self, monkeypatch, gamma, text):
+        scanned = scanned_worlds(monkeypatch)
+        b = bounds(ModelClass.RAW_NEIGHBORHOOD, 2, (0, 1))
+        out = check_global_consequence([parse(g) for g in gamma], parse(text), b)
+        assert scanned == [2]
+        assert out.verdict is Verdict.EXHAUSTED_VALID
 
 
 class TestGlobalConsequence:
