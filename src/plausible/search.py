@@ -15,23 +15,43 @@ A search stops at its class's world bound, the ``ModelClass`` member's
 ``world_bound(m, d, premises)``: worlds enough for the first countermodel,
 so a scan up to it finds the full scan's first countermodel, and the
 kernel counts the models past it in closed form.  Here m counts the
-distinct box and diamond subformulas of the premises and the target, and
-d is their greatest modal depth; ``compile_program`` records both.
+distinct box and diamond subformulas of the premises and the target that
+need a witness world, and d is the greatest modal depth of them all;
+``compile_program`` records both.
+
+Which subformulas need a witness follows from polarity.  The target
+occurs positively and each premise negatively.  A negation and an
+implication's antecedent flip the polarity of their operand, both
+operands of ``<->`` occur with both polarities, and every other operand
+keeps its node's.  A smaller model is still a countermodel if every
+subformula with a positive occurrence keeps its falsity and every one with
+a negative occurrence keeps its truth: then the target still fails and
+the premises still hold.  A box needs a witness only to stay false, a
+diamond only to stay true, so a subformula is *witnessed* if it is a box
+with a positive occurrence or a diamond with a negative one, and m counts
+those.  Dropping the witness of a box that occurs only negatively can only
+turn it from false to true, and that of a diamond that occurs only
+positively from true to false; either way the target stays false.
 
 Universal and kripke-equiv: m + 1 worlds, premises allowed.  Take a
 universal countermodel: the premises hold at every world and the target
-fails at world w.  Keep w and, for each modal subformula, one witness if
-there is one: a world where A fails for ``[]A``, where A holds for
+fails at world w.  Keep w and, for each witnessed subformula, one witness
+if there is one: a world where A fails for ``[]A``, where A holds for
 ``<>A`` (S5 selection; Blackburn, de Rijke & Venema, *Modal Logic*, 2001,
-ch. 6).  By induction on subformulas, each of them has the same truth
-value at a kept world in the submodel as in the model: a modal one is true
-everywhere or nowhere, and its witness stayed.  So the kept worlds, at
-most m + 1, are a countermodel too.  A kripke-equiv countermodel reduces
-to a universal one: the cluster of w, its equivalence class, is a
-generated submodel, so every formula keeps its truth value at its worlds,
-the premises hold throughout it and the target still fails at w.  Its
-relation is full, so S5 selection on it keeps a universal countermodel of
-at most m + 1 worlds, and a full relation is an equivalence.
+ch. 6).  By induction on subformulas, at every kept world a subformula
+with a positive occurrence keeps its falsity and one with a negative
+occurrence keeps its truth.  For ``[]A`` with a positive occurrence, false
+in the model, its witness stayed and A, positive there too, still fails
+at it; for ``[]A`` with a negative occurrence, true in the model, A holds
+at every world, so at every kept one; diamonds likewise, the other way
+round.  The premises are negative, so they hold at every kept world; the
+target is positive, so it still fails at w.  So the kept worlds, at most
+m + 1, are a countermodel too.  A kripke-equiv countermodel reduces to a
+universal one: the cluster of w, its equivalence class, is a generated
+submodel, so every formula keeps its truth value at its worlds, the
+premises hold throughout it and the target still fails at w.  Its relation
+is full, so S5 selection on it keeps a universal countermodel of at most
+m + 1 worlds, and a full relation is an equivalence.
 
 Constrained and kripke-all: Σ_{i≤d} mⁱ worlds, and no cut with premises.
 A constrained structure is a reflexive Kripke frame, each world's core
@@ -39,11 +59,13 @@ its successors (C7), so both are classes of all frames of a kind: all
 frames, and all reflexive frames.  Take a countermodel whose target fails
 at w, and unravel it from w into a tree of depth d (Blackburn, de Rijke &
 Venema, ch. 2).  The root copies w.  A node at depth i < d copying u gets,
-for each modal subformula, one child copying a witness among u's
-successors if there is one: a world where A fails for ``[]A``, where A
-holds for ``<>A``.  For reflexive frames every node also gets a loop.  By
-induction on i from d down, a node at depth i agrees with the world it
-copies on every subformula of modal depth at most d − i.  So the tree, of
+for each witnessed subformula, one child copying a witness among u's
+successors if there is one.  For reflexive frames every node also gets a
+loop.  By induction on subformulas, a node at depth i keeps, for every
+subformula of modal depth at most d − i, the falsity of one with a
+positive occurrence and the truth of one with a negative occurrence that
+it has at the world it copies: a node's successors copy successors of
+that world, and a witnessed one's witness is among them.  So the tree, of
 at most Σ_{i≤d} mⁱ nodes, is a countermodel in the class.  This fails for
 global consequence: the premises must hold at every node, and a premise
 such as ``p0 -> <>p0`` forces chains longer than d.
@@ -143,8 +165,10 @@ class ModelClass(Enum):
     random such structure; ``check(model)``, which raises
     ``SearchInternalError`` for a model outside the class; and
     ``world_bound(m, d, premises)``, worlds enough for the first
-    countermodel given m distinct modal subformulas of modal depth at most
-    d, or None for no cut.  The last two are None where a class has none.
+    countermodel given m distinct witnessed modal subformulas (boxes with a
+    positive occurrence, diamonds with a negative one) and modal depth at
+    most d, or None for no cut.  The last two are None where a class has
+    none.
 
     The module docstring gives the world bounds' arguments.  Universal and
     kripke-equiv are cut at m + 1 worlds by S5 selection, premises or not.
@@ -220,7 +244,13 @@ class SearchOutcome(Record, namedtuple("SearchOutcome", "verdict models_checked 
 # Formula compilation
 
 
-def compile_program(f: Formula, atom_slots: dict[int, int], modal: dict | None = None) -> list[int]:
+def compile_program(
+    f: Formula,
+    atom_slots: dict[int, int],
+    modal: dict | None = None,
+    witnessed: set | None = None,
+    premise: bool = False,
+) -> list[int]:
     """Flatten a formula into the kernel's postfix opcode list.
 
     Each node's opcode is its tag, and its argument is 0, except an atom's:
@@ -229,15 +259,35 @@ def compile_program(f: Formula, atom_slots: dict[int, int], modal: dict | None =
     tagged above ``OP_DIA``, a nabla, raises ``DialectError`` before its
     operand compiles: the message names the leftmost outermost one.  Each
     distinct box or diamond subformula is recorded in ``modal``, if given,
-    with its modal depth.
+    with its modal depth, and in ``witnessed``, if given, when it needs a
+    witness world: a box with a positive occurrence or a diamond with a
+    negative one (see the module docstring).  ``f`` occurs positively, as a
+    target does, or negatively if it is a ``premise``.
     """
     prog: list[int] = []
-    _compile(f, atom_slots, prog, modal)
+    _compile(f, atom_slots, prog, modal, witnessed, _NEG if premise else _POS)
     return prog
 
 
-def _compile(f: Formula, atom_slots: dict[int, int], prog: list[int], modal: dict | None) -> int:
-    """Compile ``f`` onto ``prog``; returns its modal depth."""
+# An occurrence's polarity is a bit mask: _POS, _NEG, or both.  _TURNS maps a
+# node's tag to one table per operand, which maps the node's polarity to the
+# operand's: a negation and an implication's antecedent flip it, both
+# operands of <-> take both, and every other operand keeps it.
+_POS, _NEG = 1, 2
+_KEEP, _FLIP, _BOTH = (0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 3, 3)
+_TURNS = {
+    _kernel_py.OP_TOP: (), _kernel_py.OP_BOT: (), _kernel_py.OP_NOT: (_FLIP,),
+    _kernel_py.OP_AND: (_KEEP, _KEEP), _kernel_py.OP_OR: (_KEEP, _KEEP),
+    _kernel_py.OP_IMP: (_FLIP, _KEEP), _kernel_py.OP_IFF: (_BOTH, _BOTH),
+    _kernel_py.OP_BOX: (_KEEP,), _kernel_py.OP_DIA: (_KEEP,),
+}
+
+
+def _compile(
+    f: Formula, atom_slots: dict[int, int], prog: list[int], modal: dict | None, witnessed: set | None, polarity: int
+) -> int:
+    """Compile ``f``, occurring at ``polarity``, onto ``prog``; returns its
+    modal depth."""
     tag = f[0]
     if tag == _kernel_py.OP_ATOM:
         slot = atom_slots.get(f[1])
@@ -245,16 +295,22 @@ def _compile(f: Formula, atom_slots: dict[int, int], prog: list[int], modal: dic
         return 0
     if tag > _kernel_py.OP_DIA:
         raise DialectError(f"cannot compile {render(f)} for model search")
+    turns = _TURNS[tag]
     depth = 0
-    for operand in f[1:]:
-        d = _compile(operand, atom_slots, prog, modal)
-        if d > depth:
-            depth = d
+    if turns:
+        depth = _compile(f[1], atom_slots, prog, modal, witnessed, turns[0][polarity])
+        if len(turns) == 2:
+            d = _compile(f[2], atom_slots, prog, modal, witnessed, turns[1][polarity])
+            if d > depth:
+                depth = d
     prog.extend((tag, 0))
     if tag >= _kernel_py.OP_BOX:
         depth += 1
         if modal is not None:
             modal[f] = depth
+        # a box needs a witness to stay false, a diamond to stay true
+        if witnessed is not None and polarity & (_POS if tag == _kernel_py.OP_BOX else _NEG):
+            witnessed.add(f)
     return depth
 
 
@@ -298,12 +354,14 @@ def _search(gamma: tuple[Formula, ...], f: Formula, bounds: SearchBounds) -> Sea
         require_dialect(g, mc.dialect)
     slots = {atom: i for i, atom in enumerate(bounds.atoms)}
     modal: dict[Formula, int] = {}
-    programs = [compile_program(g, slots, modal) for g in (*gamma, f)]
+    witnessed: set[Formula] = set()
+    programs = [compile_program(g, slots, modal, witnessed, premise=True) for g in gamma]
+    programs.append(compile_program(f, slots, modal, witnessed))
     # A search stops at its class's world bound: the first countermodel lies
     # within it, and without one the kernel counts the models past it.
     scanned = bounds.max_worlds
     if mc.world_bound:
-        bound = mc.world_bound(len(modal), max(modal.values(), default=0), bool(gamma))
+        bound = mc.world_bound(len(witnessed), max(modal.values(), default=0), bool(gamma))
         if bound is not None:
             scanned = min(scanned, bound)
     found, checked, n, struct, vmasks, world = _ACTIVE.run_search(

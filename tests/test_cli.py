@@ -964,7 +964,7 @@ def test_fmt_leaves_the_orbit_table_undecoded():
         "import sys; from plausible import _kernel_py, cli; "
         "probe = lambda: print('plausible._orbits' in sys.modules, len(_kernel_py._ranks), file=sys.stderr); "
         "cli.main(['fmt', 'p0']); probe(); "
-        "cli.main(['valid', '[]p0 -> p0', '--class', 'constrained', '--max-worlds', '2']); probe()"
+        "cli.main(['valid', 'p0 -> []p0', '--class', 'constrained', '--max-worlds', '2']); probe()"
     )
     src = str(Path(plausible.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}

@@ -44,11 +44,13 @@ def bounds(model_class, max_worlds, atoms=()):
 
 def world_bound(model_class, gamma, target):
     """The class's world bound for a search of ``target`` from ``gamma``,
-    read off the modal subformulas that ``compile_program`` records."""
-    modal = {}
-    for g in (*gamma, target):
-        compile_program(g, {}, modal)
-    return model_class.world_bound(len(modal), max(modal.values(), default=0), bool(gamma))
+    read off the witnessed modal subformulas and the modal depths that
+    ``compile_program`` records."""
+    modal, witnessed = {}, set()
+    for g in gamma:
+        compile_program(g, {}, modal, witnessed, premise=True)
+    compile_program(target, {}, modal, witnessed)
+    return model_class.world_bound(len(witnessed), max(modal.values(), default=0), bool(gamma))
 
 
 def scanned_worlds(monkeypatch):
@@ -132,6 +134,31 @@ class TestCompileProgram:
         # the programs of one search share the record
         compile_program(parse("[][]p0 | <>p0 | p1"), {0: 0}, modal)
         assert modal == {parse("<>p0"): 1, parse("[]<>p0"): 2, parse("[]p0"): 1, parse("[][]p0"): 2}
+
+    @pytest.mark.parametrize("text,premise,expected", [
+        # a box with a positive occurrence, a diamond with a negative one
+        ("[]p0 | <>p1", False, ["[]p0"]),
+        ("~([]p0 | <>p1)", False, ["<>p1"]),
+        # an antecedent is negative, a consequent keeps the polarity
+        ("[]p0 & <>p1 -> []p2 & <>p3", False, ["<>p1", "[]p2"]),
+        ("([]p0 -> <>p1) -> p2", False, ["[]p0", "<>p1"]),
+        # both operands of <-> take both polarities
+        ("<>p0 <-> []p1", False, ["<>p0", "[]p1"]),
+        ("~(p2 <-> <>p0)", False, ["<>p0"]),
+        # a premise is negative
+        ("[]p0 | <>p1", True, ["<>p1"]),
+        ("[]p0 -> <>p1", True, ["[]p0", "<>p1"]),
+        # the polarity passes through a box or a diamond
+        ("[]<>p0 | <>[]p1", False, ["[]<>p0", "[]p1"]),
+        ("~<>[]p0", False, ["<>[]p0"]),
+        ("[]p0 -> []p0", False, ["[]p0"]),
+    ])
+    def test_records_the_witnessed_modal_subformulas(self, text, premise, expected):
+        modal, witnessed = {}, set()
+        prog = compile_program(parse(text), {0: 0, 1: 1, 2: 2}, modal, witnessed, premise)
+        assert witnessed == {parse(t) for t in expected} <= modal.keys()
+        # the record leaves the program as it is
+        assert prog == compile_program(parse(text), {0: 0, 1: 1, 2: 2})
 
 
 class TestFilterCollapseOracle:
@@ -261,9 +288,10 @@ class TestReferenceParity:
         assert_oracle_parity(premises, parse(text), class_id, worlds, natoms, (_kernel_py.CHUNK_LOG2, 1))
 
     def test_exhaustion_across_chunks(self):
-        # 2,113,664 models, too many for the oracle to scan here; two modal
-        # subformulas keep all 3 worlds, the last in 8 chunks, in the scan
-        f = parse("p0|~p0|[]p1|<>p2|p3|p4|p5")
+        # 2,113,664 models, too many for the oracle to scan here; two
+        # witnessed modal subformulas keep all 3 worlds, the last in 8
+        # chunks, in the scan
+        f = parse("p0|~p0|[]p1|~<>p2|p3|p4|p5")
         assert world_bound(ModelClass.UNIVERSAL, (), f) == 3
         out = find_countermodel(f, bounds(ModelClass.UNIVERSAL, 3, range(7)))
         assert out.verdict is Verdict.EXHAUSTED_VALID
@@ -421,9 +449,16 @@ class TestGroupedChunks:
         assert groups == 1 + 1 + 1 + 14
         calls, evaluate = [], _kernel_py.eval_program
         monkeypatch.setattr(_kernel_py, "eval_program", lambda *args: calls.append(1) or evaluate(*args))
-        out = run_k_experiment(bounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 4, (0, 1)))
-        assert out.verdict is Verdict.EXHAUSTED_VALID
+        # the kernel applies no cut of its own
+        programs = [compile_program(K_FORMULA, {0: 0, 1: 1})]
+        found, checked, *_ = _kernel_py.run_search(_kernel_py.CLASS_CONSTRAINED, 4, 2, programs, 4)
+        assert not found and checked == oracle.model_count("constrained", 4, 2)
         assert len(calls) == groups
+        # the search stops at the K schema's world bound of 2, one group each
+        calls.clear()
+        out = run_k_experiment(bounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 4, (0, 1)))
+        assert (out.verdict, out.models_checked) == (Verdict.EXHAUSTED_VALID, checked)
+        assert len(calls) == 1 + 1
 
 
 class TestKernel:
@@ -509,8 +544,8 @@ class TestKernel:
         # time; atom tables for every chunk at once take about 0.3 MB.
         chunk_bytes = (1 << _kernel_py.CHUNK_LOG2) // 8
         b = bounds(ModelClass.UNIVERSAL, 5, (0, 1, 2, 3))
-        # four modal subformulas keep 5 worlds in the scan
-        f = parse("[]p0 -> p0 & (p1 | ~p1 | []p2 | <>p3 | []p1)")
+        # four witnessed modal subformulas keep 5 worlds in the scan
+        f = parse("[]p0 -> p0 & (p1 | ~p1 | []p2 | ~<>p3 | []p1 | []p3)")
         assert world_bound(ModelClass.UNIVERSAL, (), f) == 5
         tracemalloc.start()
         try:
@@ -596,8 +631,8 @@ class TestOrbitTable:
 class TestUniversalWorldBound:
     @pytest.mark.parametrize("texts,bound", [
         (["p0|~p0|p1"], 1),
-        (["[]p0 -> []p0 & <>p1"], 3),
-        (["[][]p0 -> <>[]p0"], 4),
+        (["[]p0 -> []p0 & <>p1"], 2),
+        (["[][]p0 -> <>[]p0"], 2),
         (["<>p1", "~(p0 & p1)", "<>p0 -> p0 | p1"], 3),
     ])
     def test_counts_distinct_modal_subformulas(self, texts, bound):
@@ -694,11 +729,11 @@ class TestTreeWorldBound:
     # countermodel or None): each bound is below the worlds searched, and
     # the oracle scans all of them
     CASES = [
-        ("[]p0 -> p0", ModelClass.CONSTRAINED_NEIGHBORHOOD, 4, 1, 2, None),
-        ("[]p0 & p1 -> p0", ModelClass.CONSTRAINED_NEIGHBORHOOD, 3, 2, 2, None),
-        ("[]true & ~[]false", ModelClass.CONSTRAINED_NEIGHBORHOOD, 4, 0, 3, None),
+        ("[]p0 -> p0", ModelClass.CONSTRAINED_NEIGHBORHOOD, 4, 1, 1, None),
+        ("[]p0 & p1 -> p0", ModelClass.CONSTRAINED_NEIGHBORHOOD, 3, 2, 1, None),
+        ("[]true & ~[]false", ModelClass.CONSTRAINED_NEIGHBORHOOD, 4, 0, 2, None),
         ("p0 | ~p0", ModelClass.CONSTRAINED_NEIGHBORHOOD, 4, 1, 1, None),
-        ("<>true | []false", ModelClass.KRIPKE_ALL, 4, 0, 3, None),
+        ("<>true | []false", ModelClass.KRIPKE_ALL, 4, 0, 2, None),
         ("[](p0 | ~p0) | p1", ModelClass.KRIPKE_ALL, 3, 2, 2, None),
         ("p0 -> []p0", ModelClass.CONSTRAINED_NEIGHBORHOOD, 4, 1, 2, 2),
         ("p0 -> []p0", ModelClass.CONSTRAINED_NEIGHBORHOOD, 3, 2, 2, 2),
@@ -742,6 +777,43 @@ class TestTreeWorldBound:
         out = check_global_consequence([parse(g) for g in gamma], parse(text), b)
         assert scanned == [2]
         assert out.verdict is Verdict.EXHAUSTED_VALID
+
+
+class TestWitnessedWorldBound:
+    """A world bound counts only the modal subformulas that need a witness.
+    Each first countermodel here lies at exactly its bound, so a count
+    that left out one of its witnessed subformulas would miss it."""
+
+    # (premises, formula, class): refuted first at 2 worlds, the bound, which
+    # counting every modal subformula put at 3
+    LOWERED = [
+        ((), "[]p0 & <>p0 -> p0", ModelClass.KRIPKE_ALL),
+        ((), "[]p1 -> []p0 | ~p0", ModelClass.CONSTRAINED_NEIGHBORHOOD),
+        ((), "[]<>p0 -> p0", ModelClass.UNIVERSAL),
+        ((), "<>[]p0 | ~p0", ModelClass.KRIPKE_EQUIVALENCE),
+    ]
+    # the same on universal, where one polarity rule alone decides that a
+    # subformula is witnessed, so that the bound is 2 and not 1
+    ONE_RULE = [
+        ((), "<>p0 <-> p0"),
+        ((), "[]p0 <-> p0"),
+        ((), "~p0 -> ~<>p0"),
+        (("<>p0",), "p0"),
+    ]
+
+    @pytest.mark.parametrize("gamma,text,model_class", LOWERED + [(*case, ModelClass.UNIVERSAL) for case in ONE_RULE])
+    def test_refuted_at_exactly_the_bound(self, gamma, text, model_class):
+        premises, f = [parse(g) for g in gamma], parse(text)
+        assert world_bound(model_class, premises, f) == 2
+        assert_oracle_parity(premises, f, model_class.kernel_id, 4, 2, (_kernel_py.CHUNK_LOG2,))
+        out = check_global_consequence(premises, f, bounds(model_class, 4, (0, 1)))
+        assert out.countermodel.worlds == 2
+
+    @pytest.mark.parametrize("gamma,text,model_class", LOWERED)
+    def test_every_modal_subformula_counted_gives_3(self, gamma, text, model_class):
+        modal = {}
+        compile_program(parse(text), {}, modal)
+        assert model_class.world_bound(len(modal), max(modal.values()), bool(gamma)) == 3
 
 
 class TestGlobalConsequence:
