@@ -337,11 +337,11 @@ def proof_to_data(proof: Proof) -> dict:
     }
 
 
-def _parse_field(text, what: str) -> Formula:
+def _parse_field(text, what: str, memo: dict) -> Formula:
     if not isinstance(text, str):
         raise ProofFormatError(f"{what} must be a formula string")
     try:
-        return parse(text)
+        return parse(text, memo)
     except FormulaSyntaxError as exc:
         raise ProofFormatError(f"{what}: {exc}") from None
 
@@ -370,7 +370,8 @@ def proof_from_data(data: dict) -> Proof:
     premises = data.get("premises", [])
     if not isinstance(premises, list):
         raise ProofFormatError('"premises" must be an array of formula strings')
-    premises = tuple(_parse_field(text, f"premise {k}") for k, text in enumerate(premises, start=1))
+    memo: dict = {}  # lines repeat their groups; parse each once, into one node
+    premises = tuple(_parse_field(text, f"premise {k}", memo) for k, text in enumerate(premises, start=1))
     raw_lines = data.get("lines")
     if not isinstance(raw_lines, list) or not raw_lines:
         raise ProofFormatError('"lines" must be a non-empty array')
@@ -379,7 +380,7 @@ def proof_from_data(data: dict) -> Proof:
         if not isinstance(entry, dict) or "formula" not in entry or "rule" not in entry:
             raise ProofFormatError(f'line {i} must carry "formula" and "rule"')
         _unknown_keys(entry, _LINE_KEYS, f"line {i}")
-        formula = _parse_field(entry["formula"], f'line {i}: "formula"')
+        formula = _parse_field(entry["formula"], f'line {i}: "formula"', memo)
         rule = entry["rule"]
         refs = entry.get("refs", [])
         # bool is a subclass of int, but true is not a line number
@@ -409,5 +410,5 @@ def proof_from_data(data: dict) -> Proof:
         lines.append(ProofLine(formula, justification))
     if "conclusion" not in data:
         raise ProofFormatError('proof file needs a "conclusion"')
-    conclusion = _parse_field(data["conclusion"], '"conclusion"')
+    conclusion = _parse_field(data["conclusion"], '"conclusion"', memo)
     return Proof(system, premises, tuple(lines), conclusion)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from enum import Enum
-from itertools import islice
+from itertools import accumulate, islice, repeat
 
 
 class InputError(ValueError):
@@ -239,6 +239,7 @@ _PREFIX = {"~": Not, "[]": Box, "<>": Diamond, "nabla": Nabla}
 _INFIX = {"<->": (Iff, 1, True), "->": (Implies, 2, True), "|": (Or, 3, False), "&": (And, 4, False)}
 _OPERATORS = frozenset(("(", ")", *_PREFIX, *_INFIX))
 _END = ""  # follows the last lexeme; no lexeme is empty
+_PARENS = {"(": 1, ")": -1}
 
 
 def _column(text: str, index: int) -> int:
@@ -284,10 +285,15 @@ def _lex(text: str, metavariables: bool) -> tuple[list[str], dict[str, Formula]]
 
 
 class _Parser:
-    def __init__(self, text: str, metavariables: bool):
+    def __init__(self, text: str, metavariables: bool, memo: dict | None = None):
         self.text = text
         self.lexemes, self.leaves = _lex(text, metavariables)
         self.i = 0
+        self.memo = memo
+        if memo is not None:
+            # the parenthesis depth after each lexeme, summed in C: a group's
+            # ')' is the first lexeme after its '(' one level further out
+            self.depths = list(accumulate(map(_PARENS.get, self.lexemes, repeat(0))))
 
     def error(self, message: str) -> FormulaSyntaxError:
         return FormulaSyntaxError(message, _column(self.text, self.i))
@@ -357,16 +363,49 @@ class _Parser:
         self.i += 1
         if op is not None:
             return tuple.__new__(op, (op._tag, self.operand(depth + 1, nesting + 1)))
+        memo = self.memo
+        if memo is not None:
+            depths = self.depths
+            try:
+                end = depths.index(depths[self.i - 1] - 1, self.i)
+            except ValueError:  # no ')' closes the group: the parse below raises
+                memo = None
+            else:
+                key = " ".join(self.lexemes[self.i:end])
+                hit = memo.get(key)
+                if hit is not None and depth <= hit[1] and nesting <= hit[2]:
+                    self.i = end + 1
+                    return hit[0]
+                # the n lexemes inside open at most n levels past the '(', so
+                # the group parses wherever both bounds are n + 1 levels away
+                room = end - self.i + 1
         inner = self.binary(1, depth + 1, nesting + 1)
         if self.lexemes[self.i] != ")":
             raise self.error(f"expected ')', found {self.found()!r}")
         self.i += 1
+        if memo is not None:
+            memo[key] = (inner, max(depth, MAX_DEPTH - room), max(nesting, MAX_NESTING - room))
         return inner
 
 
-def parse(text: str) -> Formula:
-    """Parse formula text into its unique AST under the declared precedence."""
-    return _Parser(text, metavariables=False).parse()
+def parse(text: str, memo: dict | None = None) -> Formula:
+    """Parse formula text into its unique AST under the declared precedence.
+
+    ``memo`` maps the text of a parenthesised group, its lexemes joined by
+    single spaces, to ``(node, depth, nesting)``: the group's node and the
+    most open levels and nesting it is known to parse inside, those it was
+    parsed inside or, for a group too short to reach the bounds from there,
+    more.  Pass one dict to the calls of one batch, such as the formulas of
+    one proof file, to parse each group they repeat once, into one shared
+    node; it must live no longer than that batch and serve ``parse`` alone.
+    A group is stored only once its ``)`` is read, and recalled only inside
+    at most the levels and nesting stored with it, so every node and every
+    error, message and column, is the one a parse without the memo gives.
+    Each lexeme lies in at most ``MAX_NESTING`` groups, so the keys hold at
+    most ``MAX_NESTING`` times the lexemes of the texts read, and its memory
+    grows at most with ``MAX_NESTING`` times their length.
+    """
+    return _Parser(text, metavariables=False, memo=memo).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,17 @@ def shared_formulas(draw, atoms=(0, 1), modal=("box", "diamond", "nabla"), max_s
     return draw(st.permutations(pool))
 
 
+def closed_groups(text):
+    """Every parenthesised substring of ``text`` whose ``(`` is closed."""
+    opened, found = [], []
+    for i, c in enumerate(text):
+        if c == "(":
+            opened.append(i)
+        elif c == ")" and opened:
+            found.append(text[opened.pop():i + 1])
+    return found
+
+
 def random_formula(rng: random.Random, atoms=(0, 1), modal=("box",), depth=3, size=8):
     """Seeded random formula with modal depth bounded by ``depth`` and node
     count roughly bounded by ``size``."""

@@ -1,14 +1,16 @@
 import json
 import random
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, formulas, load_fixture, oracle
+from conftest import FIXTURES, closed_groups, formulas, load_fixture, oracle
 from plausible import proofs as proofs_module
 from plausible.cli import main
-from plausible.derivations import ProofBuilder, box_k
+from plausible.derivations import ProofBuilder, box_k, nabla_h, nabla_top
 from plausible.proofs import (
     MP,
     RE,
@@ -37,7 +39,7 @@ from plausible.syntax import (
     parse,
     render_schema,
 )
-from record_translations import outputs, proofs
+from record_translations import formula, outputs, proofs
 
 # (fixture, accepted, failing line)
 CORPUS = [
@@ -480,6 +482,46 @@ def mutant(data: dict, rng: random.Random) -> dict:
     return dict(data, lines=lines, conclusion=lines[-1]["formula"])
 
 
+# One lexeme, and the lexemes an edit may put in its place: the same kind,
+# so the edited text still parses.
+LEXEME = re.compile(r"<->|<>|\[\]|->|[~&|()]|[A-Za-z][A-Za-z0-9]*")
+SAME_KIND = [["p0", "p1", "p2", "true", "false"], ["~", "[]", "<>", "nabla"], ["&", "|", "->", "<->"]]
+
+
+def long_proof(rng: random.Random, k: int) -> dict:
+    """As the proofs workload builds them: for even ``k`` an LPBox
+    ``box_k``, for odd ``k`` an LNabla chain of ``nabla_top`` and one to
+    three ``nabla_h``, over random formulas of 4 to 12 nodes."""
+    if k % 2 == 0:
+        b = ProofBuilder(SystemId.LPBOX)
+        last = box_k(b, formula(rng, Box, rng.randint(4, 12)), formula(rng, Box, rng.randint(4, 12)))
+    else:
+        b = ProofBuilder(SystemId.LNABLA)
+        last = nabla_top(b)
+        for _ in range(rng.randint(1, 3)):
+            last = nabla_h(b, formula(rng, Nabla, rng.randint(4, 12)), formula(rng, Nabla, rng.randint(4, 12)))
+    return proof_to_data(b.build(last))
+
+
+def group_edit(data: dict, rng: random.Random) -> dict:
+    """``data`` with one lexeme, half the time the last, of one occurrence
+    of a parenthesised group replaced by another of its kind.  The group
+    occurs on an earlier line too, so a parse memo holds it when the edited
+    copy is read.  The conclusion follows the last line."""
+    lines = [dict(line) for line in data["lines"]]
+    seen = Counter(group for line in lines for group in set(closed_groups(line["formula"])))
+    group = rng.choice(sorted(g for g, count in seen.items() if count > 1))
+    line = rng.choice([line for line in lines if group in line["formula"]][1:])
+    lexemes = LEXEME.findall(group)
+    i = len(lexemes) - 2 if rng.random() < 0.5 else rng.randrange(1, len(lexemes) - 1)
+    while lexemes[i] in ("(", ")"):
+        i -= 1
+    kind = next(kind for kind in SAME_KIND if lexemes[i] in kind)
+    lexemes[i] = rng.choice([lx for lx in kind if lx != lexemes[i]])
+    line["formula"] = line["formula"].replace(group, " ".join(lexemes), 1)
+    return dict(data, lines=lines, conclusion=lines[-1]["formula"])
+
+
 class TestAgainstOracle:
     """``check_proof`` gives ``perfbench/oracle.py``'s verdict, first failing
     line included, on seeded one-line mutants of every fixture proof and of
@@ -502,6 +544,19 @@ class TestAgainstOracle:
                 rejected += 1
                 assert len(result.premise_free) == result.failing_line - 1
         assert rejected > self.MUTANTS // 4
+
+    def test_group_edits_of_long_proofs_get_the_oracles_verdict(self):
+        # proof_from_data parses each repeated group once; an edited copy
+        # of a stored group must be read as itself
+        rng = random.Random(self.SEED)
+        sources = [long_proof(rng, k) for k in range(20)]
+        rejected = 0
+        for _ in range(200):
+            data = group_edit(rng.choice(sources), rng)
+            result = check_proof(proof_from_data(data))
+            assert (result.accepted, result.failing_line) == oracle.check_proof(data), data
+            rejected += not result.accepted
+        assert rejected > 100
 
 
 class TestSoundnessHooks:

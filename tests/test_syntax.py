@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, formulas, oracle, shared_formulas
+from conftest import FIXTURES, closed_groups, formulas, oracle, shared_formulas
 import plausible
 from plausible.derivations import ProofBuilder, box_k, nabla_h, nabla_top, translate_proof
 from plausible.proofs import SCHEMAS, SystemId
@@ -307,6 +308,73 @@ ERROR_FORMS = [
 ]
 
 
+def iter_nodes(f):
+    """Every node object of ``f``, once for each place it occupies."""
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        yield g
+        if type(g) is not Atom:
+            todo.extend(g[1:])
+
+
+def outcome(text, memo=None):
+    """The node ``parse`` gives ``text``, or its error's message and column."""
+    try:
+        return parse(text, memo)
+    except FormulaSyntaxError as exc:
+        return str(exc), exc.position
+
+
+def fill_memo(memo, texts):
+    """Parse into ``memo`` every group of ``texts`` that parses alone, at
+    the top, under 40 and under 90 prefixes, wherever a plain parse
+    accepts it."""
+    groups = {group: None for text in texts for group in closed_groups(text)}
+    for group in groups:
+        for k in (0, 40, 90):
+            wrapped = "~" * k + group
+            if type(outcome(wrapped)) is not tuple:
+                parse(wrapped, memo)
+
+
+# Lexemes of random texts: every operator, parentheses twice as often.
+RANDOM_LEXEMES = ["p0", "p1", "p2", "true", "false", "~", "[]", "<>", "nabla",
+                  "&", "|", "->", "<->", "(", ")", "(", ")"]
+
+
+def random_texts(rng, count):
+    """Seeded texts, most of them malformed: runs of random lexemes with
+    groups taken from earlier valid texts, a group lexeme edited, and now
+    and then valid groups nested close to ``MAX_NESTING`` or ``MAX_DEPTH``."""
+    valid = ["(p0 & p1)", "([]p0 -> p2)", "(nabla (p1 | ~p0))"]
+    texts = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.1:
+            k = rng.randint(MAX_NESTING - 4, MAX_NESTING + 1)
+            text = rng.choice(["~", "(", "[]"]) * k + rng.choice(valid)
+        elif roll < 0.15:
+            k = rng.randint(MAX_DEPTH - 8, MAX_DEPTH + 1)
+            text = "p0 -> " * k + rng.choice(valid)
+        else:
+            parts = []
+            for _ in range(rng.randint(1, 8)):
+                if rng.random() < 0.4:
+                    parts.append(rng.choice(valid))
+                else:
+                    parts.append(rng.choice(RANDOM_LEXEMES))
+            text = " ".join(parts)
+            if rng.random() < 0.3:  # one lexeme edited, maybe inside a repeated group
+                lexemes = LEXEME.findall(text)
+                lexemes[rng.randrange(len(lexemes))] = rng.choice(RANDOM_LEXEMES)
+                text = " ".join(lexemes)
+        if len(text) < 80 and len(valid) < 400 and type(outcome(text)) is not tuple:
+            valid.append(f"({text})")
+        texts.append(text)
+    return texts
+
+
 class TestGoldenErrors:
     """``fixtures/syntax_errors.json`` holds seeded malformed texts with the
     message and column the tokenizer-based parser gave them (written by
@@ -326,6 +394,25 @@ class TestGoldenErrors:
                 parse(text)
             got.append([text, str(exc.value), exc.value.position])
         assert got == self.TABLE
+
+    def test_messages_and_columns_through_a_filled_memo(self):
+        # Each text's groups are stored from valid texts, shallow and deep,
+        # and each text is parsed twice: a failed group must not be stored.
+        memo = {}
+        fill_memo(memo, [text for text, _, _ in self.TABLE])
+        assert len(memo) > 500
+        for text, message, column in self.TABLE:
+            for _ in range(2):
+                assert outcome(text, memo) == (message, column), text
+
+    def test_random_texts_agree_with_and_without_a_memo(self):
+        rng = random.Random(20261020)
+        texts = random_texts(rng, 3000)
+        memo = {}
+        fill_memo(memo, texts)
+        got = [outcome(text, memo) for text in texts]
+        assert got == [outcome(text) for text in texts]
+        assert 100 < sum(type(g) is not tuple for g in got) < 1500
 
     @given(st.lists(st.sampled_from(["p0", "p12", "true", "nabla", "~", "[]", "<>", "&", "|",
                                      "->", "<->", "(", ")", "q", "A", "$", "<", "-", "[", "0",
@@ -594,6 +681,85 @@ class TestMemo:
         assert render(schema.pattern) == "[]p0 -> p0 | p1"
         assert render_schema(schema) == "[]A -> A | B"
         assert render(schema.pattern) == "[]p0 -> p0 | p1"
+
+    @staticmethod
+    def proof_texts():
+        """The formulas of every fixture proof and of every proof, input and
+        output, of the translation table, one list a proof."""
+        proofs = [json.loads(path.read_text(encoding="utf-8")) for path in sorted((FIXTURES / "proofs").glob("*.json"))]
+        for case in json.loads((FIXTURES / "translations.json").read_text(encoding="utf-8")):
+            proofs.append(case["proof"])
+            proofs += [json.loads(out) for argv, code, out, _ in case["runs"] if argv[0] == "translate" and code == 0]
+        return [[*p["premises"], *(line["formula"] for line in p["lines"]), p["conclusion"]] for p in proofs]
+
+    def test_parse_memo_agrees_on_every_proof(self):
+        def inner_nodes(f):
+            return [id(g) for g in iter_nodes(f) if type(g) not in (Atom, Top, Bottom)]
+
+        sharing = 0
+        for texts in self.proof_texts():
+            memo = {}
+            got = [parse(text, memo) for text in texts]
+            assert got == [parse(text) for text in texts]
+            assert all(parse(key) == node for key, (node, _, _) in memo.items())
+            ids = [i for f in got for i in inner_nodes(f)]
+            sharing += len(set(ids)) < len(ids)
+        assert sharing > 100
+
+    @given(
+        st.lists(st.tuples(formulas(modal=("box", "diamond", "nabla")),
+                           st.sampled_from(["{}", "({})", "~({})", "({}) & p0", "nabla(({}))"])), max_size=6),
+        shared_formulas(),
+        st.lists(operator_chains(), max_size=3),
+    )
+    def test_parse_memo_agrees_on_rendered_formulas(self, wrapped, pool, chains):
+        texts = [wrap.format(render(f)) for f, wrap in wrapped] + [render(f) for f in pool] + chains
+        memo = {}
+        assert [parse(text, memo) for text in texts] == [parse(text) for text in texts]
+
+    def test_repeated_group_is_one_object(self):
+        memo = {}
+        f = parse("(p0 -> []p1) & nabla (p0 -> []p1)", memo)
+        assert f.left is f.right.operand
+        assert parse("~( p0->[]p1 )", memo).operand is f.left
+        # a group that differs in its last lexeme is another group
+        g = parse("(p0 -> []p2) | (p0 -> []p1)", memo)
+        assert g.left == Implies(p0, Box(p2)) and g.right is f.left
+
+    def test_without_a_memo_nothing_is_shared(self):
+        f, g = parse("(p0 & p1) | (p0 & p1)"), parse("(p0 & p1) | (p0 & p1)")
+        assert f.left is not f.right and f.left is not g.left
+        s, t = parse_schema("(A & B) | (A & B)").pattern, parse_schema("(A & B) | (A & B)").pattern
+        assert s.left is not s.right and s.left is not t.left
+
+    @pytest.mark.parametrize(
+        "inner, opener, closer",
+        [
+            ("~" * 60 + "p0", "~", ""),
+            ("~" * 60 + "p0", "(", ")"),
+            ("p0 -> " * 250 + "p1", "p0 -> ", ""),
+            ("p0 -> " * 250 + "p1", "(", ")"),
+        ],
+        ids=["prefixes-in-prefixes", "prefixes-in-parentheses", "arrows-after-arrows", "arrows-in-parentheses"],
+    )
+    def test_group_stored_shallow_raises_deep(self, inner, opener, closer):
+        # Stored at the top, the group is met ever deeper: it parses until
+        # it would pass a bound, then raises just as without a memo.
+        memo = {}
+        parse(f"({inner})", memo)
+        got = [outcome(opener * k + f"({inner})" + closer * k, memo) for k in range(70)]
+        assert got == [outcome(opener * k + f"({inner})" + closer * k) for k in range(70)]
+        assert type(got[0]) is not tuple and type(got[-1]) is tuple
+
+    def test_group_stored_deep_is_recalled_shallow(self):
+        # 121 lexemes, more than MAX_NESTING: recalled only inside the
+        # nesting it was stored at
+        inner = "p0 & " * 60 + "p1"
+        memo = {}
+        deep = parse("(" * 41 + inner + ")" * 41, memo)
+        assert parse(f"~({inner})", memo).operand is deep
+        assert parse(f"p2 -> ({inner})", memo).right is deep
+        assert parse("(" * 42 + inner + ")" * 42, memo) == deep
 
 
 class TestSchemas:
