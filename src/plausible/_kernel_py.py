@@ -422,7 +422,67 @@ def first_countermodel(gamma, target, n, natoms, class_id, minima):
     return None
 
 
-def run_search(class_id: int, max_worlds: int, natoms: int, programs, full_worlds: int):
+def filtration_count(programs, class_id: int) -> int | None:
+    """T: worlds enough for the first model that globally validates every
+    program but the last and falsifies the last, or None for no cut.
+
+    The letters are the atoms of the programs and their distinct modal
+    subformulas, each read as a letter; an atom that compiled to bottom,
+    outside the search bounds, is none.  T counts the letter assignments
+    under which every premise holds and, on the reflexive classes, every
+    ``[]A -> A`` and ``A -> <>A``; it is 0 if none of them falsifies the
+    target.  The ``search`` module docstring says why T bounds the first
+    countermodel.  With more than ``CHUNK_LOG2`` letters there is no cut.
+    """
+    # A program's letter program reads each modal subformula as its letter.
+    # A modal subformula is keyed by its opcode and its operand's letter
+    # program, which tells distinct subformulas apart as their programs do.
+    letters: dict = {}  # an atom's slot, or a modal subformula's key -> its letter
+    modal = []  # (opcode, letter, the operand's letter program) per modal letter
+    lettered = []
+    for prog in programs:
+        out: list[int] = []
+        starts: list[int] = []  # where each stack entry's letter program begins
+        for i in range(0, len(prog), 2):
+            op = prog[i]
+            if op == OP_ATOM:
+                starts.append(len(out))
+                out += (OP_ATOM, letters.setdefault(prog[i + 1], len(letters)))
+            elif op == OP_TOP or op == OP_BOT:
+                starts.append(len(out))
+                out += (op, 0)
+            elif op >= OP_BOX:
+                at = starts[-1]
+                key = (op, *out[at:])
+                letter = letters.get(key)
+                if letter is None:
+                    letter = letters[key] = len(letters)
+                    modal.append((op, letter, out[at:]))
+                out[at:] = (OP_ATOM, letter)
+            else:
+                if op != OP_NOT:
+                    starts.pop()
+                out += (op, 0)
+        lettered.append(out)
+    s = len(letters)
+    if s > CHUNK_LOG2:
+        return None
+    ones = (1 << (1 << s)) - 1
+    patterns = bit_patterns(s, 1)
+    atoms = [[p] for p in patterns]
+    ok = ones
+    for p in lettered[:-1]:
+        ok &= eval_program(p, atoms, ones, 1, class_id, ())[0]
+    if class_id in (CLASS_CONSTRAINED, CLASS_KRIPKE_EQUIV, CLASS_UNIVERSAL):
+        for op, letter, operand in modal:
+            a, x = eval_program(operand, atoms, ones, 1, class_id, ())[0], patterns[letter]
+            ok &= (x ^ ones) | a if op == OP_BOX else (a ^ ones) | x
+    if not ok & ~eval_program(lettered[-1], atoms, ones, 1, class_id, ())[0]:
+        return 0
+    return ok.bit_count()
+
+
+def run_search(class_id: int, max_worlds: int, natoms: int, programs, full_worlds: int, filtration=None):
     """Scan the model class for the first model falsifying the last program
     while globally validating all earlier ones.
 
@@ -431,13 +491,19 @@ def run_search(class_id: int, max_worlds: int, natoms: int, programs, full_world
     docstring and ``structure_count``).  The scan stops at ``max_worlds``,
     below ``full_worlds`` when the caller knows that the first
     countermodel, if any, lies within it.  Without one, the count still
-    covers every structure on up to ``full_worlds`` worlds.  Returns
-    ``(found, models_checked, worlds, structure, vmasks, world)``.
+    covers every structure on up to ``full_worlds`` worlds.  ``filtration``,
+    if given, returns such a bound or None, as ``filtration_count`` does;
+    it is called at most once, after the 1-world scan found nothing.
+    Returns ``(found, models_checked, worlds, structure, vmasks, world)``.
     """
     gamma = programs[:-1]
     target = programs[-1]
     checked = 0
     for n in range(1, full_worlds + 1):
+        if n == 2 and filtration is not None and max_worlds > 1:
+            bound = filtration()
+            if bound is not None and bound < max_worlds:
+                max_worlds = bound
         if n <= max_worlds:
             hit = first_countermodel(gamma, target, n, natoms, class_id, orbit_minima(class_id, n))
             if hit:

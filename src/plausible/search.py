@@ -53,7 +53,7 @@ premises hold throughout it and the target still fails at w.  Its relation
 is full, so S5 selection on it keeps a universal countermodel of at most
 m + 1 worlds, and a full relation is an equivalence.
 
-Constrained and kripke-all: Σ_{i≤d} mⁱ worlds, and no cut with premises.
+Constrained and kripke-all: Σ_{i≤d} mⁱ worlds, without premises.
 A constrained structure is a reflexive Kripke frame, each world's core
 its successors (C7), so both are classes of all frames of a kind: all
 frames, and all reflexive frames.  Take a countermodel whose target fails
@@ -70,13 +70,35 @@ at most Σ_{i≤d} mⁱ nodes, is a countermodel in the class.  This fails for
 global consequence: the premises must hold at every node, and a premise
 such as ``p0 -> <>p0`` forces chains longer than d.
 
-Raw: no cut.
+Every other search, constrained and kripke-all with premises and raw with
+or without: the filtration count T.  Let Σ be the subformulas of the
+premises and the target.  Its letters are its atoms and its distinct
+modal subformulas: the truth of every formula of Σ at a world follows, by
+the connectives alone, from that of its letters.  Take a countermodel and
+merge the worlds that agree on every letter.  The smallest filtration
+through Σ relates a class to another if some member of the first is
+related to some member of the second (Blackburn, de Rijke & Venema,
+§2.3); on neighbourhood models, a class's family holds the truth set of
+A, merged, for each ``[]A`` of Σ true at its members (Chellas, *Modal
+Logic*, 1980, ch. 7; Segerberg, *An Essay in Classical Modal Logic*,
+1971).  Every formula of Σ keeps its truth at every class, so the premises
+hold everywhere and the target still fails.  The smallest filtration of a
+reflexive frame is reflexive, and a raw family is any family, so the
+filtration stays in its class.  Its classes are distinct letter
+assignments, each realised at a world where the premises hold and, on a
+reflexive frame, every ``[]A -> A`` and ``A -> <>A`` of Σ as well.  So
+the first countermodel has at most T worlds, T the count of such
+assignments with each modal subformula read as a letter, and none exists
+if no counted assignment falsifies the target: then T is 0.  The kernel's
+``filtration_count`` works T out in one bit-sliced evaluation, only once
+a one-world scan found no countermodel.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
+from functools import partial
 from itertools import product
 
 from . import _kernel_py
@@ -167,14 +189,15 @@ class ModelClass(Enum):
     ``world_bound(m, d, premises)``, worlds enough for the first
     countermodel given m distinct witnessed modal subformulas (boxes with a
     positive occurrence, diamonds with a negative one) and modal depth at
-    most d, or None for no cut.  The last two are None where a class has
-    none.
+    most d, or None where it has none.  The last two are None where a
+    class has none.
 
     The module docstring gives the world bounds' arguments.  Universal and
     kripke-equiv are cut at m + 1 worlds by S5 selection, premises or not.
     Constrained and kripke-all are cut at Σ_{i≤d} mⁱ worlds by the tree
     model, reflexive loops added for constrained, only without premises.
-    Raw is never cut.
+    Where no bound applies, with premises there and always on raw, the
+    search stops at the filtration count of its letters instead.
     """
 
     def __new__(cls, value, kernel_id, cap, dialect, model, draw, check=None, world_bound=None):
@@ -359,13 +382,16 @@ def _search(gamma: tuple[Formula, ...], f: Formula, bounds: SearchBounds) -> Sea
     programs.append(compile_program(f, slots, modal, witnessed))
     # A search stops at its class's world bound: the first countermodel lies
     # within it, and without one the kernel counts the models past it.
-    scanned = bounds.max_worlds
-    if mc.world_bound:
-        bound = mc.world_bound(len(witnessed), max(modal.values(), default=0), bool(gamma))
-        if bound is not None:
-            scanned = min(scanned, bound)
+    # Where no class bound applies, the kernel stops at the filtration count
+    # instead, worked out only once one world has not sufficed.
+    scanned, filtration = bounds.max_worlds, None
+    bound = mc.world_bound and mc.world_bound(len(witnessed), max(modal.values(), default=0), bool(gamma))
+    if bound is None:
+        filtration = partial(_kernel_py.filtration_count, programs, mc.kernel_id)
+    else:
+        scanned = min(scanned, bound)
     found, checked, n, struct, vmasks, world = _ACTIVE.run_search(
-        mc.kernel_id, scanned, len(bounds.atoms), programs, bounds.max_worlds
+        mc.kernel_id, scanned, len(bounds.atoms), programs, bounds.max_worlds, filtration
     )
     if not found:
         return SearchOutcome(Verdict.EXHAUSTED_VALID, checked)

@@ -35,7 +35,22 @@ from plausible.semantics import (
     nm_check_conditions,
     relation_properties,
 )
-from plausible.syntax import DialectError, parse, render
+from plausible.syntax import (
+    BOTTOM,
+    TOP,
+    And,
+    Atom,
+    Box,
+    Dialect,
+    DialectError,
+    Diamond,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    parse,
+    render,
+)
 
 
 def bounds(model_class, max_worlds, atoms=()):
@@ -53,15 +68,24 @@ def world_bound(model_class, gamma, target):
     return model_class.world_bound(len(witnessed), max(modal.values(), default=0), bool(gamma))
 
 
+def filtration_count(model_class, gamma, target, atoms):
+    """The kernel's filtration count T for a search of ``target`` from
+    ``gamma`` over ``atoms``."""
+    slots = {atom: i for i, atom in enumerate(atoms)}
+    programs = [compile_program(g, slots) for g in (*gamma, target)]
+    return _kernel_py.filtration_count(programs, model_class.kernel_id)
+
+
 def scanned_worlds(monkeypatch):
-    """The world counts that each later search hands the kernel to scan."""
-    scanned, run_search = [], _kernel_py.run_search
+    """The world counts, in order, on which each later search scans
+    structures."""
+    scanned, scan = [], _kernel_py.first_countermodel
 
-    def recorded(class_id, worlds, *rest):
-        scanned.append(worlds)
-        return run_search(class_id, worlds, *rest)
+    def recorded(gamma, target, n, *rest):
+        scanned.append(n)
+        return scan(gamma, target, n, *rest)
 
-    monkeypatch.setattr(_kernel_py, "run_search", recorded)
+    monkeypatch.setattr(_kernel_py, "first_countermodel", recorded)
     return scanned
 
 
@@ -427,19 +451,18 @@ class TestGroupedChunks:
     def test_premises_reject_whole_groups(self, monkeypatch, gamma, text, class_id, worlds, natoms, log2):
         premises = [parse(g) for g in gamma]
         assert_oracle_parity(premises, parse(text), class_id, worlds, natoms, (log2,))
-        slots = {i: i for i in range(natoms)}
-        first, target = compile_program(premises[0], slots), compile_program(parse(text), slots)
-        evaluated, evaluate = [], _kernel_py.eval_program
-
-        def recorded(prog, *rest):
-            evaluated.append(prog)
-            return evaluate(prog, *rest)
-
-        monkeypatch.setattr(_kernel_py, "eval_program", recorded)
+        searched, evaluated = [], []
+        run, evaluate = _kernel_py.run_search, _kernel_py.eval_program
+        monkeypatch.setattr(_kernel_py, "run_search", lambda *args: searched.append(args[3]) or run(*args))
+        monkeypatch.setattr(_kernel_py, "eval_program", lambda p, *rest: evaluated.append(p) or evaluate(p, *rest))
         with chunk_log2(log2):
             check_global_consequence(premises, parse(text), bounds(_MODEL_CLASS[class_id], worlds, range(natoms)))
-        # the first premise is evaluated on every chunk, the target on fewer
-        assert evaluated.count(target) < evaluated.count(first)
+        # the first premise is evaluated on every chunk, the target on fewer;
+        # the programs are told apart by identity, since the filtration count
+        # evaluates programs of its own that may equal them
+        [programs] = searched
+        first, target = programs[0], programs[-1]
+        assert sum(p is target for p in evaluated) < sum(p is first for p in evaluated)
 
     def test_one_evaluation_per_group(self, monkeypatch):
         # the K schema over 2 atoms on up to 4 constrained worlds: 1, 3, 16
@@ -643,7 +666,7 @@ class TestUniversalWorldBound:
     def test_scan_stops_at_the_bound(self, monkeypatch, max_worlds):
         scanned = scanned_worlds(monkeypatch)
         out = find_countermodel(parse("[]p0 -> []p0 & <>p1 | ~<>p1"), bounds(ModelClass.UNIVERSAL, max_worlds, (0, 1)))
-        assert scanned == [min(max_worlds, 3)]
+        assert scanned == list(range(1, min(max_worlds, 3) + 1))
         assert (out.verdict, out.models_checked) == (Verdict.EXHAUSTED_VALID, oracle.model_count("universal", max_worlds, 2))
 
     @pytest.mark.parametrize("max_worlds", [3, 4, 6])
@@ -678,7 +701,7 @@ class TestEquivalenceWorldBound:
         scanned = scanned_worlds(monkeypatch)
         b = bounds(ModelClass.KRIPKE_EQUIVALENCE, max_worlds, (0, 1))
         out = find_countermodel(parse("[]p0 -> []p0 & <>p1 | ~<>p1"), b)
-        assert scanned == [min(max_worlds, 3)]
+        assert scanned == list(range(1, min(max_worlds, 3) + 1))
         assert (out.verdict, out.models_checked) == (Verdict.EXHAUSTED_VALID, oracle.model_count("kripke-equiv", max_worlds, 2))
 
     # (premises, formula): each bound is below the cap of 4 worlds
@@ -711,8 +734,8 @@ class TestEquivalenceWorldBound:
 
 class TestTreeWorldBound:
     """Premise-free constrained and kripke-all searches stop at Σ_{i≤d} mⁱ
-    worlds; with premises they scan every world count, and raw is never
-    cut."""
+    worlds; with premises they stop at the filtration count instead, as raw
+    searches do."""
 
     TREE_CLASSES = [ModelClass.CONSTRAINED_NEIGHBORHOOD, ModelClass.KRIPKE_ALL]
 
@@ -749,33 +772,46 @@ class TestTreeWorldBound:
         assert world_bound(model_class, (), f) == bound < worlds
         scanned = scanned_worlds(monkeypatch)
         assert_oracle_parity((), f, model_class.kernel_id, worlds, natoms, (_kernel_py.CHUNK_LOG2,))
-        assert scanned == [bound]
+        assert scanned == list(range(1, bound + 1))
         out = find_countermodel(f, bounds(model_class, worlds, range(natoms)))
         assert (out.countermodel and out.countermodel.worlds) == refuted_at
 
-    # (premises, formula, class): premises leave no cut, though the bound
-    # of the formula alone is below 4 worlds
+    # (premises, formula, class): premises leave no tree bound, though that
+    # of the formula alone is below 4 worlds, so the scan stops at the
+    # filtration count T or at the first countermodel
     PREMISED = [
         (("p0 -> <>p0",), "p1", ModelClass.KRIPKE_ALL),
         (("p0",), "[]p0", ModelClass.CONSTRAINED_NEIGHBORHOOD),
         (("[]p0 -> p1",), "[]p1 -> p1", ModelClass.CONSTRAINED_NEIGHBORHOOD),
         (("<>p0",), "<>p0 | []p1", ModelClass.KRIPKE_ALL),
+        (("[](p0 -> p1)", "[]p0"), "[]p1", ModelClass.KRIPKE_ALL),
     ]
+    # each formula's T, from the premises it has above
+    PREMISED_COUNTS = {"p1": 6, "[]p0": 2, "[]p1 -> p1": 0, "<>p0 | []p1": 0, "[]p1": 8}
 
     @pytest.mark.parametrize("gamma,text,model_class", PREMISED)
     def test_premises_scan_every_world_count(self, monkeypatch, gamma, text, model_class):
+        premises, count = [parse(g) for g in gamma], self.PREMISED_COUNTS[text]
         assert world_bound(model_class, (), parse(text)) < 4
+        assert world_bound(model_class, premises, parse(text)) is None
+        assert filtration_count(model_class, premises, parse(text), (0, 1)) == count
         scanned = scanned_worlds(monkeypatch)
-        check_global_consequence([parse(g) for g in gamma], parse(text), bounds(model_class, 4, (0, 1)))
-        assert scanned == [4]
+        out = check_global_consequence(premises, parse(text), bounds(model_class, 4, (0, 1)))
+        # one world is scanned before T is worked out
+        last = out.countermodel.worlds if out.countermodel else max(1, min(4, count))
+        assert scanned == list(range(1, last + 1))
 
-    @pytest.mark.parametrize("text", ["p0 | ~p0", "[]p0 -> []p0", "[](p0 & p1) -> [](p1 & p0)"])
+    # each formula's T without the premise p1 and with it
+    RAW_COUNTS = {"p0 | ~p0": (0, 0), "[]p0 -> []p0": (0, 0), "[](p0 & p1) -> [](p1 & p0)": (16, 8)}
+
+    @pytest.mark.parametrize("text", list(RAW_COUNTS))
     @pytest.mark.parametrize("gamma", [(), ("p1",)])
     def test_raw_scans_every_world_count(self, monkeypatch, gamma, text):
+        premises, count = [parse(g) for g in gamma], self.RAW_COUNTS[text][len(gamma)]
+        assert filtration_count(ModelClass.RAW_NEIGHBORHOOD, premises, parse(text), (0, 1)) == count
         scanned = scanned_worlds(monkeypatch)
-        b = bounds(ModelClass.RAW_NEIGHBORHOOD, 2, (0, 1))
-        out = check_global_consequence([parse(g) for g in gamma], parse(text), b)
-        assert scanned == [2]
+        out = check_global_consequence(premises, parse(text), bounds(ModelClass.RAW_NEIGHBORHOOD, 2, (0, 1)))
+        assert scanned == list(range(1, max(1, min(2, count)) + 1))
         assert out.verdict is Verdict.EXHAUSTED_VALID
 
 
@@ -814,6 +850,169 @@ class TestWitnessedWorldBound:
         modal = {}
         compile_program(parse(text), {}, modal)
         assert model_class.world_bound(len(modal), max(modal.values()), bool(gamma)) == 3
+
+
+def random_formula(rng: random.Random, natoms: int, modal: tuple, leaves: int):
+    """A seeded random formula over ``natoms`` atoms with ``leaves`` leaves
+    and the unary operators ``~`` and ``modal``."""
+    if leaves == 1:
+        r = rng.random()
+        if r < 0.1:
+            return rng.choice((TOP, BOTTOM))
+        if 0.55 <= r < 0.8:
+            return rng.choice((Not, *modal))(random_formula(rng, natoms, modal, 1))
+        return Atom(rng.randrange(natoms))
+    if rng.random() < 0.3:
+        return rng.choice((Not, *modal, *modal))(random_formula(rng, natoms, modal, leaves))
+    left = rng.randrange(1, leaves)
+    return rng.choice((And, Or, Implies, Iff))(
+        random_formula(rng, natoms, modal, left), random_formula(rng, natoms, modal, leaves - left)
+    )
+
+
+class TestFiltrationWorldBound:
+    """Where no class bound applies (constrained and kripke-all with
+    premises, and raw) a search stops at the filtration count T of its
+    letters, the atoms and distinct modal subformulas of its programs."""
+
+    # (class, worlds) of the differential, each with 2 atoms
+    SIZES = [
+        (ModelClass.RAW_NEIGHBORHOOD, 2),
+        (ModelClass.CONSTRAINED_NEIGHBORHOOD, 4),
+        (ModelClass.KRIPKE_ALL, 3),
+        (ModelClass.KRIPKE_EQUIVALENCE, 3),
+        (ModelClass.UNIVERSAL, 4),
+    ]
+
+    def test_cut_search_is_the_uncut_search(self, monkeypatch):
+        # 4,000 seeded queries with 0-2 premises, 800 a class: with every
+        # world bound, T included, the kernel returns what a scan of every
+        # world count returns: verdict, count, and the first countermodel's
+        # worlds, structure, valuation and world
+        rng = random.Random(31)
+        calls, run = [], _kernel_py.run_search
+
+        def recorded(*args):
+            calls.append((args, run(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(_kernel_py, "run_search", recorded)
+        cut = exhausted = 0
+        for i in range(4000):
+            mc, worlds = self.SIZES[i % len(self.SIZES)]
+            modal = (Box,) if mc.dialect is Dialect.BOX else (Box, Diamond)
+            gamma = [random_formula(rng, 2, modal, rng.randint(1, 4)) for _ in range(rng.randint(0, 2))]
+            target = random_formula(rng, 2, modal, rng.randint(1, 5))
+            calls.clear()
+            check_global_consequence(gamma, target, bounds(mc, worlds, (0, 1)))
+            [((class_id, _, natoms, programs, full, filtration), result)] = calls
+            assert result == run(class_id, full, natoms, programs, full), (mc.value, gamma, target)
+            exhausted += not result[0]
+            if filtration is not None and (filtration() or 1) < worlds:
+                cut += 1
+        # the differential reaches the cut, and not only on refuted queries
+        assert cut > 500 and exhausted > 1000
+
+    def test_premise_op_scans_two_worlds(self, monkeypatch):
+        # []p0 and []p0 -> p0 give p0, p0 -> p1 gives p1, and only []p1 is
+        # left free: T = 2, far below the 4 worlds searched
+        mc, gamma, f = ModelClass.CONSTRAINED_NEIGHBORHOOD, [parse("p0 -> p1"), parse("[]p0")], parse("[]p1")
+        assert filtration_count(mc, gamma, f, (0, 1)) == 2
+        scanned = scanned_worlds(monkeypatch)
+        out = check_global_consequence(gamma, f, bounds(mc, 4, (0, 1)))
+        assert scanned == [1, 2]
+        assert (out.verdict, out.models_checked) == (Verdict.EXHAUSTED_VALID, oracle.model_count("constrained", 4, 2))
+
+    def test_count_worked_out_only_when_needed(self, monkeypatch):
+        counted, count = [], _kernel_py.filtration_count
+        monkeypatch.setattr(_kernel_py, "filtration_count", lambda *args: counted.append(args) or count(*args))
+        b = bounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 4, (0, 1))
+        # refuted at one world, and cut at the tree bound: no count
+        check_global_consequence([parse("p1")], parse("p0"), b)
+        find_countermodel(K_FORMULA, b)
+        find_countermodel(parse("[]p0 -> [][]p0"), bounds(ModelClass.UNIVERSAL, 4, (0,)))
+        assert counted == []
+        check_global_consequence([parse("p0 -> p1"), parse("[]p0")], parse("[]p1"), b)
+        assert len(counted) == 1
+
+    def test_a_premise_left_out_raises_the_count(self):
+        # each premise of the premise op alone leaves more than its T of 2
+        mc, f = ModelClass.CONSTRAINED_NEIGHBORHOOD, parse("[]p1")
+        assert filtration_count(mc, [parse("p0 -> p1")], f, (0, 1)) == 5
+        assert filtration_count(mc, [parse("[]p0")], f, (0, 1)) == 3
+
+    def test_reflexive_constraint_only_on_reflexive_classes(self, monkeypatch):
+        # p0 from []p0: []p0 -> p0 leaves no countermodel on constrained, but
+        # a kripke-all world without successors is one
+        gamma, f = [parse("[]p0")], parse("p0")
+        assert filtration_count(ModelClass.CONSTRAINED_NEIGHBORHOOD, gamma, f, (0,)) == 0
+        assert filtration_count(ModelClass.KRIPKE_ALL, gamma, f, (0,)) == 2
+        out = check_global_consequence(gamma, f, bounds(ModelClass.KRIPKE_ALL, 4, (0,)))
+        assert (out.countermodel.worlds, out.countermodel.rows, out.world) == (1, (0,), 0)
+        # p0 | []false from []p0 needs a successor, so 2 worlds; T = 4, and it
+        # would be 0 with []p0 -> p0 and []false -> false imposed
+        f = parse("p0 | []false")
+        assert filtration_count(ModelClass.KRIPKE_ALL, gamma, f, (0,)) == 4
+        scanned = scanned_worlds(monkeypatch)
+        assert_oracle_parity(gamma, f, _kernel_py.CLASS_KRIPKE_ALL, 3, 1, (_kernel_py.CHUNK_LOG2,))
+        out = check_global_consequence(gamma, f, bounds(ModelClass.KRIPKE_ALL, 4, (0,)))
+        assert out.countermodel.worlds == 2 and scanned == [1, 2, 1, 2]
+
+    @pytest.mark.parametrize("model_class", [ModelClass.KRIPKE_ALL, ModelClass.RAW_NEIGHBORHOOD],
+                             ids=lambda mc: mc.value)
+    def test_distinct_modal_subformulas_are_distinct_letters(self, model_class):
+        # []p1 from []p0: letters p0, p1, []p0 and []p1, of which []p0 is
+        # fixed; read as one letter, []p0 and []p1 would leave T = 0
+        gamma, f = [parse("[]p0")], parse("[]p1")
+        assert filtration_count(model_class, gamma, f, (0, 1)) == 8
+        assert_oracle_parity(gamma, f, model_class.kernel_id, 2, 2, (_kernel_py.CHUNK_LOG2,))
+        out = check_global_consequence(gamma, f, bounds(model_class, 2, (0, 1)))
+        assert out.verdict is Verdict.COUNTERMODEL_FOUND
+
+    def test_letters_stop_at_the_chunk(self):
+        # 13 letters, p0 .. p12, are past CHUNK_LOG2: no cut
+        f = parse(" | ".join(f"p{i}" for i in range(13)))
+        assert filtration_count(ModelClass.RAW_NEIGHBORHOOD, [], f, range(13)) is None
+        assert filtration_count(ModelClass.RAW_NEIGHBORHOOD, [], f, range(12)) == 1 << 12
+        # an atom outside the bounds is no letter: it stays false
+        assert filtration_count(ModelClass.RAW_NEIGHBORHOOD, [], parse("p0 | p5"), (0,)) == 2
+
+    # (premises, formula, class, atoms, T): the first countermodel lies at
+    # exactly T worlds
+    AT_THE_COUNT = [
+        (("~[]~p0",), "p0", ModelClass.CONSTRAINED_NEIGHBORHOOD, 1, 2),
+        (("p1", "[](p1 & []p0) -> []~p1"), "p0 <-> ~p0 <-> []p0", ModelClass.CONSTRAINED_NEIGHBORHOOD, 2, 3),
+        (("<>p0",), "p0", ModelClass.KRIPKE_ALL, 1, 2),
+        (("[]p0 & []~p0 & []true & ~[]false",), "p0", ModelClass.RAW_NEIGHBORHOOD, 1, 2),
+    ]
+
+    @pytest.mark.parametrize("gamma,text,model_class,natoms,count", AT_THE_COUNT)
+    def test_oracle_parity_at_the_count(self, monkeypatch, gamma, text, model_class, natoms, count):
+        premises, f = [parse(g) for g in gamma], parse(text)
+        assert filtration_count(model_class, premises, f, range(natoms)) == count
+        for worlds in sorted({count, model_class.cap}):
+            scanned = scanned_worlds(monkeypatch)
+            assert_oracle_parity(premises, f, model_class.kernel_id, worlds, natoms, (_kernel_py.CHUNK_LOG2,))
+            out = check_global_consequence(premises, f, bounds(model_class, worlds, range(natoms)))
+            assert out.countermodel.worlds == count
+            assert scanned == list(range(1, count + 1)) * 2
+
+    # (premises, formula, class, worlds, atoms): T = 0, no countermodel
+    NO_COUNT = [
+        (("[]p0",), "p0", ModelClass.CONSTRAINED_NEIGHBORHOOD, 3, 1),
+        (("[]p0 -> p1",), "[]p1 -> p1", ModelClass.CONSTRAINED_NEIGHBORHOOD, 3, 2),
+        (("<>p0",), "<>p0 | []p0", ModelClass.KRIPKE_ALL, 3, 1),
+        ((), "[]p0 -> []p0", ModelClass.RAW_NEIGHBORHOOD, 2, 1),
+        (("p0",), "p0 | [](p0 & ~p0)", ModelClass.RAW_NEIGHBORHOOD, 2, 1),
+    ]
+
+    @pytest.mark.parametrize("gamma,text,model_class,worlds,natoms", NO_COUNT)
+    def test_oracle_parity_without_a_count(self, monkeypatch, gamma, text, model_class, worlds, natoms):
+        premises, f = [parse(g) for g in gamma], parse(text)
+        assert filtration_count(model_class, premises, f, range(natoms)) == 0
+        scanned = scanned_worlds(monkeypatch)
+        assert_oracle_parity(premises, f, model_class.kernel_id, worlds, natoms, (_kernel_py.CHUNK_LOG2,))
+        assert scanned == [1]
 
 
 class TestGlobalConsequence:
