@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from enum import Enum
-from itertools import accumulate, islice, repeat
+from itertools import islice
 
 
 class InputError(ValueError):
@@ -239,7 +239,10 @@ _PREFIX = {"~": Not, "[]": Box, "<>": Diamond, "nabla": Nabla}
 _INFIX = {"<->": (Iff, 1, True), "->": (Implies, 2, True), "|": (Or, 3, False), "&": (And, 4, False)}
 _OPERATORS = frozenset(("(", ")", *_PREFIX, *_INFIX))
 _END = ""  # follows the last lexeme; no lexeme is empty
-_PARENS = {"(": 1, ")": -1}
+# A parse memo indexes each group by this many first characters of its
+# text.  On the perfbench proofs texts 8 to 24 parse equally fast, with one
+# or two groups per index; 4 is about 10% slower.
+_INDEX = 8
 
 
 def _column(text: str, index: int) -> int:
@@ -287,15 +290,43 @@ def _lex(text: str, metavariables: bool) -> tuple[list[str], dict[str, Formula]]
 class _Parser:
     def __init__(self, text: str, metavariables: bool, memo: dict | None = None):
         self.text = text
-        self.lexemes, self.leaves = _lex(text, metavariables)
         self.i = 0
         self.memo = memo
-        if memo is not None:
-            # the parenthesis depth after each lexeme, summed in C: a group's
-            # ')' is the first lexeme after its '(' one level further out
-            self.depths = list(accumulate(map(_PARENS.get, self.lexemes, repeat(0))))
+        if memo is None:
+            self.lexemes, self.leaves = _lex(text, metavariables)
+        else:
+            # Lexed a segment at a time, each ending just after the next
+            # parenthesis, and words read as they are met; ``base`` counts
+            # the lexemes before the segment, recalled ones included, and
+            # ``opening`` and ``closing`` hold the next '(' and ')' found,
+            # ``len(text)`` for none: ``find`` gives -1, modulo ``stop``.
+            self.leaves = {"true": TOP, "false": BOTTOM}
+            self.base = 0
+            self.opening = self.closing = -1
+            self.stop = len(text) + 1
+            self.segment(0)
+
+    def segment(self, pos: int) -> None:
+        """Lex from ``pos`` to just after the next parenthesis, or to the
+        end of the text and ``_END``."""
+        text = self.text
+        o = self.opening
+        if o < pos:
+            o = self.opening = text.find("(", pos) % self.stop
+        c = self.closing
+        if c < pos:
+            c = self.closing = text.find(")", pos) % self.stop
+        self.i = 0
+        end = self.end = (o if o < c else c) + 1
+        if end == self.stop:
+            lexemes = self.lexemes = _LEXEME_RE.findall(text, pos)
+            lexemes.append(_END)
+        else:
+            self.lexemes = _LEXEME_RE.findall(text, pos, end)
 
     def error(self, message: str) -> FormulaSyntaxError:
+        # under a memo ``i`` counts from the segment, but ``parse`` raises
+        # every error again from a parse without the memo
         return FormulaSyntaxError(message, _column(self.text, self.i))
 
     def found(self) -> str:
@@ -355,6 +386,12 @@ class _Parser:
             return leaf
         op = _PREFIX.get(lx)
         if op is None and lx != "(":
+            if self.memo is not None and lx not in _OPERATORS and lx != _END:
+                leaf = _leaf(lx, False)
+                if type(leaf) is not str:
+                    self.leaves[lx] = leaf
+                    self.i += 1
+                    return leaf
             raise self.error(f"expected a formula, found {self.found()!r}")
         if nesting == MAX_NESTING:
             raise self.error(f"formula nests deeper than {MAX_NESTING} unary prefixes and parentheses")
@@ -365,47 +402,78 @@ class _Parser:
             return tuple.__new__(op, (op._tag, self.operand(depth + 1, nesting + 1)))
         memo = self.memo
         if memo is not None:
-            depths = self.depths
-            try:
-                end = depths.index(depths[self.i - 1] - 1, self.i)
-            except ValueError:  # no ')' closes the group: the parse below raises
-                memo = None
-            else:
-                key = " ".join(self.lexemes[self.i:end])
-                hit = memo.get(key)
-                if hit is not None and depth <= hit[1] and nesting <= hit[2]:
-                    self.i = end + 1
-                    return hit[0]
-                # the n lexemes inside open at most n levels past the '(', so
-                # the group parses wherever both bounds are n + 1 levels away
-                room = end - self.i + 1
+            # The '(' ended its segment, so the group's text starts at p and
+            # ``closing`` is the first ')' after it.
+            text = self.text
+            p = self.end
+            start = self.base = self.base + self.i
+            c = self.closing
+            index = text[p:c + 1] if c + 1 - p < _INDEX else text[p:p + _INDEX]
+            bucket = memo.get(index)
+            if bucket is not None:
+                for key, hit in bucket.items():
+                    after = p + len(key)
+                    if text.startswith(")", after) and text.startswith(key, p):
+                        if depth <= hit[1] and nesting <= hit[2]:
+                            self.base = start + hit[3] + 1
+                            self.segment(after + 1)
+                            return hit[0]
+                        break
+            self.segment(p)
         inner = self.binary(1, depth + 1, nesting + 1)
         if self.lexemes[self.i] != ")":
             raise self.error(f"expected ')', found {self.found()!r}")
-        self.i += 1
-        if memo is not None:
-            memo[key] = (inner, max(depth, MAX_DEPTH - room), max(nesting, MAX_NESTING - room))
+        if memo is None:
+            self.i += 1
+            return inner
+        # the n lexemes inside open at most n levels past the '(', so the
+        # group parses wherever both bounds are n + 1 levels away
+        count = self.base + self.i - start
+        room = count + 1
+        entry = (inner, max(depth, MAX_DEPTH - room), max(nesting, MAX_NESTING - room), count)
+        memo.setdefault(index, {})[text[p:self.end - 1]] = entry
+        self.base += self.i + 1
+        self.segment(self.end)
         return inner
 
 
 def parse(text: str, memo: dict | None = None) -> Formula:
     """Parse formula text into its unique AST under the declared precedence.
 
-    ``memo`` maps the text of a parenthesised group, its lexemes joined by
-    single spaces, to ``(node, depth, nesting)``: the group's node and the
-    most open levels and nesting it is known to parse inside, those it was
-    parsed inside or, for a group too short to reach the bounds from there,
-    more.  Pass one dict to the calls of one batch, such as the formulas of
-    one proof file, to parse each group they repeat once, into one shared
-    node; it must live no longer than that batch and serve ``parse`` alone.
-    A group is stored only once its ``)`` is read, and recalled only inside
-    at most the levels and nesting stored with it, so every node and every
-    error, message and column, is the one a parse without the memo gives.
-    Each lexeme lies in at most ``MAX_NESTING`` groups, so the keys hold at
-    most ``MAX_NESTING`` times the lexemes of the texts read, and its memory
-    grows at most with ``MAX_NESTING`` times their length.
+    ``memo`` holds the parenthesised groups already parsed, by their raw
+    text: it maps the first ``_INDEX`` characters of a group's interior,
+    cut just after its first ``)``, to a dict from the whole interior to
+    ``(node, depth, nesting, lexemes)``, the group's node and lexeme count
+    and the most open levels and nesting it is known to parse inside, those
+    it was parsed inside or, for a group too short to reach the bounds from
+    there, more.  Pass one dict to the calls of one batch, such as the
+    formulas of one proof file, to parse each group they repeat once, into
+    one shared node; it must live no longer than that batch and serve
+    ``parse`` alone.  The same group spaced otherwise is another key, and
+    parses to an equal node.
+
+    With a memo the text is lexed a segment at a time, each ending just
+    after the next parenthesis; no other lexeme holds one, so the lexemes
+    are those of the whole text.  At a ``(``, a stored interior that the
+    text goes on with, followed by ``)``, is the group itself, since its
+    parentheses balance; it is recalled, unlexed, inside at most the levels
+    and nesting stored with it, and its lexemes count toward the bounds of
+    the groups around it.  A group is stored only once its ``)`` is read,
+    so every node is the one a parse without the memo gives; the memo never
+    decides an error, which a parse without it raises again, message and
+    column.  Each character lies in at most ``MAX_NESTING`` stored groups,
+    so the stored interiors hold at most ``MAX_NESTING`` times the
+    characters of the texts read, and the index keys, each at most its
+    group's interior and ``)``, about as much again.
     """
-    return _Parser(text, metavariables=False, memo=memo).parse()
+    if memo is None:
+        return _Parser(text, metavariables=False).parse()
+    try:
+        return _Parser(text, metavariables=False, memo=memo).parse()
+    except FormulaSyntaxError:
+        pass
+    _Parser(text, metavariables=False).parse()  # raises the error a parse without the memo gives
+    raise AssertionError("the memo refused a text that parses without it")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, closed_groups, formulas, load_fixture, oracle
 from plausible import proofs as proofs_module
+from plausible import syntax as syntax_module
 from plausible.cli import main
 from plausible.derivations import ProofBuilder, box_k, nabla_h, nabla_top
 from plausible.proofs import (
@@ -557,6 +559,57 @@ class TestAgainstOracle:
             assert (result.accepted, result.failing_line) == oracle.check_proof(data), data
             rejected += not result.accepted
         assert rejected > 100
+
+
+class _ScanCounter:
+    """Stands in for ``syntax._LEXEME_RE`` and counts the characters that
+    its ``findall`` calls scan."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.chars = 0
+
+    def findall(self, text, pos=0, endpos=sys.maxsize):
+        self.chars += max(0, min(endpos, len(text)) - pos)
+        return self.pattern.findall(text, pos, endpos)
+
+    def __getattr__(self, name):
+        return getattr(self.pattern, name)
+
+
+class TestRecalledGroupsAreNotLexed:
+    """``proof_from_data`` reads a proof with one parse memo, and a group
+    the memo recalls is skipped without being lexed, so the lexer scans a
+    small share of a long proof's text."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        counter = _ScanCounter(syntax_module._LEXEME_RE)
+        monkeypatch.setattr(syntax_module, "_LEXEME_RE", counter)
+        return counter
+
+    @staticmethod
+    def sources():
+        rng = random.Random(TestAgainstOracle.SEED)
+        return [long_proof(rng, k) for k in range(20)]
+
+    @staticmethod
+    def texts(data):
+        return [*data["premises"], *(line["formula"] for line in data["lines"]), data["conclusion"]]
+
+    def test_memo_leaves_most_characters_unscanned(self, scans):
+        sources = self.sources()
+        total = sum(len(text) for data in sources for text in self.texts(data))
+        for data in sources:
+            proof_from_data(data)
+        # about 9.5% of 249,082 characters
+        assert 0 < scans.chars < total // 4
+
+    def test_without_a_memo_every_character_is_scanned(self, scans):
+        texts = [text for data in self.sources() for text in self.texts(data)]
+        for text in texts:
+            parse(text)
+        assert scans.chars == sum(map(len, texts))
 
 
 class TestSoundnessHooks:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, closed_groups, formulas, oracle, shared_formulas
 import plausible
+from plausible import syntax
 from plausible.derivations import ProofBuilder, box_k, nabla_h, nabla_top, translate_proof
 from plausible.proofs import SCHEMAS, SystemId
 from plausible.search import compile_program
@@ -326,6 +327,12 @@ def outcome(text, memo=None):
         return str(exc), exc.position
 
 
+def stored_groups(memo):
+    """Every ``(key, entry)`` a parse memo holds: its keys index the stored
+    groups' texts by their first characters."""
+    return [group for bucket in memo.values() for group in bucket.items()]
+
+
 def fill_memo(memo, texts):
     """Parse into ``memo`` every group of ``texts`` that parses alone, at
     the top, under 40 and under 90 prefixes, wherever a plain parse
@@ -400,7 +407,7 @@ class TestGoldenErrors:
         # and each text is parsed twice: a failed group must not be stored.
         memo = {}
         fill_memo(memo, [text for text, _, _ in self.TABLE])
-        assert len(memo) > 500
+        assert len(stored_groups(memo)) > 500
         for text, message, column in self.TABLE:
             for _ in range(2):
                 assert outcome(text, memo) == (message, column), text
@@ -701,7 +708,7 @@ class TestMemo:
             memo = {}
             got = [parse(text, memo) for text in texts]
             assert got == [parse(text) for text in texts]
-            assert all(parse(key) == node for key, (node, _, _) in memo.items())
+            assert all(parse(key) == node for key, (node, *_) in stored_groups(memo))
             ids = [i for f in got for i in inner_nodes(f)]
             sharing += len(set(ids)) < len(ids)
         assert sharing > 100
@@ -721,7 +728,9 @@ class TestMemo:
         memo = {}
         f = parse("(p0 -> []p1) & nabla (p0 -> []p1)", memo)
         assert f.left is f.right.operand
-        assert parse("~( p0->[]p1 )", memo).operand is f.left
+        assert parse("~(p0 -> []p1)", memo).operand is f.left
+        # groups are recalled by their text: another spacing parses equal
+        assert parse("~( p0->[]p1 )", memo).operand == f.left
         # a group that differs in its last lexeme is another group
         g = parse("(p0 -> []p2) | (p0 -> []p1)", memo)
         assert g.left == Implies(p0, Box(p2)) and g.right is f.left
@@ -760,6 +769,85 @@ class TestMemo:
         assert parse(f"~({inner})", memo).operand is deep
         assert parse(f"p2 -> ({inner})", memo).right is deep
         assert parse("(" * 42 + inner + ")" * 42, memo) == deep
+
+
+class TestRecallByText:
+    """A parse memo recalls a group by its raw text: at a ``(``, a stored
+    interior that the text continues with, followed by ``)``.  Each test
+    pins one condition of a recall; without it a wrong group is recalled,
+    or a right one is not."""
+
+    LONG = "p0 -> []p1 | p2 & ~p0 -> nabla p1"  # longer than the index prefix
+
+    def test_stored_group_followed_by_another_character_is_not_recalled(self):
+        memo = {}
+        parse(f"({self.LONG})", memo)
+        for text in (f"({self.LONG} & p2)", f"({self.LONG}& p2)", f"(~({self.LONG} -> p1))"):
+            assert parse(text, memo) == parse(text), text
+
+    def test_group_differing_after_the_index_prefix_is_another_group(self):
+        assert len(self.LONG) > 2 * syntax._INDEX
+        memo = {}
+        stored = parse(f"({self.LONG})", memo)
+        edited = self.LONG[:-1] + "2"  # same length, same prefix, another last atom
+        assert parse(f"~({edited})", memo).operand == parse(edited) != stored
+        assert parse(f"~({self.LONG})", memo).operand is stored
+
+    def test_group_shorter_than_the_index_prefix_is_recalled(self):
+        for inner in ("p0", "p0&p1", "~p1", "(p0)"):
+            assert len(inner) + 1 < syntax._INDEX
+            memo = {}
+            f = parse(f"({inner}) | p2", memo)
+            # recalled in other contexts, so the index cannot depend on what follows the ')'
+            assert parse(f"p1 & ({inner})", memo).right is f.left
+            g = parse(f"~({inner}) -> ({inner}) & p1", memo)
+            assert g == Implies(Not(f.left), And(f.left, p1)) and g.left.operand is g.right.left is f.left
+            # a longer group that starts with it is another group
+            assert parse(f"({inner} -> p2)", memo) == parse(f"({inner} -> p2)")
+
+    def test_respaced_group_parses_equal(self):
+        memo = {}
+        f = parse("(p0 & []p1) -> p2", memo)
+        for text in ("( p0 & []p1 ) -> p2", "(p0&[]p1) -> p2", "(\tp0 &\n[] p1) -> p2"):
+            assert parse(text, memo) == f, text
+        # each spelling is a stored group of its own
+        assert len(stored_groups(memo)) == 4
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(p0 & p1) & q", "(p0 & p1) $ (p0 & p1)", "(p0 & p1) | q7 & (p0 & p1) $", "~(p0 & p1) (",
+         "((p0 & p1) & p1q)", "(p0 & p1) -> (p0 & p1", "(p0 & p1) -> (p0 & p1)) q"],
+    )
+    def test_error_after_a_recalled_group_is_the_plain_parses(self, text):
+        memo = {}
+        parse("(p0 & p1) | (p0 & p1)", memo)
+        assert type(outcome(text)) is tuple
+        assert outcome(text, memo) == outcome(text)
+        # and again, with whatever the failed parse stored
+        assert outcome(text, memo) == outcome(text)
+
+    @pytest.mark.parametrize(
+        "inner, opener, closer",
+        [
+            ("~" * 60 + "p0", "~", ""),
+            ("~" * 60 + "p0", "(", ")"),
+            ("p0 -> " * 40 + "p1", "p0 -> ", ""),
+            ("p0 -> " * 40 + "p1", "(", ")"),
+        ],
+        ids=["prefixes-in-prefixes", "prefixes-in-parentheses", "arrows-after-arrows", "arrows-in-parentheses"],
+    )
+    def test_group_stored_around_a_recalled_group_raises_deep(self, inner, opener, closer):
+        # The outer group is stored while its inner group is recalled, so its
+        # bounds must count the recalled lexemes; then it is met ever deeper,
+        # past both bounds.  (81 lexemes of arrows still leave the inner
+        # group room for the outer group's parenthesis.)
+        memo = {}
+        first = parse(f"({inner})", memo)
+        outer = f"(p2 & ({inner}))"
+        assert parse(outer, memo).right is first
+        got = [outcome(opener * k + outer + closer * k, memo) for k in range(300)]
+        assert got == [outcome(opener * k + outer + closer * k) for k in range(300)]
+        assert type(got[0]) is not tuple and type(got[-1]) is tuple
 
 
 class TestSchemas:
