@@ -269,42 +269,22 @@ def _leaf(word: str, metavariables: bool) -> Formula | str:
     return f"unknown identifier {word!r}"
 
 
-def _lex(text: str, metavariables: bool) -> tuple[list[str], dict[str, Formula]]:
-    """Split ``text`` into lexemes followed by ``_END``, and map every word
-    that is a formula to it.  Each distinct word is read once; only when one
-    is a lexical error does a scan in text order find the first, to raise."""
-    lexemes = _LEXEME_RE.findall(text)
-    leaves: dict[str, Formula] = {"true": TOP, "false": BOTTOM}
-    for word in set(lexemes).difference(_OPERATORS, leaves):
-        leaf = _leaf(word, metavariables)
-        if type(leaf) is str:  # some word is bad: raise for the first in the text
-            for i, lx in enumerate(lexemes):
-                error = lx not in _OPERATORS and lx not in leaves and _leaf(lx, metavariables)
-                if type(error) is str:
-                    raise FormulaSyntaxError(error, _column(text, i))
-        leaves[word] = leaf
-    lexemes.append(_END)
-    return lexemes, leaves
-
-
 class _Parser:
     def __init__(self, text: str, metavariables: bool, memo: dict | None = None):
+        # The one lexer reads a segment at a time and each word as it is
+        # met.  ``base`` counts the lexemes before the segment, recalled
+        # ones included; ``opening`` and ``closing`` hold the next '(' and
+        # ')' found, ``len(text)`` for none: ``find`` gives -1, modulo
+        # ``stop``.  Only a memo ends a segment at a parenthesis; without
+        # one, neither is looked for and the text is one segment.
         self.text = text
-        self.i = 0
+        self.metavariables = metavariables
         self.memo = memo
-        if memo is None:
-            self.lexemes, self.leaves = _lex(text, metavariables)
-        else:
-            # Lexed a segment at a time, each ending just after the next
-            # parenthesis, and words read as they are met; ``base`` counts
-            # the lexemes before the segment, recalled ones included, and
-            # ``opening`` and ``closing`` hold the next '(' and ')' found,
-            # ``len(text)`` for none: ``find`` gives -1, modulo ``stop``.
-            self.leaves = {"true": TOP, "false": BOTTOM}
-            self.base = 0
-            self.opening = self.closing = -1
-            self.stop = len(text) + 1
-            self.segment(0)
+        self.leaves = {"true": TOP, "false": BOTTOM}
+        self.base = 0
+        self.opening = self.closing = len(text) if memo is None else -1
+        self.stop = len(text) + 1
+        self.segment(0)
 
     def segment(self, pos: int) -> None:
         """Lex from ``pos`` to just after the next parenthesis, or to the
@@ -325,22 +305,33 @@ class _Parser:
             self.lexemes = _LEXEME_RE.findall(text, pos, end)
 
     def error(self, message: str) -> FormulaSyntaxError:
-        # under a memo ``i`` counts from the segment, but ``parse`` raises
-        # every error again from a parse without the memo
-        return FormulaSyntaxError(message, _column(self.text, self.i))
+        return FormulaSyntaxError(message, _column(self.text, self.base + self.i))
 
     def found(self) -> str:
-        """The kind of the current lexeme, as error messages name it."""
+        """The kind of the current lexeme, as error messages name it; it
+        may be a word not read yet."""
         lx = self.lexemes[self.i]
         if lx == _END:
             return "end"
-        return "atom" if isinstance(self.leaves.get(lx), Atom) else lx
+        return "atom" if type(_leaf(lx, self.metavariables)) is Atom else lx
 
     def parse(self) -> Formula:
-        f = self.binary(1, 0, 0)
-        if self.lexemes[self.i] != _END:
-            raise self.error(f"unexpected trailing {self.found()!r}")
-        return f
+        """Parse the whole text.  A text with a lexical error raises the
+        first in the text, whatever error the parse met; so only an error
+        pays for a scan of the text's words."""
+        try:
+            f = self.binary(1, 0, 0)
+            if self.lexemes[self.i] != _END:
+                raise self.error(f"unexpected trailing {self.found()!r}")
+            return f
+        except FormulaSyntaxError:
+            for m in _LEXEME_RE.finditer(self.text):
+                lx = m.group()
+                if lx not in _OPERATORS and lx not in self.leaves:
+                    error = _leaf(lx, self.metavariables)
+                    if type(error) is str:
+                        raise FormulaSyntaxError(error, m.start()) from None
+            raise
 
     def binary(self, level: int, depth: int, nesting: int) -> Formula:
         """Parse an operand and the binary operators binding at ``level`` or
@@ -386,8 +377,8 @@ class _Parser:
             return leaf
         op = _PREFIX.get(lx)
         if op is None and lx != "(":
-            if self.memo is not None and lx not in _OPERATORS and lx != _END:
-                leaf = _leaf(lx, False)
+            if lx != _END:
+                leaf = _leaf(lx, self.metavariables)
                 if type(leaf) is not str:
                     self.leaves[lx] = leaf
                     self.i += 1
@@ -452,16 +443,22 @@ def parse(text: str, memo: dict | None = None) -> Formula:
     ``parse`` alone.  The same group spaced otherwise is another key, and
     parses to an equal node.
 
-    With a memo the text is lexed a segment at a time, each ending just
-    after the next parenthesis; no other lexeme holds one, so the lexemes
-    are those of the whole text.  At a ``(``, a stored interior that the
-    text goes on with, followed by ``)``, is the group itself, since its
-    parentheses balance; it is recalled, unlexed, inside at most the levels
-    and nesting stored with it, and its lexemes count toward the bounds of
-    the groups around it.  A group is stored only once its ``)`` is read,
-    so every node is the one a parse without the memo gives; the memo never
-    decides an error, which a parse without it raises again, message and
-    column.  Each character lies in at most ``MAX_NESTING`` stored groups,
+    One lexer serves every parse, ``parse_schema``'s too: it lexes a
+    segment at a time and reads each word when the parser meets it.  An
+    error's column is that of its lexeme, counted from the start of the
+    text, and a text with a lexical error raises the first in the text,
+    whatever error the parse met.  The memo decides only where segments end
+    and which groups are recalled and stored.  Without one, the whole text
+    is one segment.  With one, each segment ends just after the next
+    parenthesis; no other lexeme holds one, so the lexemes are those of
+    the whole text.  At a ``(``, a stored interior that the text goes on
+    with, followed by ``)``, is the group itself, since its parentheses
+    balance; it is recalled, unlexed, inside at most the levels and nesting
+    stored with it, and its lexemes count toward the bounds and columns
+    after it.  A group is stored only once its ``)`` is read, so every node
+    is the one a parse without the memo gives; the memo never decides an
+    error, which a parse without it raises again, message and column.
+    Each character lies in at most ``MAX_NESTING`` stored groups,
     so the stored interiors hold at most ``MAX_NESTING`` times the
     characters of the texts read, and the index keys, each at most its
     group's interior and ``)``, about as much again.

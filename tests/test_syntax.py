@@ -257,12 +257,29 @@ FIRST_LEXICAL_ERRORS = [
     ("true -> $ | p" + "9" * 5000, False, "unexpected character '$'", 8),
     ("p1 -> $", True, "unknown identifier 'p1'", 0),
     ("A & $ -> p1", True, "unexpected character '$'", 4),
+    # a syntax error comes first in the text, the lexical error after it
+    ("p0 & & $", False, "unexpected character '$'", 7),
+    ("(p0 $", False, "unexpected character '$'", 4),
+    (") q", False, "unknown identifier 'q'", 2),
+    ("p0 p1 q1", False, "unknown identifier 'q1'", 6),
+    ("p0 ) ( $", False, "unexpected character '$'", 7),
+    ("~(p0 -> []p1)) & xx", False, "unknown identifier 'xx'", 17),
+    ("(p0 -> []p1) ) $", False, "unexpected character '$'", 15),
+    ("(p0 -> []p1) (p0 -> []p1) q", False, "unknown identifier 'q'", 26),
+    ("(" * 101 + "p0" + ")" * 101 + " $", False, "unexpected character '$'", 205),
+    ("p0 -> " * 301 + "p0 | q", False, "unknown identifier 'q'", 1811),
+    ("A & & p0", True, "unknown identifier 'p0'", 6),
+    ("A B $", True, "unexpected character '$'", 4),
+    ("(A $", True, "unexpected character '$'", 3),
+    (") p0", True, "unknown identifier 'p0'", 2),
+    ("~" * 101 + "A & p1", True, "unknown identifier 'p1'", 105),
 ]
 
 
 class TestLexicalErrorOrder:
-    """The lexer reads each distinct word once, from a set; a text with
-    several bad words still names the first of them in the text."""
+    """The lexer reads each word as the parser meets it; a text with a
+    lexical error raises the first in the text, before any syntax error,
+    even one the parser met earlier, with a memo or without."""
 
     @pytest.mark.parametrize(
         "text, schema, message, column", FIRST_LEXICAL_ERRORS, ids=[t[:16] for t, *_ in FIRST_LEXICAL_ERRORS]
@@ -271,6 +288,13 @@ class TestLexicalErrorOrder:
         with pytest.raises(FormulaSyntaxError) as exc:
             (parse_schema if schema else parse)(text)
         assert str(exc.value) == f"{message} (at column {column})" and exc.value.position == column
+        if not schema:
+            # and through a memo holding every group of the text that parses
+            memo = {}
+            fill_memo(memo, [text, "(p0 -> []p1) & ~(p0 -> []p1)"])
+            assert stored_groups(memo)
+            for _ in range(2):
+                assert outcome(text, memo) == (str(exc.value), column)
 
     def test_hash_seed_does_not_choose_the_error(self):
         script = (
@@ -384,10 +408,13 @@ def random_texts(rng, count):
 
 class TestGoldenErrors:
     """``fixtures/syntax_errors.json`` holds seeded malformed texts with the
-    message and column the tokenizer-based parser gave them (written by
+    message and column the tokenizer-based parser gave them, and
+    ``fixtures/schema_errors.json`` seeded malformed schema texts with those
+    ``parse_schema`` gave them (both written by
     ``tests/record_syntax_errors.py``); the parser must reproduce them."""
 
     TABLE = json.loads((FIXTURES / "syntax_errors.json").read_text(encoding="utf-8"))
+    SCHEMA_TABLE = json.loads((FIXTURES / "schema_errors.json").read_text(encoding="utf-8"))
 
     def test_table_covers_every_message_form(self):
         assert len(self.TABLE) >= 2000
@@ -402,6 +429,18 @@ class TestGoldenErrors:
             got.append([text, str(exc.value), exc.value.position])
         assert got == self.TABLE
 
+    def test_schema_messages_and_columns(self):
+        assert len(self.SCHEMA_TABLE) >= 1000
+        for form in ERROR_FORMS:
+            assert any(message.startswith(form) for _, message, _ in self.SCHEMA_TABLE), form
+        assert any(message.startswith("unknown identifier 'p") for _, message, _ in self.SCHEMA_TABLE)
+        got = []
+        for text, _, _ in self.SCHEMA_TABLE:
+            with pytest.raises(FormulaSyntaxError) as exc:
+                parse_schema(text)
+            got.append([text, str(exc.value), exc.value.position])
+        assert got == self.SCHEMA_TABLE
+
     def test_messages_and_columns_through_a_filled_memo(self):
         # Each text's groups are stored from valid texts, shallow and deep,
         # and each text is parsed twice: a failed group must not be stored.
@@ -411,6 +450,12 @@ class TestGoldenErrors:
         for text, message, column in self.TABLE:
             for _ in range(2):
                 assert outcome(text, memo) == (message, column), text
+            # ``parse`` raises the error again without the memo, but every
+            # column counts the lexemes before its segment, so the parse
+            # with the memo already gives the same
+            with pytest.raises(FormulaSyntaxError) as exc:
+                syntax._Parser(text, False, memo).parse()
+            assert (str(exc.value), exc.value.position) == (message, column), text
 
     def test_random_texts_agree_with_and_without_a_memo(self):
         rng = random.Random(20261020)
@@ -825,6 +870,11 @@ class TestRecallByText:
         assert outcome(text, memo) == outcome(text)
         # and again, with whatever the failed parse stored
         assert outcome(text, memo) == outcome(text)
+        # ``parse`` raises the error again without the memo, but the parse
+        # with it already gives the same message and column
+        with pytest.raises(FormulaSyntaxError) as exc:
+            syntax._Parser(text, False, memo).parse()
+        assert (str(exc.value), exc.value.position) == outcome(text)
 
     @pytest.mark.parametrize(
         "inner, opener, closer",
