@@ -30,9 +30,7 @@ from .search import (
     SearchOutcome,
     Verdict,
     check_global_consequence,
-    enumerate_models,
     find_countermodel,
-    kernel_backend,
     run_k_experiment,
     sample_countermodel,
 )
@@ -48,7 +46,6 @@ from .semantics import (
     relation_properties,
     supplement,
     truth_mask,
-    truth_set,
 )
 from .syntax import (
     Atom,
@@ -69,11 +66,9 @@ from .syntax import (
     dialect_of,
     instantiate,
     match_schema,
-    modal_depth,
     parse,
     parse_schema,
     render,
-    render_schema,
     subformulas,
     translate,
 )

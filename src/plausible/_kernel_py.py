@@ -429,9 +429,11 @@ def filtration_count(programs, class_id: int) -> int | None:
     The letters are the atoms of the programs and their distinct modal
     subformulas, each read as a letter; an atom that compiled to bottom,
     outside the search bounds, is none.  T counts the letter assignments
-    under which every premise holds and, on the reflexive classes, every
-    ``[]A -> A`` and ``A -> <>A``; it is 0 if none of them falsifies the
-    target.  The ``search`` module docstring says why T bounds the first
+    under which every premise holds and, on constrained, every ``[]A -> A``
+    and ``A -> <>A``; it is 0 if none of them falsifies the target.  Only
+    a search without a class bound asks for T, so of the reflexive classes
+    only constrained does: kripke-equiv and universal always stop at m + 1
+    worlds.  The ``search`` module docstring says why T bounds the first
     countermodel.  With more than ``CHUNK_LOG2`` letters there is no cut.
     """
     # A program's letter program reads each modal subformula as its letter.
@@ -473,7 +475,7 @@ def filtration_count(programs, class_id: int) -> int | None:
     ok = ones
     for p in lettered[:-1]:
         ok &= eval_program(p, atoms, ones, 1, class_id, ())[0]
-    if class_id in (CLASS_CONSTRAINED, CLASS_KRIPKE_EQUIV, CLASS_UNIVERSAL):
+    if class_id == CLASS_CONSTRAINED:
         for op, letter, operand in modal:
             a, x = eval_program(operand, atoms, ones, 1, class_id, ())[0], patterns[letter]
             ok &= (x ^ ones) | a if op == OP_BOX else (a ^ ones) | x
@@ -482,29 +484,27 @@ def filtration_count(programs, class_id: int) -> int | None:
     return ok.bit_count()
 
 
-def run_search(class_id: int, max_worlds: int, natoms: int, programs, full_worlds: int, filtration=None):
+def run_search(class_id: int, bound: int | None, natoms: int, programs, full_worlds: int):
     """Scan the model class for the first model falsifying the last program
     while globally validating all earlier ones.
 
     Only orbit-minimal structures are scanned; the result, ``models_checked``
     included, is that of scanning every structure (see the module
-    docstring and ``structure_count``).  The scan stops at ``max_worlds``,
-    below ``full_worlds`` when the caller knows that the first
-    countermodel, if any, lies within it.  Without one, the count still
-    covers every structure on up to ``full_worlds`` worlds.  ``filtration``,
-    if given, returns such a bound or None, as ``filtration_count`` does;
-    it is called at most once, after the 1-world scan found nothing.
+    docstring and ``structure_count``).  ``bound`` is worlds enough for the
+    first countermodel, the class's world bound, or None where the class
+    has none: then the scan stops at ``filtration_count`` instead, worked
+    out once, after the 1-world scan found nothing.  Past the bound the
+    count still covers every structure on up to ``full_worlds`` worlds.
     Returns ``(found, models_checked, worlds, structure, vmasks, world)``.
     """
     gamma = programs[:-1]
     target = programs[-1]
     checked = 0
+    cut = bound
     for n in range(1, full_worlds + 1):
-        if n == 2 and filtration is not None and max_worlds > 1:
-            bound = filtration()
-            if bound is not None and bound < max_worlds:
-                max_worlds = bound
-        if n <= max_worlds:
+        if n == 2 and bound is None:
+            cut = filtration_count(programs, class_id)
+        if cut is None or n <= cut:
             hit = first_countermodel(gamma, target, n, natoms, class_id, orbit_minima(class_id, n))
             if hit:
                 rank, struct, v, world = hit

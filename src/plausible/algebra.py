@@ -33,13 +33,15 @@ from operator import and_
 from .semantics import BoundsExceededError, KripkeModel, NeighborhoodModel, Witnesses, truth_mask
 from .syntax import Dialect, Formula, InputError, Record, atoms_of, render, translate
 
-# check_algebra visits all 4^base element pairs: base 9 takes about half a
-# second, and each further generator four times as long.
+# check_algebra visits all 4^base element pairs: base 9 takes about 0.05 s
+# and check_derived_laws about 0.06 s more (Python 3.11, a 2-CPU Xeon host),
+# and each further generator four times as long.
 MAX_BASE = 9
 # alg_validates has the kernel evaluate the formula under every assignment of
 # elements to atoms, each a valuation of the algebra's frame; the cap bounds
 # those valuations.  Its value is unchanged, so `plaus algebra --formula`
-# accepts the same formulas; 2^16 valuations at base 2 take about 1 ms.
+# accepts the same formulas; 2^16 valuations at base 2 take about 0.3 ms
+# (same host).
 MAX_ASSIGNMENTS = 1 << 16
 
 

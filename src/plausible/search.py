@@ -89,16 +89,18 @@ assignments, each realised at a world where the premises hold and, on a
 reflexive frame, every ``[]A -> A`` and ``A -> <>A`` of Σ as well.  So
 the first countermodel has at most T worlds, T the count of such
 assignments with each modal subformula read as a letter, and none exists
-if no counted assignment falsifies the target: then T is 0.  The kernel's
-``filtration_count`` works T out in one bit-sliced evaluation, only once
-a one-world scan found no countermodel.
+if no counted assignment falsifies the target: then T is 0.  The kernel
+cuts at T wherever the class gives no bound, so only constrained, of the
+reflexive classes, ever has T worked out, and only there does
+``filtration_count`` impose the reflexive constraint.  It works T out in
+one bit-sliced evaluation, only once a one-world scan found no
+countermodel.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from functools import partial
 from itertools import product
 
 from . import _kernel_py
@@ -160,7 +162,7 @@ def _check_equivalence(model: Model) -> None:
         raise SearchInternalError("countermodel relation is not an equivalence")
 
 
-def _draw_partition(rng: random.Random, n: int) -> tuple[int, ...]:
+def _draw_partition(rng, n: int) -> tuple[int, ...]:
     blocks = [rng.randrange(n) for _ in range(n)]
     return tuple(sum(1 << z for z in range(n) if blocks[z] == blocks[w]) for w in range(n))
 
@@ -197,7 +199,8 @@ class ModelClass(Enum):
     Constrained and kripke-all are cut at Σ_{i≤d} mⁱ worlds by the tree
     model, reflexive loops added for constrained, only without premises.
     Where no bound applies, with premises there and always on raw, the
-    search stops at the filtration count of its letters instead.
+    kernel stops at the filtration count of the search's letters instead,
+    with the reflexive constraint on constrained only.
     """
 
     def __new__(cls, value, kernel_id, cap, dialect, model, draw, check=None, world_bound=None):
@@ -381,17 +384,11 @@ def _search(gamma: tuple[Formula, ...], f: Formula, bounds: SearchBounds) -> Sea
     programs = [compile_program(g, slots, modal, witnessed, premise=True) for g in gamma]
     programs.append(compile_program(f, slots, modal, witnessed))
     # A search stops at its class's world bound: the first countermodel lies
-    # within it, and without one the kernel counts the models past it.
-    # Where no class bound applies, the kernel stops at the filtration count
-    # instead, worked out only once one world has not sufficed.
-    scanned, filtration = bounds.max_worlds, None
+    # within it, and the kernel counts the models past it.  Where the class
+    # gives none, the kernel stops at the filtration count instead.
     bound = mc.world_bound and mc.world_bound(len(witnessed), max(modal.values(), default=0), bool(gamma))
-    if bound is None:
-        filtration = partial(_kernel_py.filtration_count, programs, mc.kernel_id)
-    else:
-        scanned = min(scanned, bound)
     found, checked, n, struct, vmasks, world = _ACTIVE.run_search(
-        mc.kernel_id, scanned, len(bounds.atoms), programs, bounds.max_worlds, filtration
+        mc.kernel_id, bound, len(bounds.atoms), programs, bounds.max_worlds
     )
     if not found:
         return SearchOutcome(Verdict.EXHAUSTED_VALID, checked)

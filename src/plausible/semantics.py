@@ -369,10 +369,6 @@ def truth_mask(m: Model, f: Formula) -> int:
             raise DialectError(f"operator not supported by this model class: {render(f)}")
 
 
-def truth_set(m: Model, f: Formula) -> frozenset[int]:
-    return frozenset(worlds_of(truth_mask(m, f)))
-
-
 def eval_model(m: Model, w: int, f: Formula) -> bool:
     _check_world(m.worlds, w)
     return bool((truth_mask(m, f) >> w) & 1)

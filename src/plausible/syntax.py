@@ -480,17 +480,17 @@ _SIGIL = {op: sigil for sigil, op in _PREFIX.items()}
 _BINDING = {op: (sigil, level, assoc) for sigil, (op, level, assoc) in _INFIX.items()}
 
 
-def _render(f: Formula, atom_name, memo: dict) -> str:
+def _render(f: Formula, memo: dict) -> str:
     t = type(f)
     if t in _LEAF_TYPES:
-        return atom_name(f[1]) if t is Atom else "true" if t is Top else "false"
+        return f"p{f[1]}" if t is Atom else "true" if t is Top else "false"
     hit = memo.get(id(f))
     if hit is not None:
         return hit[1]
     binding = _BINDING.get(t)
     if binding is None:
         sigil = _SIGIL[t]
-        text = _render(f[1], atom_name, memo)
+        text = _render(f[1], memo)
         if type(f[1]) in _BINDING:
             text = f"({text})"
         elif sigil.isalpha():
@@ -502,11 +502,11 @@ def _render(f: Formula, atom_name, memo: dict) -> str:
         # the operator's own level needs parentheses on the side it does
         # not associate to.
         sigil, level, right_assoc = binding
-        left = _render(f[1], atom_name, memo)
+        left = _render(f[1], memo)
         inner = _BINDING.get(type(f[1]))
         if inner is not None and inner[1] < level + right_assoc:
             left = f"({left})"
-        right = _render(f[2], atom_name, memo)
+        right = _render(f[2], memo)
         inner = _BINDING.get(type(f[2]))
         if inner is not None and inner[1] < level + (not right_assoc):
             right = f"({right})"
@@ -514,10 +514,6 @@ def _render(f: Formula, atom_name, memo: dict) -> str:
     # The entry keeps ``f`` alive, so its id is not reused while the memo is.
     memo[id(f)] = (f, text)
     return text
-
-
-def _atom_name(i: int) -> str:
-    return f"p{i}"
 
 
 def render(f: Formula, memo: dict | None = None) -> str:
@@ -528,7 +524,7 @@ def render(f: Formula, memo: dict | None = None) -> str:
     they share once; it must live no longer than those calls need it and
     serve ``render`` alone.
     """
-    return _render(f, _atom_name, {} if memo is None else memo)
+    return _render(f, {} if memo is None else memo)
 
 
 # ---------------------------------------------------------------------------
@@ -540,22 +536,11 @@ class Schema(Record, namedtuple("Schema", "pattern")):
 
     __slots__ = ()
 
-    def metavariables(self) -> frozenset[int]:
-        return atoms_of(self.pattern)
-
 
 def parse_schema(text: str) -> Schema:
     """Parse schema text; the single uppercase letters ``A``-``Z`` are its
     metavariables, and it has no atoms ``pN``."""
     return Schema(_Parser(text, metavariables=True).parse())
-
-
-def _metavariable_name(i: int) -> str:
-    return chr(ord("A") + i) if i < 26 else f"A{i}"
-
-
-def render_schema(s: Schema) -> str:
-    return _render(s.pattern, _metavariable_name, {})
 
 
 MetaBinding = dict[int, Formula]
@@ -597,7 +582,7 @@ def _instantiate(pat: Formula, binding: MetaBinding) -> Formula:
         try:
             return binding[pat[1]]
         except KeyError:
-            name = _metavariable_name(pat[1])
+            name = chr(ord("A") + pat[1]) if pat[1] < 26 else f"A{pat[1]}"
             raise UnboundMetavariableError(f"metavariable {name} is unbound") from None
     if t in _BINARY_TYPES:
         return tuple.__new__(t, (pat[0], _instantiate(pat[1], binding), _instantiate(pat[2], binding)))
@@ -608,19 +593,6 @@ def _instantiate(pat: Formula, binding: MetaBinding) -> Formula:
 
 # ---------------------------------------------------------------------------
 # Structural measures and dialects
-
-
-def modal_depth(f: Formula) -> int:
-    """Maximal nesting of modal operators; 0 iff the formula is classical."""
-    match f:
-        case Atom() | Top() | Bottom():
-            return 0
-        case Not(g):
-            return modal_depth(g)
-        case Box(g) | Diamond(g) | Nabla(g):
-            return 1 + modal_depth(g)
-        case _:
-            return max(modal_depth(f.left), modal_depth(f.right))
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:

@@ -1,4 +1,5 @@
-"""Mutation harness for the parser: each mutant must make its tests fail.
+"""Mutation harness for the parser and the search kernel's filtration
+cut: each mutant must make its tests fail.
 
 A mutant replaces one exact text of a file under ``src/`` with another, in
 a temporary copy of the checkout, and runs its pytest selection there; it
@@ -29,6 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # the benchmark's oracle (``conftest`` loads it) and the pytest settings
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 SYNTAX = "src/plausible/syntax.py"
+KERNEL = "src/plausible/_kernel_py.py"
+FILTRATION = "tests/test_search.py::TestFiltrationWorldBound"
 
 Mutant = namedtuple("Mutant", "name file old new why select")
 
@@ -136,6 +139,80 @@ MUTANTS = [
         "        if self.lexemes[self.i] != \")\":",
         "a group is stored before its ')' is read, under the text up to the next parenthesis",
         ["tests/test_syntax.py::TestGoldenErrors"],
+    ),
+    Mutant(
+        "count-under-a-class-bound", KERNEL,
+        "        if n == 2 and bound is None:",
+        "        if n == 2:",
+        "the kernel works T out and cuts at it even where the class gives its own bound",
+        [f"{FILTRATION}::test_count_worked_out_only_when_needed"],
+    ),
+    Mutant(
+        "count-never-asked", KERNEL,
+        "        if n == 2 and bound is None:",
+        "        if False:",
+        "a search without a class bound scans every world count: T is never worked out",
+        [f"{FILTRATION}::test_premise_op_scans_two_worlds"],
+    ),
+    Mutant(
+        "reflexive-constraint-on-kripke-all", KERNEL,
+        "    if class_id == CLASS_CONSTRAINED:",
+        "    if class_id in (CLASS_CONSTRAINED, CLASS_KRIPKE_ALL):",
+        "T imposes []A -> A and A -> <>A on kripke-all, whose frames need not be reflexive",
+        [f"{FILTRATION}::test_reflexive_constraint_only_on_reflexive_classes"],
+    ),
+    Mutant(
+        "no-reflexive-constraint", KERNEL,
+        "    if class_id == CLASS_CONSTRAINED:",
+        "    if False:",
+        "T imposes []A -> A and A -> <>A on no class, constrained included",
+        [f"{FILTRATION}::test_reflexive_constraint_only_on_reflexive_classes"],
+    ),
+    Mutant(
+        "premise-left-out-of-count", KERNEL,
+        "    for p in lettered[:-1]:",
+        "    for p in lettered[1:-1]:",
+        "T counts the assignments without requiring the first premise to hold",
+        [f"{FILTRATION}::test_a_premise_left_out_raises_the_count"],
+    ),
+    Mutant(
+        "modal-letters-keyed-by-opcode", KERNEL,
+        "                key = (op, *out[at:])",
+        "                key = (op,)",
+        "every box is one letter and every diamond another, whatever their operands",
+        [f"{FILTRATION}::test_distinct_modal_subformulas_are_distinct_letters"],
+    ),
+    Mutant(
+        "modal-letter-read-as-operand", KERNEL,
+        "                out[at:] = (OP_ATOM, letter)",
+        "                pass",
+        "a letter program reads a modal subformula as its operand, not as its letter",
+        [f"{FILTRATION}::test_premise_op_scans_two_worlds"],
+    ),
+    Mutant(
+        "no-zero-count", KERNEL,
+        "    if not ok & ~eval_program(lettered[-1], atoms, ones, 1, class_id, ())[0]:\n"
+        "        return 0",
+        "    if False:\n"
+        "        return 0",
+        "T counts the assignments even where none of them falsifies the target",
+        [f"{FILTRATION}::test_oracle_parity_without_a_count"],
+    ),
+    Mutant(
+        "scan-below-the-count", KERNEL,
+        "    return ok.bit_count()",
+        "    return ok.bit_count() - 1",
+        "the scan stops one world below T",
+        [f"{FILTRATION}::test_oracle_parity_at_the_count"],
+    ),
+    Mutant(
+        "no-letter-limit", KERNEL,
+        "    if s > CHUNK_LOG2:\n"
+        "        return None",
+        "    if False:\n"
+        "        return None",
+        "T is worked out over any number of letters, past a chunk's lanes",
+        [f"{FILTRATION}::test_letters_stop_at_the_chunk"],
     ),
 ]
 

@@ -47,7 +47,7 @@ from plausible.semantics import (
     truth_mask,
     world_conditions,
 )
-from plausible.syntax import Box, Dialect, instantiate, parse, translate
+from plausible.syntax import Box, Dialect, atoms_of, instantiate, parse, translate
 from plausible.proofs import SCHEMAS
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -92,7 +92,7 @@ def test_c02_s5_suite():
     p0 = parse("p0")
     for name in schema_names:
         schema = SCHEMAS[name]
-        instance = instantiate(schema, {m: p0 for m in schema.metavariables()})
+        instance = instantiate(schema, {m: p0 for m in atoms_of(schema.pattern)})
         ok, outcome = exhausted(instance, ModelClass.KRIPKE_EQUIVALENCE, 3, (0,))
         assert ok, f"{name} refuted: {outcome}"
     report("C2 S5 suite", f"{len(schema_names)} schemas over equivalence frames")

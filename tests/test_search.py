@@ -48,6 +48,7 @@ from plausible.syntax import (
     Implies,
     Not,
     Or,
+    atoms_of,
     parse,
     render,
 )
@@ -905,10 +906,10 @@ class TestFiltrationWorldBound:
             target = random_formula(rng, 2, modal, rng.randint(1, 5))
             calls.clear()
             check_global_consequence(gamma, target, bounds(mc, worlds, (0, 1)))
-            [((class_id, _, natoms, programs, full, filtration), result)] = calls
+            [((class_id, bound, natoms, programs, full), result)] = calls
             assert result == run(class_id, full, natoms, programs, full), (mc.value, gamma, target)
             exhausted += not result[0]
-            if filtration is not None and (filtration() or 1) < worlds:
+            if bound is None and (_kernel_py.filtration_count(programs, class_id) or 1) < worlds:
                 cut += 1
         # the differential reaches the cut, and not only on refuted queries
         assert cut > 500 and exhausted > 1000
@@ -923,17 +924,37 @@ class TestFiltrationWorldBound:
         assert scanned == [1, 2]
         assert (out.verdict, out.models_checked) == (Verdict.EXHAUSTED_VALID, oracle.model_count("constrained", 4, 2))
 
+    # (premises, formula, class, whether T is worked out): the searches
+    # without a class bound, raw and the premised constrained and kripke-all
+    # ones, need T; all are exhausted but the last two, refuted at one world
+    COUNT_NEEDED = [
+        ((), "[]p0 -> [][]p0", ModelClass.UNIVERSAL, False),
+        (("[]p0",), "p0", ModelClass.UNIVERSAL, False),
+        ((), "<>[]p0 -> []p0", ModelClass.KRIPKE_EQUIVALENCE, False),
+        (("[]p0",), "p0", ModelClass.KRIPKE_EQUIVALENCE, False),
+        ((), "[](p0 -> p1) -> ([]p0 -> []p1)", ModelClass.CONSTRAINED_NEIGHBORHOOD, False),
+        ((), "[](p0 -> p1) -> ([]p0 -> []p1)", ModelClass.KRIPKE_ALL, False),
+        ((), "[]p0 -> []p0", ModelClass.RAW_NEIGHBORHOOD, True),
+        (("p1",), "[](p0 & p1) -> [](p1 & p0)", ModelClass.RAW_NEIGHBORHOOD, True),
+        (("p0 -> p1", "[]p0"), "[]p1", ModelClass.CONSTRAINED_NEIGHBORHOOD, True),
+        (("[](p0 -> p1)", "[]p0"), "[]p1", ModelClass.KRIPKE_ALL, True),
+        # refuted at one world
+        (("p1",), "p0", ModelClass.CONSTRAINED_NEIGHBORHOOD, False),
+        ((), "[]p0", ModelClass.RAW_NEIGHBORHOOD, False),
+    ]
+
     def test_count_worked_out_only_when_needed(self, monkeypatch):
+        scanned = scanned_worlds(monkeypatch)
         counted, count = [], _kernel_py.filtration_count
-        monkeypatch.setattr(_kernel_py, "filtration_count", lambda *args: counted.append(args) or count(*args))
-        b = bounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 4, (0, 1))
-        # refuted at one world, and cut at the tree bound: no count
-        check_global_consequence([parse("p1")], parse("p0"), b)
-        find_countermodel(K_FORMULA, b)
-        find_countermodel(parse("[]p0 -> [][]p0"), bounds(ModelClass.UNIVERSAL, 4, (0,)))
-        assert counted == []
-        check_global_consequence([parse("p0 -> p1"), parse("[]p0")], parse("[]p1"), b)
-        assert len(counted) == 1
+        # each T records the world counts scanned before it
+        monkeypatch.setattr(_kernel_py, "filtration_count", lambda *args: counted.append(list(scanned)) or count(*args))
+        for i, (gamma, text, mc, needed) in enumerate(self.COUNT_NEEDED):
+            scanned.clear()
+            counted.clear()
+            out = check_global_consequence([parse(g) for g in gamma], parse(text), bounds(mc, min(mc.cap, 4), (0, 1)))
+            refuted = i >= len(self.COUNT_NEEDED) - 2
+            assert (out.countermodel and out.countermodel.worlds) == (1 if refuted else None), (gamma, text, mc.value)
+            assert counted == ([[1]] if needed else []), (gamma, text, mc.value)
 
     def test_a_premise_left_out_raises_the_count(self):
         # each premise of the premise op alone leaves more than its T of 2
@@ -1140,7 +1161,7 @@ class TestAxiomTablesExhaustedValid:
         fill = {0: Atom(0), 1: Atom(1), 2: Atom(0)}
         for name in SystemId.LPBOX.axioms:
             schema = SCHEMAS[name]
-            instance = instantiate(schema, {m: fill[m] for m in schema.metavariables()})
+            instance = instantiate(schema, {m: fill[m] for m in atoms_of(schema.pattern)})
             out = find_countermodel(instance, bounds(ModelClass.CONSTRAINED_NEIGHBORHOOD, 3, (0, 1)))
             assert out.verdict is Verdict.EXHAUSTED_VALID, name
 
@@ -1150,7 +1171,7 @@ class TestAxiomTablesExhaustedValid:
 
         for name in SystemId.S5.axioms:
             schema = SCHEMAS[name]
-            instance = instantiate(schema, {m: Atom(0) for m in schema.metavariables()})
+            instance = instantiate(schema, {m: Atom(0) for m in atoms_of(schema.pattern)})
             out = find_countermodel(instance, bounds(ModelClass.KRIPKE_EQUIVALENCE, 3, (0,)))
             assert out.verdict is Verdict.EXHAUSTED_VALID, name
 

@@ -20,7 +20,6 @@ from plausible.semantics import (
     relation_properties,
     supplement,
     truth_mask,
-    truth_set,
     world_conditions,
 )
 from plausible.syntax import Box, DialectError, parse
@@ -62,12 +61,12 @@ class TestNeighborhoodEval:
             eval_model(spec_model, 0, parse("nabla p0"))
 
     def test_truth_sets(self, spec_model):
-        assert truth_set(spec_model, parse("p0")) == {0}
-        assert truth_set(spec_model, parse("~p0")) == {1}
-        assert truth_set(spec_model, parse("false")) == frozenset()
+        assert truth_mask(spec_model, parse("p0")) == 0b01
+        assert truth_mask(spec_model, parse("~p0")) == 0b10
+        assert truth_mask(spec_model, parse("false")) == 0
 
     def test_absent_atom_is_empty(self, spec_model):
-        assert truth_set(spec_model, parse("p7")) == frozenset()
+        assert truth_mask(spec_model, parse("p7")) == 0
 
 
 class TestConditions:
